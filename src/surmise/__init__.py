@@ -9,6 +9,7 @@ text.
 from .table import (
     Flexibility,
     FlexibilityError,
+    FlexibilityFormatError,
     JudgmentTable,
     ModelId,
     PairCounts,
@@ -70,6 +71,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Flexibility",
     "FlexibilityError",
+    "FlexibilityFormatError",
     "JudgmentTable",
     "ModelId",
     "PairCounts",

@@ -7,7 +7,6 @@ parameters).
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 from .hasse import transitive_reduction
@@ -24,7 +23,7 @@ from .io import (
 from .kst import structure_from_table
 from .order import order_matrix
 from .synth import SynthSpec, random_poset, sample_models
-from .table import Flexibility, TableError
+from .table import Flexibility, FlexibilityFormatError, TableError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,17 +45,9 @@ def _read_table(path: str):
         return parse_csv(handle.read())
 
 
-def _flexibility(text: str) -> Flexibility:
-    # Non-numeric text is a usage problem; numeric but out-of-range (or
-    # too precise) violates the < 50% contract.
-    if re.fullmatch(r"-?\d+(\.\d+)?", text.strip()) is None:
-        raise _UsageError(f"--flexibility expects a decimal percentage, got {text!r}")
-    return Flexibility.parse(text)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     table = _read_table(args.csv)
-    alpha = _flexibility(args.flexibility)
+    alpha = Flexibility.parse(args.flexibility)
     report = analyze(table, alpha, include_counts=args.counts)
     sys.stdout.write(emit_report(report, "json" if args.json else "text"))
     return EXIT_OK
@@ -64,7 +55,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_hasse(args: argparse.Namespace) -> int:
     table = _read_table(args.csv)
-    alpha = _flexibility(args.flexibility)
+    alpha = Flexibility.parse(args.flexibility)
     diagram = transitive_reduction(order_matrix(table, alpha))
     sys.stdout.write(hasse_json(diagram) if args.json else emit_dot(diagram))
     return EXIT_OK
@@ -160,7 +151,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, FlexibilityFormatError) as exc:
+        # Non-numeric flexibility is a usage problem; a numeric one out of
+        # range (or too precise) violates the < 50% contract (exit 3).
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CsvError, TableError) as exc:

@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .order import OrderMatrix, verify_partial_order
-from .table import natural_key
+from .order import OrderMatrix, sorted_pairs, verify_partial_order
+from .table import bit_indices, natural_key
 
 __all__ = [
     "HasseDiagram",
@@ -69,6 +69,22 @@ def _layers_from_edges(
     return layers
 
 
+def covering_masks(strict_up: Sequence[int]) -> list[int]:
+    """Covering successors of every node of a strict partial order.
+
+    Bit j of ``strict_up[i]`` means i < j.  j covers i iff no k with
+    i < k has k < j, so row i loses the union of the rows of everything
+    above it (Aho, Garey & Ullman 1972): one OR per relation pair.
+    """
+    covers = []
+    for above in strict_up:
+        implied = 0
+        for k in bit_indices(above):
+            implied |= strict_up[k]
+        covers.append(above & ~implied)
+    return covers
+
+
 def transitive_reduction(matrix: OrderMatrix) -> HasseDiagram:
     """Strip every implied edge, leaving the unique covering relation.
 
@@ -80,24 +96,12 @@ def transitive_reduction(matrix: OrderMatrix) -> HasseDiagram:
     if not diagnostics.ok:
         raise ValueError(f"not a partial order: {diagnostics.summary()}")
 
-    reps, bits = matrix.reps, matrix.bits
-    size = len(reps)
-    edges = [
-        (reps[i], reps[j])
-        for i in range(size)
-        for j in range(size)
-        if i != j
-        and bits[i][j]
-        and not any(
-            k not in (i, j) and bits[i][k] and bits[k][j] for k in range(size)
-        )
-    ]
-    edges.sort(key=lambda e: (natural_key(e[0]), natural_key(e[1])))
+    edges = sorted_pairs(matrix.reps, covering_masks(matrix.strict_rows))
     return HasseDiagram(
-        nodes=reps,
+        nodes=matrix.reps,
         members=matrix.member_map(),
-        edges=tuple(edges),
-        layers=_layers_from_edges(reps, edges),
+        edges=edges,
+        layers=_layers_from_edges(matrix.reps, edges),
     )
 
 

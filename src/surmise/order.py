@@ -9,15 +9,19 @@ and is a genuine partial order: reflexive, anti-symmetric, transitive.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from .table import (
     Flexibility,
     JudgmentTable,
     PairCounts,
     ZERO_FLEXIBILITY,
+    bit_indices,
+    column_masks,
     natural_key,
     natural_sorted,
+    pack_bits,
 )
 
 __all__ = [
@@ -36,6 +40,28 @@ class OrderAxiomError(RuntimeError):
     """An order matrix failed verification; this signals a bug, not bad data."""
 
 
+def _edge_holds(n2: int, n3: int, basis_points: int) -> bool:
+    """The threshold test for p -> q on the pair's p-only (n2) and q-only
+    (n3) model counts: 10000*n3 <= bp*(n2+n3), exact in integers.
+
+    Why it is a partial order on supports for bp < 5000.  With
+    n2 - n3 = |S_p| - |S_q| the test rearranges to
+
+        n3*(10000 - 2*bp) <= bp*(|S_p| - |S_q|)                     (*)
+
+    - Anti-symmetry: (*) for (p, q) plus (*) for (q, p) gives
+      (n2 + n3)*(10000 - 2*bp) <= 0, so n2 = n3 = 0: identical columns.
+    - Transitivity: for p -> q -> r, |S_r - S_p| <= |S_r - S_q| +
+      |S_q - S_p|; multiplying by 10000 - 2*bp > 0 and applying (*) to
+      (q, r) and (p, q) bounds the left side by bp*(|S_p| - |S_r|), which
+      is (*) for (p, r).
+    - Size order: the left side of (*) is >= 0, so |S_p| >= |S_q|, and
+      equal sizes force n3 = 0 and then n2 = 0.  A strict edge between
+      different columns thus goes from a larger support to a smaller one.
+    """
+    return 10000 * n3 <= basis_points * (n2 + n3)
+
+
 def flexible_leq(
     counts: PairCounts, alpha: Flexibility, same_target: bool = False
 ) -> bool:
@@ -46,12 +72,7 @@ def flexible_leq(
     q-only models among the splitters is at most alpha.  The comparison
     is the exact cross-multiplication 10000*n3 <= bp*(n2+n3).
     """
-    if same_target:
-        return True
-    split = counts.n2 + counts.n3
-    if split == 0:
-        return True
-    return 10000 * counts.n3 <= alpha.basis_points * split
+    return same_target or _edge_holds(counts.n2, counts.n3, alpha.basis_points)
 
 
 @dataclass(frozen=True)
@@ -64,22 +85,26 @@ class EquivalenceClasses:
     """
 
     blocks: tuple[tuple[str, ...], ...]
+    _block_of: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _members_of: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_block_of", {n: block for block in self.blocks for n in block})
+        object.__setattr__(self, "_members_of", {block[-1]: block for block in self.blocks})
 
     @property
     def representatives(self) -> tuple[str, ...]:
         return tuple(block[-1] for block in self.blocks)
 
     def block_of(self, name: str) -> tuple[str, ...]:
-        for block in self.blocks:
-            if name in block:
-                return block
-        raise ValueError(f"unknown target {name!r}")
+        if name not in self._block_of:
+            raise ValueError(f"unknown target {name!r}")
+        return self._block_of[name]
 
     def members_of(self, representative: str) -> tuple[str, ...]:
-        for block in self.blocks:
-            if block[-1] == representative:
-                return block
-        raise ValueError(f"no class labeled {representative!r}")
+        if representative not in self._members_of:
+            raise ValueError(f"no class labeled {representative!r}")
+        return self._members_of[representative]
 
 
 def equivalence_classes(
@@ -88,26 +113,31 @@ def equivalence_classes(
     """Group targets that are ordered both ways at the given flexibility.
 
     Mutual order below 50% flexibility forces n2 = n3 = 0, i.e. identical
-    judgment columns, so membership can be decided against any one block
-    member.
+    judgment columns (see ``_edge_holds``), so the blocks are the targets
+    with equal support masks whatever alpha is.
     """
-    names = table.target_names
-    blocks: list[list[int]] = []
-    for j in range(table.target_count):
-        for block in blocks:
-            anchor = block[0]
-            if flexible_leq(table.pair_counts(j, anchor), alpha) and flexible_leq(
-                table.pair_counts(anchor, j), alpha
-            ):
-                block.append(j)
-                break
-        else:
-            blocks.append([j])
-    named = [
-        tuple(natural_sorted(names[j] for j in block)) for block in blocks
-    ]
+    groups: dict[int, list[str]] = {}
+    for name, mask in zip(table.target_names, table.support_masks):
+        groups.setdefault(mask, []).append(name)
+    named = [tuple(natural_sorted(group)) for group in groups.values()]
     named.sort(key=lambda block: natural_key(block[-1]))
     return EquivalenceClasses(blocks=tuple(named))
+
+
+def sorted_pairs(
+    names: Sequence[str], masks: Sequence[int]
+) -> tuple[tuple[str, str], ...]:
+    """(names[i], names[j]) for every bit j of masks[i], natural-sorted.
+
+    Names are ranked once, so sorting costs no name comparison per pair.
+    """
+    order = sorted(range(len(names)), key=lambda i: natural_key(names[i]))
+    rank = {i: position for position, i in enumerate(order)}
+    return tuple(
+        (names[i], names[j])
+        for i in order
+        for j in sorted(bit_indices(masks[i]), key=rank.__getitem__)
+    )
 
 
 @dataclass(frozen=True)
@@ -115,33 +145,37 @@ class OrderMatrix:
     """Boolean matrix of the prerequisite order over class representatives.
 
     ``bits[i][j]`` means reps[i] -> reps[j] (reps[i] is a prerequisite of
-    reps[j]).  ``classes`` carries the member lists behind each
-    representative; hand-built matrices may omit it.
+    reps[j]).  ``rows[i]`` is row i as an int (bit j is ``bits[i][j]``),
+    derived at construction.  ``classes`` carries the member lists behind
+    each representative; hand-built matrices may omit it.
     """
 
     reps: tuple[str, ...]
     bits: tuple[tuple[bool, ...], ...]
     classes: EquivalenceClasses | None = None
+    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(pack_bits(row) for row in self.bits))
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.reps)})
+
+    @property
+    def strict_rows(self) -> list[int]:
+        """``rows`` with the diagonal bit cleared."""
+        return [row & ~(1 << i) for i, row in enumerate(self.rows)]
 
     def index_of(self, name: str) -> int:
-        try:
-            return self.reps.index(name)
-        except ValueError:
-            raise ValueError(f"unknown representative {name!r}") from None
+        if name not in self._index:
+            raise ValueError(f"unknown representative {name!r}")
+        return self._index[name]
 
     def holds(self, p: str, q: str) -> bool:
         return self.bits[self.index_of(p)][self.index_of(q)]
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         """All strict ordered pairs (p, q), natural-sorted."""
-        out = [
-            (self.reps[i], self.reps[j])
-            for i in range(len(self.reps))
-            for j in range(len(self.reps))
-            if i != j and self.bits[i][j]
-        ]
-        out.sort(key=lambda pq: (natural_key(pq[0]), natural_key(pq[1])))
-        return tuple(out)
+        return sorted_pairs(self.reps, self.strict_rows)
 
     def member_map(self) -> dict[str, tuple[str, ...]]:
         if self.classes is None:
@@ -201,45 +235,43 @@ class OrderDiagnostics:
 
 
 def verify_partial_order(matrix: OrderMatrix) -> OrderDiagnostics:
-    """Check reflexivity, anti-symmetry and transitivity; never raises."""
-    reps, bits = matrix.reps, matrix.bits
+    """Check reflexivity, anti-symmetry and transitivity; never raises.
+
+    Each witness is the first failure in the scan order i, then j, then
+    k.  Works on row and column bitmasks: anti-symmetry is one AND per
+    node, and (i, j) breaks transitivity iff ``rows[j] & ~rows[i]`` is
+    non-zero, one test per relation pair.
+    """
+    reps, up = matrix.reps, matrix.rows
     size = len(reps)
+    down = column_masks(matrix.bits, size)
 
-    reflexive, reflexive_witness = True, None
+    reflexivity_witness = next(
+        (reps[i] for i in range(size) if not up[i] >> i & 1), None
+    )
+
+    antisymmetry_witness = None
     for i in range(size):
-        if not bits[i][i]:
-            reflexive, reflexive_witness = False, reps[i]
+        mutual = (up[i] & down[i]) >> (i + 1)
+        if mutual:
+            antisymmetry_witness = (reps[i], reps[i + 1 + bit_indices(mutual)[0]])
             break
 
-    antisymmetric, antisymmetry_witness = True, None
+    transitivity_witness = None
     for i in range(size):
-        for j in range(i + 1, size):
-            if bits[i][j] and bits[j][i]:
-                antisymmetric, antisymmetry_witness = False, (reps[i], reps[j])
+        for j in bit_indices(up[i]):
+            missing = up[j] & ~up[i]
+            if missing:
+                transitivity_witness = (reps[i], reps[j], reps[bit_indices(missing)[0]])
                 break
-        if not antisymmetric:
-            break
-
-    transitive, transitivity_witness = True, None
-    for i in range(size):
-        for j in range(size):
-            if not bits[i][j]:
-                continue
-            for k in range(size):
-                if bits[j][k] and not bits[i][k]:
-                    transitive = False
-                    transitivity_witness = (reps[i], reps[j], reps[k])
-                    break
-            if not transitive:
-                break
-        if not transitive:
+        if transitivity_witness is not None:
             break
 
     return OrderDiagnostics(
-        reflexive=reflexive,
-        antisymmetric=antisymmetric,
-        transitive=transitive,
-        reflexivity_witness=reflexive_witness,
+        reflexive=reflexivity_witness is None,
+        antisymmetric=antisymmetry_witness is None,
+        transitive=transitivity_witness is None,
+        reflexivity_witness=reflexivity_witness,
         antisymmetry_witness=antisymmetry_witness,
         transitivity_witness=transitivity_witness,
     )
@@ -250,24 +282,24 @@ def order_matrix(
 ) -> OrderMatrix:
     """The prerequisite order over class representatives.
 
-    Each decision uses the counts of the representatives' own columns
-    (any member would give the same counts).  The result is verified
-    against the three order axioms; a failure is an internal bug and is
-    raised, never ignored.
+    One pass over the representative pairs: n1 is the popcount of the two
+    support masks' AND, n2 and n3 follow from the support sizes.  The
+    result is verified against the three order axioms; a failure is an
+    internal bug and is raised, never ignored.
     """
     classes = equivalence_classes(table, alpha)
     reps = classes.representatives
     columns = [table.target_index(rep) for rep in reps]
-    bits = tuple(
-        tuple(
-            flexible_leq(
-                table.pair_counts(columns[i], columns[j]), alpha, same_target=i == j
-            )
-            for j in range(len(reps))
-        )
-        for i in range(len(reps))
-    )
-    matrix = OrderMatrix(reps=reps, bits=bits, classes=classes)
+    supports = [(table.support_masks[j], table.support_sizes[j]) for j in columns]
+    bp = alpha.basis_points
+    bits = []
+    for mask_p, size_p in supports:
+        row = []
+        for mask_q, size_q in supports:
+            n1 = (mask_p & mask_q).bit_count()
+            row.append(_edge_holds(size_p - n1, size_q - n1, bp))
+        bits.append(tuple(row))
+    matrix = OrderMatrix(reps=reps, bits=tuple(bits), classes=classes)
     diagnostics = verify_partial_order(matrix)
     if not diagnostics.ok:
         raise OrderAxiomError(

@@ -10,9 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .hasse import transitive_closure
+from .hasse import covering_masks, transitive_closure
 from .kst import KnowledgeStructure
-from .table import JudgmentTable, build_table
+from .table import JudgmentTable, bit_indices, build_table, pack_bits
 
 __all__ = [
     "MAX_POSET_ELEMENTS",
@@ -164,12 +164,10 @@ def random_poset(n: int, density: float, seed: int) -> PlantedPoset:
         for j in range(i + 1, n):
             if rng.random() < density:
                 sampled[i][j] = True
-    reach = transitive_closure(sampled)
-    covers = [
+    reach = [pack_bits(row) for row in transitive_closure(sampled)]
+    covers = tuple(
         (elements[i], elements[j])
-        for i in range(n)
-        for j in range(n)
-        if reach[i][j]
-        and not any(k not in (i, j) and reach[i][k] and reach[k][j] for k in range(n))
-    ]
-    return PlantedPoset(elements=elements, covers=tuple(covers))
+        for i, above in enumerate(covering_masks(reach))
+        for j in bit_indices(above)
+    )
+    return PlantedPoset(elements=elements, covers=covers)

@@ -8,12 +8,14 @@ quantity is exact integer arithmetic on its cells.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 __all__ = [
     "TableError",
     "FlexibilityError",
+    "FlexibilityFormatError",
     "TargetId",
     "ModelId",
     "PairCounts",
@@ -34,6 +36,10 @@ class FlexibilityError(ValueError):
     """Flexibility percentage out of range or not representable."""
 
 
+class FlexibilityFormatError(FlexibilityError):
+    """Flexibility text that is not a decimal percentage at all."""
+
+
 def natural_key(name: str) -> tuple:
     """Sort key that orders digit runs numerically: t2 before t10.
 
@@ -50,6 +56,41 @@ def natural_key(name: str) -> tuple:
 
 def natural_sorted(names: Iterable[str]) -> list[str]:
     return sorted(names, key=natural_key)
+
+
+# Maps byte 0 to ASCII "0" and every other byte to ASCII "1", so a run of
+# 0/1 cells becomes the binary digits that int(..., 2) reads.
+_BINARY_DIGITS = b"0" + b"1" * 255
+
+
+def pack_bits(flags: Sequence[int]) -> int:
+    """The int whose bit i is set iff flags[i] (a 0/1 int or bool) is 1."""
+    return int(bytes(reversed(flags)).translate(_BINARY_DIGITS) or b"0", 2)
+
+
+def column_masks(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
+    """``pack_bits`` of each of the ``width`` columns of a 0/1 matrix.
+
+    The cells are laid out in one byte string and each column is read
+    backwards from the last row as a strided slice, so the first digit is
+    the last row's; no Python-level loop touches a cell, and no per-row
+    copy is made.
+    """
+    flat = bytes(chain.from_iterable(rows))
+    last = len(flat) - width
+    return tuple(
+        int(flat[last + j :: -width].translate(_BINARY_DIGITS) or b"0", 2)
+        for j in range(width)
+    )
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, ascending.
+
+    Reads the binary digits once, so the cost is linear in the mask's
+    length (peeling bits off the int would copy it once per bit).
+    """
+    return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
 
 
 # Names feed unescaped into CSV and DOT output, so the alphabet is
@@ -124,7 +165,7 @@ class Flexibility:
         """Parse a percentage with at most two decimal digits ("19.99")."""
         m = re.fullmatch(r"(?P<sign>-?)(?P<whole>\d+)(?:\.(?P<frac>\d+))?", text.strip())
         if m is None:
-            raise FlexibilityError(f"flexibility {text!r} is not a decimal percentage")
+            raise FlexibilityFormatError(f"flexibility {text!r} is not a decimal percentage")
         frac = m["frac"] or ""
         if len(frac) > 2:
             raise FlexibilityError(
@@ -153,13 +194,27 @@ ZERO_FLEXIBILITY = Flexibility(0)
 class JudgmentTable:
     """Immutable models x targets matrix of 0/1 judgment outcomes.
 
-    ``cells[i][j]`` is 1 iff model i judged target j correctly.  Safe for
-    concurrent reads; all accessors are pure.
+    ``cells[i][j]`` is 1 iff model i judged target j correctly; it is the
+    row-wise view.  The column-wise view is derived once at construction:
+    ``support_masks[j]`` is an int whose bit i is ``cells[i][j]``, and
+    ``support_sizes[j]`` its popcount.  Safe for concurrent reads; all
+    accessors are pure.
     """
 
     models: tuple[ModelId, ...]
     targets: tuple[TargetId, ...]
     cells: tuple[tuple[int, ...], ...]
+    support_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    support_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _target_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _model_index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        masks = column_masks(self.cells, len(self.targets))
+        object.__setattr__(self, "support_masks", masks)
+        object.__setattr__(self, "support_sizes", tuple(m.bit_count() for m in masks))
+        object.__setattr__(self, "_target_index", {t.name: t.index for t in self.targets})
+        object.__setattr__(self, "_model_index", {m.name: m.index for m in self.models})
 
     @property
     def model_count(self) -> int:
@@ -191,14 +246,10 @@ class JudgmentTable:
         self._check_target_index(j)
         return self.cells[i][j]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        self._check_target_index(j)
-        return tuple(row[j] for row in self.cells)
-
     def support(self, j: int) -> frozenset[int]:
         """Indices of the models that judged target j correctly."""
         self._check_target_index(j)
-        return frozenset(i for i, row in enumerate(self.cells) if row[j])
+        return frozenset(bit_indices(self.support_masks[j]))
 
     def row_members(self, i: int) -> frozenset[int]:
         """Indices of the targets model i judged correctly."""
@@ -209,30 +260,20 @@ class JudgmentTable:
         """Count models by their (p, q) response pattern; p == q is allowed."""
         self._check_target_index(p)
         self._check_target_index(q)
-        n1 = n2 = n3 = n4 = 0
-        for row in self.cells:
-            a, b = row[p], row[q]
-            if a and b:
-                n1 += 1
-            elif a:
-                n2 += 1
-            elif b:
-                n3 += 1
-            else:
-                n4 += 1
-        return PairCounts(n1, n2, n3, n4)
+        n1 = (self.support_masks[p] & self.support_masks[q]).bit_count()
+        n2 = self.support_sizes[p] - n1
+        n3 = self.support_sizes[q] - n1
+        return PairCounts(n1, n2, n3, len(self.models) - n1 - n2 - n3)
 
     def target_index(self, name: str) -> int:
-        for t in self.targets:
-            if t.name == name:
-                return t.index
-        raise ValueError(f"unknown target name {name!r}")
+        if name not in self._target_index:
+            raise ValueError(f"unknown target name {name!r}")
+        return self._target_index[name]
 
     def model_index(self, name: str) -> int:
-        for m in self.models:
-            if m.name == name:
-                return m.index
-        raise ValueError(f"unknown model name {name!r}")
+        if name not in self._model_index:
+            raise ValueError(f"unknown model name {name!r}")
+        return self._model_index[name]
 
 
 def build_table(

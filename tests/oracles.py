@@ -1,8 +1,9 @@
 """Brute-force reference computations, kept deliberately independent of
 the package's own algorithms: supports are read straight off raw rows,
 the threshold uses exact fractions instead of cross-multiplication,
-closures use BFS reachability, and the covering extraction tests edge
-removal against reachability.
+closures use BFS reachability, the covering extraction tests edge
+removal against reachability, and the order axioms are checked by
+nested loops over a boolean matrix.
 """
 from __future__ import annotations
 
@@ -116,3 +117,37 @@ def longest_path_layers(
         return memo[node]
 
     return {n: depth(n) for n in nodes}
+
+
+def order_axiom_witnesses(
+    names: list[str] | tuple[str, ...], bits: list[list[bool]] | tuple[tuple[bool, ...], ...]
+) -> tuple[str | None, tuple[str, str] | None, tuple[str, str, str] | None]:
+    """First failure of reflexivity, anti-symmetry and transitivity, or
+    None each; scan order i, then j, then k, cubic in the size."""
+    size = len(names)
+    reflexive = next((names[i] for i in range(size) if not bits[i][i]), None)
+
+    antisymmetric = None
+    for i in range(size):
+        for j in range(i + 1, size):
+            if bits[i][j] and bits[j][i]:
+                antisymmetric = (names[i], names[j])
+                break
+        if antisymmetric is not None:
+            break
+
+    transitive = None
+    for i in range(size):
+        for j in range(size):
+            if not bits[i][j]:
+                continue
+            for k in range(size):
+                if bits[j][k] and not bits[i][k]:
+                    transitive = (names[i], names[j], names[k])
+                    break
+            if transitive is not None:
+                break
+        if transitive is not None:
+            break
+
+    return reflexive, antisymmetric, transitive

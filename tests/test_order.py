@@ -89,6 +89,12 @@ class TestEquivalenceClasses:
         with pytest.raises(ValueError):
             classes.members_of("t0")
 
+    def test_block_of(self, twelve_models):
+        classes = equivalence_classes(twelve_models)
+        assert classes.block_of("t0") == classes.block_of("t1") == ("t0", "t1")
+        with pytest.raises(ValueError, match="unknown target 'x'"):
+            classes.block_of("x")
+
     def test_blocks_match_identical_columns_oracle(self, fuzz_corpus):
         tables = list(fuzz_corpus[:40])
         for table in tables:
@@ -122,6 +128,12 @@ class TestOrderMatrix:
         got = set(order_matrix(twelve_models, Flexibility(1999)).pairs())
         assert ("t6", "t4") not in got
         assert got == TWELVE_MODELS_RELATION_0 | {("t4", "t8")}
+
+    def test_index_of(self, twelve_models):
+        matrix = order_matrix(twelve_models, ALPHA_0)
+        assert matrix.index_of("t1") == 0
+        with pytest.raises(ValueError, match="unknown representative 't0'"):
+            matrix.index_of("t0")
 
     def test_single_target(self):
         table = build_table(["only"], ["M1"], [[0]])

@@ -148,6 +148,13 @@ class TestRandomPoset:
         with pytest.raises(ValueError, match="density"):
             random_poset(3, 1.5, seed=1)
 
+    def test_covers_in_index_order(self):
+        for seed in range(10):
+            poset = random_poset(12, 0.4, seed=seed)
+            index = {name: k for k, name in enumerate(poset.elements)}
+            keys = [(index[a], index[b]) for a, b in poset.covers]
+            assert keys == sorted(keys)
+
     def test_covers_are_reduced(self):
         for seed in range(10):
             poset = random_poset(6, 0.7, seed=seed)

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from surmise import (
     Flexibility,
     FlexibilityError,
+    FlexibilityFormatError,
     PairCounts,
     TableError,
     build_table,
@@ -83,6 +84,18 @@ class TestBuildTable:
     def test_empty_name(self):
         with pytest.raises(TableError, match="empty"):
             build_table([""], ["M1"], [[1]])
+
+
+class TestNameLookup:
+    def test_known_names(self, twelve_models):
+        assert twelve_models.target_index("t7") == 7
+        assert twelve_models.model_index("M12") == 11
+
+    def test_unknown_names(self, twelve_models):
+        with pytest.raises(ValueError, match="unknown target name 'x'"):
+            twelve_models.target_index("x")
+        with pytest.raises(ValueError, match="unknown model name 'x'"):
+            twelve_models.model_index("x")
 
 
 class TestTab:
@@ -199,6 +212,15 @@ class TestFlexibility:
     def test_parse_rejects(self, text):
         with pytest.raises(FlexibilityError):
             Flexibility.parse(text)
+
+    @pytest.mark.parametrize(
+        "text,not_a_number",
+        [("abc", True), ("", True), ("1.", True), ("50", False), ("-1", False), ("1.234", False)],
+    )
+    def test_parse_tells_format_from_range(self, text, not_a_number):
+        with pytest.raises(FlexibilityError) as caught:
+            Flexibility.parse(text)
+        assert isinstance(caught.value, FlexibilityFormatError) == not_a_number
 
     @pytest.mark.parametrize("bp", [-1, 5000, 6000])
     def test_constructor_range(self, bp):
