@@ -11,13 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .hasse import HasseDiagram, transitive_reduction
-from .kst import (
-    KnowledgeStructure,
-    discriminative_reduction,
-    equally_informative,
-    is_discriminative,
-    states_containing,
-)
+from .kst import KnowledgeStructure, _all_singletons, _reduction, equally_informative
 from .order import EquivalenceClasses, order_matrix
 from .table import (
     Flexibility,
@@ -25,7 +19,6 @@ from .table import (
     PairCounts,
     ZERO_FLEXIBILITY,
     build_table,
-    natural_key,
 )
 
 __all__ = [
@@ -244,32 +237,36 @@ def hasse_json(diagram: HasseDiagram) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _format_state(structure: KnowledgeStructure, state: frozenset[int]) -> str:
-    return "{" + ",".join(structure.names_of(state)) + "}"
+def _rendered_states(structure: KnowledgeStructure) -> list[tuple[frozenset[int], str]]:
+    """The sorted states, each paired with its "{a,b}" text."""
+    return [
+        (state, "{" + ",".join(structure.names_of(state)) + "}")
+        for state in structure.sorted_states()
+    ]
 
 
 def structure_report(structure: KnowledgeStructure) -> str:
     """Text rendering of a structure: states, per-target state families,
-    the concept partition, and the discriminative reduction."""
-    states = structure.sorted_states()
+    the concept partition, and the discriminative reduction.
+
+    Each state is sorted and rendered once, and the partition is computed
+    once and reused for the discriminative flag and the reduction.
+    """
+    states = _rendered_states(structure)
     lines = ["targets: " + " ".join(structure.ground)]
     lines.append(f"states ({len(states)}):")
-    for state in states:
-        lines.append("  " + _format_state(structure, state))
-    for name in structure.ground:
-        family = states_containing(structure, name)
-        ordered = [s for s in states if s in family]
-        rendered = " ".join(_format_state(structure, s) for s in ordered)
+    lines.extend("  " + text for _, text in states)
+    for j, name in enumerate(structure.ground):
+        rendered = " ".join(text for state, text in states if j in state)
         lines.append(f"K_{name}:" + (" " + rendered if rendered else ""))
     partition = equally_informative(structure)
     lines.append(
         "concepts: " + " ".join("{" + ",".join(block) + "}" for block in partition.blocks)
     )
-    lines.append(f"discriminative: {'true' if is_discriminative(structure) else 'false'}")
-    reduced = discriminative_reduction(structure)
+    lines.append(f"discriminative: {'true' if _all_singletons(partition) else 'false'}")
+    reduced = _reduction(structure, partition)
     lines.append("reduction targets: " + " ".join(reduced.ground))
-    reduced_states = reduced.sorted_states()
+    reduced_states = _rendered_states(reduced)
     lines.append(f"reduction states ({len(reduced_states)}):")
-    for state in reduced_states:
-        lines.append("  " + _format_state(reduced, state))
+    lines.extend("  " + text for _, text in reduced_states)
     return "\n".join(lines) + "\n"

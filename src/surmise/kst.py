@@ -11,9 +11,9 @@ structure survives renaming of its ground only through reconstruction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .table import JudgmentTable, natural_key
+from .table import JudgmentTable, natural_key, natural_ranks
 
 __all__ = [
     "KnowledgeStructure",
@@ -33,19 +33,24 @@ class KnowledgeStructure:
 
     ``completed`` records that the empty state and the full state were
     guaranteed at construction (the conventional closure that makes the
-    family a genuine knowledge structure).
+    family a genuine knowledge structure).  ``rank[j]`` is the position
+    of ``ground[j]`` in natural order, derived once at construction
+    together with the name -> index dict, so ordering a state costs no
+    name comparison.
     """
 
     ground: tuple[str, ...]
     states: frozenset[frozenset[int]]
     completed: bool = False
+    rank: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = set()
-        for name in self.ground:
-            if name in names:
+        index: dict[str, int] = {}
+        for j, name in enumerate(self.ground):
+            if name in index:
                 raise ValueError(f"duplicate ground name {name!r}")
-            names.add(name)
+            index[name] = j
         n = len(self.ground)
         for state in self.states:
             for j in state:
@@ -54,26 +59,32 @@ class KnowledgeStructure:
         if self.completed:
             if frozenset() not in self.states or self.full_state not in self.states:
                 raise ValueError("completed structure must contain {} and the full set")
+        object.__setattr__(self, "rank", natural_ranks(self.ground))
+        object.__setattr__(self, "_index", index)
 
     @property
     def full_state(self) -> frozenset[int]:
         return frozenset(range(len(self.ground)))
 
     def index_of(self, name: str) -> int:
-        try:
-            return self.ground.index(name)
-        except ValueError:
-            raise ValueError(f"unknown target {name!r}") from None
+        if name not in self._index:
+            raise ValueError(f"unknown target {name!r}")
+        return self._index[name]
 
     def names_of(self, state: frozenset[int]) -> tuple[str, ...]:
-        return tuple(sorted((self.ground[j] for j in state), key=natural_key))
+        """The member names of a state in natural order."""
+        return tuple(self.ground[j] for j in sorted(state, key=self.rank.__getitem__))
 
     def sorted_states(self) -> list[frozenset[int]]:
-        """States ordered by size, then member names: {} first, full set last."""
-        return sorted(
-            self.states,
-            key=lambda s: (len(s), tuple(natural_key(n) for n in self.names_of(s))),
-        )
+        """States ordered by size, then member names: {} first, full set last.
+
+        Ground names are unique, so ``natural_key`` (which ends in the raw
+        name) is a strict total order on them and ``rank`` is strictly
+        monotone in it: a state's sorted ranks compare exactly as the
+        natural keys of its sorted names would.
+        """
+        rank = self.rank
+        return sorted(self.states, key=lambda s: (len(s), sorted(rank[j] for j in s)))
 
 
 def structure_from_table(table: JudgmentTable, complete: bool = True) -> KnowledgeStructure:
@@ -139,16 +150,21 @@ class ConceptPartition:
     """
 
     blocks: tuple[tuple[str, ...], ...]
+    _block_of: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_block_of", {name: block for block in self.blocks for name in block}
+        )
 
     @property
     def representatives(self) -> tuple[str, ...]:
         return tuple(block[0] for block in self.blocks)
 
     def block_of(self, name: str) -> tuple[str, ...]:
-        for block in self.blocks:
-            if name in block:
-                return block
-        raise ValueError(f"unknown target {name!r}")
+        if name not in self._block_of:
+            raise ValueError(f"unknown target {name!r}")
+        return self._block_of[name]
 
     def representative_of(self, name: str) -> str:
         return self.block_of(name)[0]
@@ -168,7 +184,7 @@ def equally_informative(structure: KnowledgeStructure) -> ConceptPartition:
 
 def is_discriminative(structure: KnowledgeStructure) -> bool:
     """True iff no two distinct targets are equally informative."""
-    return all(len(block) == 1 for block in equally_informative(structure).blocks)
+    return _all_singletons(equally_informative(structure))
 
 
 def discriminative_reduction(structure: KnowledgeStructure) -> KnowledgeStructure:
@@ -178,18 +194,22 @@ def discriminative_reduction(structure: KnowledgeStructure) -> KnowledgeStructur
     ground order); each state maps to the set of concepts it meets.  The
     result is always discriminative.
     """
-    partition = equally_informative(structure)
-    rep_of = {
-        name: partition.representative_of(name) for name in structure.ground
-    }
-    old_index = {name: j for j, name in enumerate(structure.ground)}
-    new_ground = tuple(
-        sorted(partition.representatives, key=lambda name: old_index[name])
-    )
+    return _reduction(structure, equally_informative(structure))
+
+
+def _all_singletons(partition: ConceptPartition) -> bool:
+    return all(len(block) == 1 for block in partition.blocks)
+
+
+def _reduction(
+    structure: KnowledgeStructure, partition: ConceptPartition
+) -> KnowledgeStructure:
+    """``discriminative_reduction`` given the structure's own partition."""
+    new_ground = tuple(sorted(partition.representatives, key=structure.index_of))
     new_index = {name: j for j, name in enumerate(new_ground)}
+    to_new = [new_index[partition.representative_of(name)] for name in structure.ground]
     new_states = frozenset(
-        frozenset(new_index[rep_of[structure.ground[j]]] for j in state)
-        for state in structure.states
+        frozenset(to_new[j] for j in state) for state in structure.states
     )
     return KnowledgeStructure(
         ground=new_ground, states=new_states, completed=structure.completed

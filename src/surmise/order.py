@@ -20,6 +20,7 @@ from .table import (
     bit_indices,
     column_masks,
     natural_key,
+    natural_ranks,
     natural_sorted,
     pack_bits,
 )
@@ -131,8 +132,8 @@ def sorted_pairs(
 
     Names are ranked once, so sorting costs no name comparison per pair.
     """
-    order = sorted(range(len(names)), key=lambda i: natural_key(names[i]))
-    rank = {i: position for position, i in enumerate(order)}
+    rank = natural_ranks(names)
+    order = sorted(range(len(names)), key=rank.__getitem__)
     return tuple(
         (names[i], names[j])
         for i in order

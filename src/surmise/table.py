@@ -40,6 +40,9 @@ class FlexibilityFormatError(FlexibilityError):
     """Flexibility text that is not a decimal percentage at all."""
 
 
+_DIGIT_RUNS = re.compile(r"(\d+)")
+
+
 def natural_key(name: str) -> tuple:
     """Sort key that orders digit runs numerically: t2 before t10.
 
@@ -48,7 +51,7 @@ def natural_key(name: str) -> tuple:
     """
     runs = tuple(
         (0, int(run)) if run.isdigit() else (1, run)
-        for run in re.split(r"(\d+)", name)
+        for run in _DIGIT_RUNS.split(name)
         if run
     )
     return (runs, name)
@@ -56,6 +59,19 @@ def natural_key(name: str) -> tuple:
 
 def natural_sorted(names: Iterable[str]) -> list[str]:
     return sorted(names, key=natural_key)
+
+
+def natural_ranks(names: Sequence[str]) -> tuple[int, ...]:
+    """rank[i] is the position of names[i] in natural order.
+
+    For unique names ``natural_key`` is a strict total order (it ends in
+    the raw name), so comparing ranks is comparing natural keys.
+    """
+    rank = [0] * len(names)
+    order = sorted(range(len(names)), key=lambda i: natural_key(names[i]))
+    for position, i in enumerate(order):
+        rank[i] = position
+    return tuple(rank)
 
 
 # Maps byte 0 to ASCII "0" and every other byte to ASCII "1", so a run of

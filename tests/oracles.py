@@ -2,11 +2,13 @@
 the package's own algorithms: supports are read straight off raw rows,
 the threshold uses exact fractions instead of cross-multiplication,
 closures use BFS reachability, the covering extraction tests edge
-removal against reachability, and the order axioms are checked by
-nested loops over a boolean matrix.
+removal against reachability, the order axioms are checked by
+nested loops over a boolean matrix, and the structure view sorts every
+state by natural keys of its member names each time it is printed.
 """
 from __future__ import annotations
 
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -151,3 +153,67 @@ def order_axiom_witnesses(
             break
 
     return reflexive, antisymmetric, transitive
+
+
+def natural_name_key(name: str) -> tuple:
+    """Digit runs compare numerically, the raw name breaks ties."""
+    runs = tuple(
+        (0, int(run)) if run.isdigit() else (1, run)
+        for run in re.split(r"(\d+)", name)
+        if run
+    )
+    return (runs, name)
+
+
+def structure_report_reference(
+    ground: tuple[str, ...], states: frozenset[frozenset[int]]
+) -> str:
+    """The ``structure`` text of a state family over a ground list.
+
+    States are ordered by size, then by the natural keys of their sorted
+    member names; every occurrence of a state is sorted and rendered
+    anew.  Concepts group targets with identical state families, and the
+    reduction maps each state onto one representative per concept.
+    """
+
+    def names_of(ground: tuple[str, ...], state: frozenset[int]) -> list[str]:
+        return sorted((ground[j] for j in state), key=natural_name_key)
+
+    def sorted_states(ground, states):
+        return sorted(
+            states,
+            key=lambda s: (len(s), [natural_name_key(n) for n in names_of(ground, s)]),
+        )
+
+    def render(ground, state) -> str:
+        return "{" + ",".join(names_of(ground, state)) + "}"
+
+    ordered = sorted_states(ground, states)
+    lines = ["targets: " + " ".join(ground), f"states ({len(ordered)}):"]
+    lines += ["  " + render(ground, s) for s in ordered]
+    for j, name in enumerate(ground):
+        family = [render(ground, s) for s in ordered if j in s]
+        lines.append(f"K_{name}:" + "".join(" " + text for text in family))
+
+    groups: dict[frozenset[frozenset[int]], list[str]] = {}
+    for j, name in enumerate(ground):
+        groups.setdefault(frozenset(s for s in states if j in s), []).append(name)
+    blocks = sorted(
+        (sorted(g, key=natural_name_key) for g in groups.values()),
+        key=lambda block: natural_name_key(block[0]),
+    )
+    lines.append("concepts: " + " ".join("{" + ",".join(b) + "}" for b in blocks))
+    discriminative = all(len(block) == 1 for block in blocks)
+    lines.append(f"discriminative: {'true' if discriminative else 'false'}")
+
+    representative = {name: block[0] for block in blocks for name in block}
+    new_ground = tuple(name for name in ground if representative[name] == name)
+    new_states = frozenset(
+        frozenset(new_ground.index(representative[ground[j]]) for j in s)
+        for s in states
+    )
+    reduced = sorted_states(new_ground, new_states)
+    lines.append("reduction targets: " + " ".join(new_ground))
+    lines.append(f"reduction states ({len(reduced)}):")
+    lines += ["  " + render(new_ground, s) for s in reduced]
+    return "\n".join(lines) + "\n"

@@ -1,0 +1,120 @@
+"""Differential tests for the ``structure`` text view.
+
+``structure_report`` renders from natural-order ranks computed once per
+structure and one concept partition per report; ``oracles`` sorts every
+state by natural keys each time it is printed and groups concepts by
+brute force.  Grounds are shuffled and contain numeric ties, so natural
+order, column order and plain string order all differ.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, strategies as st
+
+from surmise import (
+    KnowledgeStructure,
+    build_table,
+    equally_informative,
+    structure_from_table,
+    structure_report,
+)
+
+import oracles
+from test_bitset import latent_rows
+from test_kst import structures
+
+VIEW_SEED = 20261018
+ODD_NAMES = ("t10", "t2", "t01", "t1", "b10c2", "b9c30", "a")
+# (targets, models, noise): the largest table, a few models (many equal
+# concepts), and one with a ground of only the odd names.
+VIEW_SHAPES = ((40, 400, 1.0), (40, 30, 0.6), (16, 200, 0.3), (7, 60, 0.8))
+
+
+def odd_ground(rng: random.Random, size: int) -> list[str]:
+    """ODD_NAMES plus zero-padded and plain variants of small numbers,
+    shuffled so column order is not natural order."""
+    names = list(ODD_NAMES)
+    extra = [f"x{n}" for n in range(size)] + [f"x0{n}" for n in range(size)]
+    rng.shuffle(extra)
+    names += extra[: max(0, size - len(names))]
+    names = names[:size]
+    rng.shuffle(names)
+    return names
+
+
+def assert_same_report(got: str, expected: str) -> None:
+    """Compare whole reports, but name only the first differing line:
+    a full diff of two reports of this size takes minutes."""
+    if got == expected:
+        return
+    pairs = zip(got.splitlines() + ["<end>"], expected.splitlines() + ["<end>"])
+    line, (have, want) = next((k, p) for k, p in enumerate(pairs, 1) if p[0] != p[1])
+    pytest.fail(f"line {line}: got {have[:200]!r}, expected {want[:200]!r}")
+
+
+def view_tables():
+    rng = random.Random(VIEW_SEED)
+    for u, v, noise in VIEW_SHAPES:
+        rows = latent_rows(rng, u, v, noise)
+        ground = odd_ground(rng, u)
+        yield rows, build_table(ground, [f"m{i}" for i in range(v)], rows)
+
+
+@pytest.mark.parametrize("complete", [True, False])
+def test_report_matches_reference_on_seeded_tables(complete):
+    for rows, table in view_tables():
+        states = {frozenset(j for j, cell in enumerate(row) if cell) for row in rows}
+        if complete:
+            states |= {frozenset(), frozenset(range(table.target_count))}
+        expected = oracles.structure_report_reference(table.target_names, frozenset(states))
+        assert_same_report(structure_report(structure_from_table(table, complete)), expected)
+
+
+@given(structures(max_ground=7), st.permutations(ODD_NAMES))
+def test_report_matches_reference_on_random_structures(structure, names):
+    for ground in (structure.ground, tuple(names[: len(structure.ground)])):
+        renamed = KnowledgeStructure(ground=ground, states=structure.states)
+        expected = oracles.structure_report_reference(ground, structure.states)
+        assert_same_report(structure_report(renamed), expected)
+
+
+@pytest.mark.parametrize(
+    "states",
+    [
+        [],
+        [()],
+        [(), ("t10",)],
+        [("t2", "t01"), ("t1",), ("a", "t10", "b9c30")],
+        [(), ("b10c2", "b9c30"), ODD_NAMES],
+    ],
+)
+def test_report_matches_reference_on_hand_built_structures(states):
+    index = {name: j for j, name in enumerate(ODD_NAMES)}
+    family = frozenset(frozenset(index[n] for n in state) for state in states)
+    structure = KnowledgeStructure(ground=ODD_NAMES, states=family)
+    assert_same_report(
+        structure_report(structure), oracles.structure_report_reference(ODD_NAMES, family)
+    )
+
+
+def test_ranks_follow_natural_order_and_stay_out_of_equality():
+    structure = KnowledgeStructure(ground=ODD_NAMES, states=frozenset({frozenset({0, 1, 2})}))
+    by_rank = sorted(ODD_NAMES, key=lambda n: structure.rank[ODD_NAMES.index(n)])
+    assert by_rank == sorted(ODD_NAMES, key=oracles.natural_name_key)
+    assert structure.names_of(frozenset({0, 1, 2})) == ("t01", "t2", "t10")
+    twin = KnowledgeStructure(ground=ODD_NAMES, states=frozenset({frozenset({2, 1, 0})}))
+    assert twin == structure and hash(twin) == hash(structure)
+    assert "rank" not in repr(structure) and "_index" not in repr(structure)
+
+
+def test_lookups_reject_unknown_names_alike():
+    structure = KnowledgeStructure(ground=ODD_NAMES, states=frozenset({frozenset()}))
+    partition = equally_informative(structure)
+    assert structure.index_of("b9c30") == 5
+    assert partition.block_of("t2") == tuple(sorted(ODD_NAMES, key=oracles.natural_name_key))
+    assert partition.representative_of("t2") == "a"
+    for lookup in (structure.index_of, partition.block_of, partition.representative_of):
+        with pytest.raises(ValueError, match=r"^unknown target 't3'$"):
+            lookup("t3")
