@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 from .hasse import HasseDiagram, transitive_reduction
 from .kst import KnowledgeStructure, _all_singletons, _reduction, equally_informative
@@ -18,7 +19,8 @@ from .table import (
     JudgmentTable,
     PairCounts,
     ZERO_FLEXIBILITY,
-    build_table,
+    _check_names,
+    _freeze,
 )
 
 __all__ = [
@@ -38,12 +40,45 @@ class CsvError(ValueError):
     """Malformed CSV input, with the offending row/column in the message."""
 
 
+# Maps ASCII "0"/"1" to the ints 0/1 when a row's cell digits are
+# translated as bytes; only rows already known to hold nothing else are.
+_CELL_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _row_error(line: str, line_number: int, target_names: Sequence[str]) -> CsvError:
+    """The located error for a body line that is not a model name followed
+    by exactly one "0"/"1" cell per target."""
+    cells = line.split(",")
+    width = len(target_names) + 1
+    if len(cells) != width:
+        return CsvError(
+            f"row at line {line_number} has {len(cells)} cells, expected {width}"
+        )
+    for column, cell in enumerate(cells[1:], start=1):
+        if cell not in ("0", "1"):
+            return CsvError(
+                f"cell at line {line_number}, column {column} "
+                f"(target {target_names[column - 1]!r}) is {cell!r}, "
+                f"expected '0' or '1'"
+            )
+    raise AssertionError(f"line {line_number} has no faulty cell")
+
+
 def parse_csv(data: bytes | str) -> JudgmentTable:
     """Read a judgment table from CSV bytes (UTF-8, LF or CRLF).
 
     Layout: the header's first cell is reserved (ignored), the rest are
     target names; each body row is a model name followed by "0"/"1"
-    cells.  Name and shape validation is shared with build_table.
+    cells.  Name validation is shared with build_table.
+
+    Each body line is checked once, by string methods that run in C: with
+    u targets, the text after the first comma is exactly u one-character
+    0/1 cells iff it has length 2u-1, holds u-1 commas and its even
+    positions hold only "0" and "1" (those u characters are then not
+    commas, so the u-1 commas fill the u-1 odd positions).  Only a line
+    that fails is split and scanned cell by cell, to name the fault.
+    Cell and shape faults are reported in line order, then a missing
+    body, then bad names.
     """
     if isinstance(data, bytes):
         try:
@@ -59,38 +94,25 @@ def parse_csv(data: bytes | str) -> JudgmentTable:
     if not lines or all(line == "" for line in lines):
         raise CsvError("empty CSV input")
 
-    header = lines[0].split(",")
-    target_names = header[1:]
+    target_names = lines[0].split(",")[1:]
     if not target_names:
         raise CsvError("header row declares no targets")
-    width = len(header)
+    u = len(target_names)
+    rest_length, commas = 2 * u - 1, u - 1
 
     model_names: list[str] = []
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     for line_number, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise CsvError(
-                f"row at line {line_number} has {len(cells)} cells, "
-                f"expected {width}"
-            )
-        model_names.append(cells[0])
-        row: list[int] = []
-        for column, cell in enumerate(cells[1:], start=1):
-            if cell == "0":
-                row.append(0)
-            elif cell == "1":
-                row.append(1)
-            else:
-                raise CsvError(
-                    f"cell at line {line_number}, column {column} "
-                    f"(target {target_names[column - 1]!r}) is {cell!r}, "
-                    f"expected '0' or '1'"
-                )
-        rows.append(row)
+        name, _, rest = line.partition(",")
+        digits = rest[::2]
+        if len(rest) != rest_length or rest.count(",") != commas or digits.strip("01"):
+            raise _row_error(line, line_number, target_names)
+        model_names.append(name)
+        rows.append(tuple(digits.encode("ascii").translate(_CELL_VALUES)))
     if not rows:
         raise CsvError("CSV has a header but no model rows")
-    return build_table(target_names, model_names, rows)
+    _check_names(target_names, model_names)
+    return _freeze(target_names, model_names, rows)
 
 
 def emit_csv(table: JudgmentTable) -> str:

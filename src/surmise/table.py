@@ -47,10 +47,13 @@ def natural_key(name: str) -> tuple:
     """Sort key that orders digit runs numerically: t2 before t10.
 
     The raw name is appended as a tiebreak so that names with equal
-    numeric value ("t01" vs "t1") still sort deterministically.
+    numeric value ("t01" vs "t1") still sort deterministically.  Runs are
+    tested with ``isdecimal``, which is exactly what ``\\d`` matches;
+    ``isdigit`` would also accept superscripts such as "²", which
+    ``int`` rejects.
     """
     runs = tuple(
-        (0, int(run)) if run.isdigit() else (1, run)
+        (0, int(run)) if run.isdecimal() else (1, run)
         for run in _DIGIT_RUNS.split(name)
         if run
     )
@@ -292,6 +295,41 @@ class JudgmentTable:
         return self._model_index[name]
 
 
+def _check_names(target_names: Sequence[str], model_names: Sequence[str]) -> None:
+    """Reject empty names, forbidden characters and duplicates, targets
+    first, each axis in order."""
+    for kind, axis, names in (
+        ("target", "columns", target_names),
+        ("model", "rows", model_names),
+    ):
+        seen: dict[str, int] = {}
+        for k, name in enumerate(names):
+            _check_name(kind, k, name)
+            if name in seen:
+                raise TableError(
+                    f"duplicate {kind} name {name!r} ({axis} {seen[name]} and {k})"
+                )
+            seen[name] = k
+
+
+def _freeze(
+    target_names: Sequence[str],
+    model_names: Sequence[str],
+    rows: Sequence[tuple[int, ...]],
+) -> JudgmentTable:
+    """The table of names already checked by ``_check_names`` and rows of
+    0/1 ints already checked against the target count."""
+    return JudgmentTable(
+        models=tuple(ModelId(i, n) for i, n in enumerate(model_names)),
+        targets=tuple(TargetId(j, n) for j, n in enumerate(target_names)),
+        cells=tuple(rows),
+    )
+
+
+_BIT_TYPES = frozenset((int, bool))
+_BITS = frozenset((0, 1))
+
+
 def build_table(
     target_names: Sequence[str],
     model_names: Sequence[str],
@@ -302,28 +340,18 @@ def build_table(
     Raises TableError with the offending row/column named when a name is
     duplicated or empty, a dimension is empty, the matrix is ragged, or a
     cell is not 0/1.
+
+    A row whose cells are all exactly ``int`` or ``bool`` with values in
+    {0, 1} is accepted by two set tests; the type test is what rejects
+    ``1.0``, which equals 1.  Any other row goes through the per-cell
+    check, which accepts other ``int`` subclasses or names the bad cell.
+    ``bytes`` then reads every accepted cell as the int 0 or 1.
     """
     if len(target_names) == 0:
         raise TableError("table has no targets (empty column dimension)")
     if len(model_names) == 0:
         raise TableError("table has no models (empty row dimension)")
-
-    seen: dict[str, int] = {}
-    for j, name in enumerate(target_names):
-        _check_name("target", j, name)
-        if name in seen:
-            raise TableError(
-                f"duplicate target name {name!r} (columns {seen[name]} and {j})"
-            )
-        seen[name] = j
-    seen = {}
-    for i, name in enumerate(model_names):
-        _check_name("model", i, name)
-        if name in seen:
-            raise TableError(
-                f"duplicate model name {name!r} (rows {seen[name]} and {i})"
-            )
-        seen[name] = i
+    _check_names(target_names, model_names)
 
     u = len(target_names)
     if len(bits) != len(model_names):
@@ -338,16 +366,12 @@ def build_table(
                 f"row {i} (model {model_names[i]!r}) has {len(row)} cells, "
                 f"expected {u}"
             )
-        for j, cell in enumerate(row):
-            if not isinstance(cell, int) or cell not in (0, 1):
-                raise TableError(
-                    f"cell at row {i} (model {model_names[i]!r}), column {j} "
-                    f"(target {target_names[j]!r}) is {cell!r}, not 0 or 1"
-                )
-        rows.append(tuple(int(c) for c in row))
-
-    return JudgmentTable(
-        models=tuple(ModelId(i, n) for i, n in enumerate(model_names)),
-        targets=tuple(TargetId(j, n) for j, n in enumerate(target_names)),
-        cells=tuple(rows),
-    )
+        if not (_BIT_TYPES.issuperset(map(type, row)) and _BITS.issuperset(row)):
+            for j, cell in enumerate(row):
+                if not isinstance(cell, int) or cell not in (0, 1):
+                    raise TableError(
+                        f"cell at row {i} (model {model_names[i]!r}), column {j} "
+                        f"(target {target_names[j]!r}) is {cell!r}, not 0 or 1"
+                    )
+        rows.append(tuple(bytes(row)))
+    return _freeze(target_names, model_names, rows)

@@ -3,14 +3,19 @@ the package's own algorithms: supports are read straight off raw rows,
 the threshold uses exact fractions instead of cross-multiplication,
 closures use BFS reachability, the covering extraction tests edge
 removal against reachability, the order axioms are checked by
-nested loops over a boolean matrix, and the structure view sorts every
-state by natural keys of its member names each time it is printed.
+nested loops over a boolean matrix, the structure view sorts every
+state by natural keys of its member names each time it is printed, and
+the CSV reader checks every cell while splitting and again while
+building the table.
 """
 from __future__ import annotations
 
 import re
 from collections import deque
 from fractions import Fraction
+
+from surmise.io import CsvError
+from surmise.table import JudgmentTable, ModelId, TableError, TargetId
 
 
 def columns_of(rows: list[list[int]]) -> list[tuple[int, ...]]:
@@ -158,7 +163,7 @@ def order_axiom_witnesses(
 def natural_name_key(name: str) -> tuple:
     """Digit runs compare numerically, the raw name breaks ties."""
     runs = tuple(
-        (0, int(run)) if run.isdigit() else (1, run)
+        (0, int(run)) if run.isdecimal() else (1, run)
         for run in re.split(r"(\d+)", name)
         if run
     )
@@ -217,3 +222,95 @@ def structure_report_reference(
     lines.append(f"reduction states ({len(reduced)}):")
     lines += ["  " + render(new_ground, s) for s in reduced]
     return "\n".join(lines) + "\n"
+
+
+def parse_csv_reference(data: bytes | str):
+    """A judgment table read from CSV by splitting every line and checking
+    every cell, then validating names, shape and cells once more as a
+    table; raises the same ``CsvError``/``TableError`` messages as
+    ``surmise.parse_csv``."""
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CsvError(f"input is not valid UTF-8: {exc}") from None
+    else:
+        text = data
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    if not lines or all(line == "" for line in lines):
+        raise CsvError("empty CSV input")
+
+    header = lines[0].split(",")
+    target_names = header[1:]
+    if not target_names:
+        raise CsvError("header row declares no targets")
+    width = len(header)
+    model_names: list[str] = []
+    bits: list[list[int]] = []
+    for line_number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise CsvError(
+                f"row at line {line_number} has {len(cells)} cells, "
+                f"expected {width}"
+            )
+        model_names.append(cells[0])
+        row: list[int] = []
+        for column, cell in enumerate(cells[1:], start=1):
+            if cell == "0":
+                row.append(0)
+            elif cell == "1":
+                row.append(1)
+            else:
+                raise CsvError(
+                    f"cell at line {line_number}, column {column} "
+                    f"(target {target_names[column - 1]!r}) is {cell!r}, "
+                    f"expected '0' or '1'"
+                )
+        bits.append(row)
+    if not bits:
+        raise CsvError("CSV has a header but no model rows")
+
+    def check_name(kind: str, position: int, name: str) -> None:
+        if not isinstance(name, str) or not name:
+            raise TableError(f"{kind} name at position {position} is empty")
+        for ch in ('"', ","):
+            if ch in name:
+                raise TableError(
+                    f"{kind} name {name!r} at position {position} contains "
+                    f"forbidden character {ch!r}"
+                )
+
+    seen: dict[str, int] = {}
+    for j, name in enumerate(target_names):
+        check_name("target", j, name)
+        if name in seen:
+            raise TableError(
+                f"duplicate target name {name!r} (columns {seen[name]} and {j})"
+            )
+        seen[name] = j
+    seen = {}
+    for i, name in enumerate(model_names):
+        check_name("model", i, name)
+        if name in seen:
+            raise TableError(
+                f"duplicate model name {name!r} (rows {seen[name]} and {i})"
+            )
+        seen[name] = i
+    rows: list[tuple[int, ...]] = []
+    for i, raw_row in enumerate(bits):
+        for j, cell in enumerate(raw_row):
+            if not isinstance(cell, int) or cell not in (0, 1):
+                raise TableError(
+                    f"cell at row {i} (model {model_names[i]!r}), column {j} "
+                    f"(target {target_names[j]!r}) is {cell!r}, not 0 or 1"
+                )
+        rows.append(tuple(int(c) for c in raw_row))
+    return JudgmentTable(
+        models=tuple(ModelId(i, n) for i, n in enumerate(model_names)),
+        targets=tuple(TargetId(j, n) for j, n in enumerate(target_names)),
+        cells=tuple(rows),
+    )

@@ -121,6 +121,22 @@ class TestStructure:
         assert "states (1):" in raw
 
 
+class TestNonDecimalDigits:
+    """A superscript is a digit to ``str.isdigit`` but not to ``int``;
+    natural sorting must treat it as text."""
+
+    def test_superscript_target_name(self, capsys, tmp_path):
+        csv = tmp_path / "superscript.csv"
+        csv.write_text("model,t2,t1\u00b2\nM1,0,1\nM2,1,1\n", encoding="utf-8")
+        code, out, err = run(capsys, "analyze", str(csv))
+        assert (code, err) == (0, "")
+        assert "classes:\n  t1\u00b2: t1\u00b2\n  t2: t2\n" in out
+        assert "hasse (1):\n  t1\u00b2 -> t2\n" in out
+        code, out, err = run(capsys, "structure", str(csv))
+        assert (code, err) == (0, "")
+        assert "states (3):\n  {}\n  {t1\u00b2}\n  {t1\u00b2,t2}\n" in out
+
+
 class TestSynth:
     def test_emits_parseable_csv(self, capsys):
         code, out, _ = run(

@@ -1,0 +1,248 @@
+"""Differential and property tests for the one-pass CSV reader.
+
+``parse_csv`` accepts each body line with one string test and scans the
+cells of a line only to name its fault; ``oracles.parse_csv_reference``
+splits and checks every cell and then validates the whole table again.
+On valid tables, on single faults and on pairs of faults both must give
+an equal table with equal support masks, or the same exception class
+with the same message.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from surmise import (
+    CsvError,
+    JudgmentTable,
+    TableError,
+    build_table,
+    emit_csv,
+    parse_csv,
+)
+
+import oracles
+
+INGEST_SEED = 20261018
+# Names the CSV reader must carry through unchanged: digits of other
+# scripts, spaces, a dot, non-ASCII letters.
+ODD_NAMES = ("a b", "x²", "été", "m.1", "t01", "٣")
+# The single-character faults keep the line at the accepted length.
+CELL_FAULTS = ("2", " 1", "", "11", "1.0", " ", "\r", "²")
+
+
+def outcome(parse, data):
+    try:
+        table = parse(data)
+    except (CsvError, TableError) as exc:
+        return type(exc), str(exc)
+    return table, table.support_masks
+
+
+def assert_same(data: bytes | str) -> None:
+    assert outcome(parse_csv, data) == outcome(oracles.parse_csv_reference, data)
+
+
+def random_lines(rng: random.Random) -> list[str]:
+    """Header and body lines of a valid table with 1-12 targets, 1-20 models."""
+    u, v = rng.randint(1, 12), rng.randint(1, 20)
+    targets = [f"t{j}" for j in range(u)]
+    models = [f"M{i}" for i in range(v)]
+    for names in (targets, models):
+        for k, odd in enumerate(rng.sample(ODD_NAMES, rng.randint(0, min(2, len(names))))):
+            names[k] = odd
+    lines = ["model," + ",".join(targets)]
+    for name in models:
+        lines.append(name + "," + ",".join(rng.choice("01") for _ in range(u)))
+    return lines
+
+
+def render(lines: list[str], ending: str, trailing: bool) -> bytes:
+    return (ending.join(lines) + (ending if trailing else "")).encode("utf-8")
+
+
+def mutate(rng: random.Random, lines: list[str], kind: str) -> None:
+    """Apply one named fault to the lines of a table with at least one
+    body line, in place; a fault that no longer fits (a cell fault on a
+    line without cells) leaves the lines as they are."""
+    body = rng.randrange(1, len(lines))
+    if kind in CELL_FAULTS:
+        cells = lines[body].split(",")
+        if len(cells) > 1:
+            cells[rng.randrange(1, len(cells))] = kind
+        lines[body] = ",".join(cells)
+    elif kind == "extra comma":
+        at = rng.randrange(len(lines[body]) + 1)
+        lines[body] = lines[body][:at] + "," + lines[body][at:]
+    elif kind in ("missing comma", "semicolon for comma"):
+        commas = [k for k, ch in enumerate(lines[body]) if ch == ","]
+        if commas:
+            at = rng.choice(commas)
+            keep = ";" if kind == "semicolon for comma" else ""
+            lines[body] = lines[body][:at] + keep + lines[body][at + 1 :]
+    elif kind == "blank line":
+        lines.insert(rng.randrange(1, len(lines) + 1), "")
+    elif kind == "lone CR":
+        at = rng.randrange(len(lines[body]) + 1)
+        lines[body] = lines[body][:at] + "\r" + lines[body][at:]
+    elif kind == "duplicate target":
+        header = lines[0].split(",")
+        if len(header) > 2:
+            header[-1] = header[1]
+        lines[0] = ",".join(header)
+    elif kind == "duplicate model":
+        lines.append(lines[1])
+    elif kind == "quote in target":
+        header = lines[0].split(",")
+        if len(header) > 1:
+            header[rng.randrange(1, len(header))] += '"'
+        lines[0] = ",".join(header)
+    elif kind == "quote in model":
+        lines[body] = '"' + lines[body]
+    elif kind == "empty model name":
+        _, comma, rest = lines[body].partition(",")
+        lines[body] = comma + rest
+    elif kind == "no targets":
+        lines[0] = "model"
+    elif kind == "no rows":
+        del lines[1:]
+    else:
+        raise AssertionError(kind)
+
+
+FAULTS = CELL_FAULTS + (
+    "extra comma",
+    "missing comma",
+    "semicolon for comma",
+    "blank line",
+    "lone CR",
+    "duplicate target",
+    "duplicate model",
+    "quote in target",
+    "quote in model",
+    "empty model name",
+    "no targets",
+    "no rows",
+)
+LAYOUTS = [(ending, trailing) for ending in ("\n", "\r\n") for trailing in (True, False)]
+
+
+@pytest.mark.parametrize("ending,trailing", LAYOUTS)
+def test_valid_tables_match_reference(ending, trailing):
+    rng = random.Random(INGEST_SEED)
+    for _ in range(60):
+        data = render(random_lines(rng), ending, trailing)
+        assert isinstance(parse_csv(data), JudgmentTable)
+        assert_same(data)
+
+
+@pytest.mark.parametrize("ending,trailing", LAYOUTS)
+@pytest.mark.parametrize("kind", FAULTS)
+def test_single_fault_matches_reference(kind, ending, trailing):
+    rng = random.Random(f"{INGEST_SEED}:{kind}")
+    for _ in range(12):
+        lines = random_lines(rng)
+        mutate(rng, lines, kind)
+        assert_same(render(lines, ending, trailing))
+
+
+def test_every_fault_is_rejected():
+    """The mutations are real faults (the lone CR aside, which LF input
+    may strip as a line ending), so the comparisons above compare errors."""
+    rng = random.Random(INGEST_SEED)
+    for kind in FAULTS:
+        if kind == "lone CR":
+            continue
+        for _ in range(12):
+            lines = random_lines(rng)
+            if kind == "duplicate target" and lines[0].count(",") < 2:
+                continue
+            mutate(rng, lines, kind)
+            with pytest.raises((CsvError, TableError)):
+                parse_csv(render(lines, "\n", True))
+
+
+def test_pairs_of_faults_match_reference():
+    rng = random.Random(f"{INGEST_SEED}:pairs")
+    for _ in range(400):
+        lines = random_lines(rng)
+        # Deleting the body goes last, so the other fault has a line to hit.
+        for kind in sorted(rng.sample(FAULTS, 2), key=lambda k: k == "no rows"):
+            mutate(rng, lines, kind)
+        ending, trailing = rng.choice(LAYOUTS)
+        assert_same(render(lines, ending, trailing))
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        # Cell and shape faults are reported in line order...
+        ("m,a,b\nM1,0,2\nM2,0\n", CsvError, "cell at line 2, column 2 (target 'b') is '2'"),
+        ("m,a,b\nM1,0\nM2,0,2\n", CsvError, "row at line 2 has 2 cells, expected 3"),
+        # ...before any name fault, whichever line holds it...
+        ('m,a,a\nM"1,0,1\nM2,1,x\n', CsvError, "cell at line 3, column 2 (target 'a') is 'x'"),
+        # ...and target names are checked before model names.
+        ("m,a,a\nM1,0,1\nM1,1,1\n", TableError, "duplicate target name 'a' (columns 0 and 1)"),
+        ('m,a,b\nM1,0,1\n"M2",1,1\nM1,0,0\n', TableError, "model name '\"M2\"' at position 1"),
+        ("m\n\n", CsvError, "header row declares no targets"),
+        ("m,a\n\n", CsvError, "row at line 2 has 1 cells, expected 2"),
+        ("m,a\n", CsvError, "CSV has a header but no model rows"),
+        ("\r\n\n", CsvError, "empty CSV input"),
+    ],
+)
+def test_which_error_wins(text, error, message):
+    with pytest.raises(error) as raised:
+        parse_csv(text)
+    assert str(raised.value).startswith(message)
+    assert_same(text)
+
+
+def test_invalid_utf8_matches_reference():
+    assert_same(b"model,a\nM\xff,1\n")
+
+
+# Body lines built from cells, mostly of one character, so that many
+# have the accepted length and comma count; plus free text.
+CELL = st.sampled_from(["0", "1", "2", " ", "\r", "a", ",", "", "01", " 1"])
+BODY_LINE = st.one_of(
+    st.lists(CELL, max_size=6).map(lambda cells: "M," + ",".join(cells)),
+    st.text(alphabet="01, 2\r\"ab", max_size=12),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(targets=st.integers(1, 4), line=BODY_LINE)
+def test_any_body_line_matches_reference(targets, line):
+    """The one-test acceptance of a line agrees with the per-cell scan."""
+    header = "model," + ",".join(f"t{j}" for j in range(targets))
+    assert_same(header + "\n" + line + "\n")
+
+
+NAME = st.text(
+    alphabet=st.characters(
+        blacklist_categories=("Cs",), blacklist_characters=',"\r\n'
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def tables(draw):
+    u = draw(st.integers(1, 30))
+    v = draw(st.integers(1, 60))
+    targets = draw(st.lists(NAME, min_size=u, max_size=u, unique=True))
+    models = draw(st.lists(NAME, min_size=v, max_size=v, unique=True))
+    bits = draw(st.integers(0, 2 ** (u * v) - 1))
+    rows = [[(bits >> (i * u + j)) & 1 for j in range(u)] for i in range(v)]
+    return build_table(targets, models, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables())
+def test_emit_csv_round_trips(table):
+    parsed = parse_csv(emit_csv(table))
+    assert parsed == table
+    assert parsed.support_masks == table.support_masks

@@ -1,3 +1,5 @@
+import enum
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -64,6 +66,27 @@ class TestBuildTable:
     def test_bool_cells_accepted(self):
         table = build_table(["a"], ["M1"], [[True]])
         assert table.tab(0, 0) == 1
+
+    @pytest.mark.parametrize("cell", [1.0, 0.0, "1", None, 2, -1, 256])
+    def test_cell_of_wrong_type_or_value_named(self, cell):
+        with pytest.raises(TableError) as raised:
+            build_table(["a", "b"], ["M1", "M2"], [[0, 1], [1, cell]])
+        assert str(raised.value) == (
+            f"cell at row 1 (model 'M2'), column 1 (target 'b') is {cell!r}, not 0 or 1"
+        )
+
+    def test_int_subclass_cells_stored_as_plain_ints(self):
+        class Bit(enum.IntEnum):
+            OFF = 0
+            ON = 1
+
+        table = build_table(["a", "b"], ["M1"], [[Bit.ON, False]])
+        assert table.cells == ((1, 0),)
+        assert [type(c) for c in table.cells[0]] == [int, int]
+
+    def test_name_fault_reported_before_cell_fault(self):
+        with pytest.raises(TableError, match="duplicate model name"):
+            build_table(["a"], ["M1", "M1"], [[1], [2]])
 
     def test_empty_dimensions(self):
         with pytest.raises(TableError, match="no targets"):
