@@ -11,10 +11,8 @@ from .table import (
     FlexibilityError,
     FlexibilityFormatError,
     JudgmentTable,
-    ModelId,
     PairCounts,
     TableError,
-    TargetId,
     ZERO_FLEXIBILITY,
     build_table,
     natural_key,
@@ -73,10 +71,8 @@ __all__ = [
     "FlexibilityError",
     "FlexibilityFormatError",
     "JudgmentTable",
-    "ModelId",
     "PairCounts",
     "TableError",
-    "TargetId",
     "ZERO_FLEXIBILITY",
     "build_table",
     "natural_key",

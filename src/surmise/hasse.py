@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .order import OrderMatrix, sorted_pairs, verify_partial_order
+from .order import OrderMatrix, sorted_pairs
 from .table import bit_indices, natural_key
 
 __all__ = [
@@ -89,12 +89,12 @@ def transitive_reduction(matrix: OrderMatrix) -> HasseDiagram:
     """Strip every implied edge, leaving the unique covering relation.
 
     A strict pair (p, r) survives iff no third node sits between them.
-    The input must verify as a partial order; for one, the reflexive-
-    transitive closure of the result is the original matrix.
+    The input must be a partial order (its ``diagnostics``, taken when it
+    was built, must pass); for one, the reflexive-transitive closure of
+    the result is the original matrix.
     """
-    diagnostics = verify_partial_order(matrix)
-    if not diagnostics.ok:
-        raise ValueError(f"not a partial order: {diagnostics.summary()}")
+    if not matrix.diagnostics.ok:
+        raise ValueError(f"not a partial order: {matrix.diagnostics.summary()}")
 
     edges = sorted_pairs(matrix.reps, covering_masks(matrix.strict_rows))
     return HasseDiagram(

@@ -117,8 +117,8 @@ def parse_csv(data: bytes | str) -> JudgmentTable:
 
 def emit_csv(table: JudgmentTable) -> str:
     lines = ["model," + ",".join(table.target_names)]
-    for i, model in enumerate(table.models):
-        lines.append(model.name + "," + ",".join(str(c) for c in table.cells[i]))
+    for name, row in zip(table.model_names, table.cells):
+        lines.append(name + "," + ",".join(str(c) for c in row))
     return "\n".join(lines) + "\n"
 
 
@@ -168,9 +168,6 @@ def analyze(
     """Run the full pipeline: classes, order, covering edges, layers."""
     matrix = order_matrix(table, alpha)
     diagram = transitive_reduction(matrix)
-    classes = matrix.classes
-    if classes is None:
-        classes = EquivalenceClasses(blocks=tuple((rep,) for rep in matrix.reps))
     counts = None
     if include_counts:
         column = {rep: table.target_index(rep) for rep in matrix.reps}
@@ -183,7 +180,7 @@ def analyze(
     return AnalysisReport(
         targets=table.target_names,
         flexibility=alpha,
-        classes=classes,
+        classes=matrix.classes,
         relation=matrix.pairs(),
         hasse=diagram.edges,
         layers=diagram.layer_groups(),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .table import JudgmentTable, natural_key, natural_ranks
+from .table import JudgmentTable, NamePartition, natural_ranks
 
 __all__ = [
     "KnowledgeStructure",
@@ -141,7 +141,7 @@ def surmise_from_structure(
 
 
 @dataclass(frozen=True)
-class ConceptPartition:
+class ConceptPartition(NamePartition):
     """Targets grouped by equal informativeness (identical state families).
 
     Each block is natural-sorted and a concept is written by its first
@@ -149,22 +149,7 @@ class ConceptPartition:
     by that first member.
     """
 
-    blocks: tuple[tuple[str, ...], ...]
-    _block_of: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_block_of", {name: block for block in self.blocks for name in block}
-        )
-
-    @property
-    def representatives(self) -> tuple[str, ...]:
-        return tuple(block[0] for block in self.blocks)
-
-    def block_of(self, name: str) -> tuple[str, ...]:
-        if name not in self._block_of:
-            raise ValueError(f"unknown target {name!r}")
-        return self._block_of[name]
+    LABEL = 0
 
     def representative_of(self, name: str) -> str:
         return self.block_of(name)[0]
@@ -172,14 +157,17 @@ class ConceptPartition:
 
 def equally_informative(structure: KnowledgeStructure) -> ConceptPartition:
     """Partition the ground into blocks whose members lie in exactly the
-    same states."""
-    groups: dict[frozenset[frozenset[int]], list[str]] = {}
-    for j, name in enumerate(structure.ground):
-        family = frozenset(s for s in structure.states if j in s)
-        groups.setdefault(family, []).append(name)
-    blocks = [tuple(sorted(members, key=natural_key)) for members in groups.values()]
-    blocks.sort(key=lambda block: natural_key(block[0]))
-    return ConceptPartition(blocks=tuple(blocks))
+    same states.
+
+    Each target is keyed by the int whose bit k is set iff the k-th state
+    (in one fixed iteration of the family) contains it.
+    """
+    families = [0] * len(structure.ground)
+    for k, state in enumerate(structure.states):
+        bit = 1 << k
+        for j in state:
+            families[j] |= bit
+    return ConceptPartition.from_keys(structure.ground, families)
 
 
 def is_discriminative(structure: KnowledgeStructure) -> bool:

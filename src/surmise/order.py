@@ -15,11 +15,11 @@ from typing import Sequence
 from .table import (
     Flexibility,
     JudgmentTable,
+    NamePartition,
     PairCounts,
     ZERO_FLEXIBILITY,
     bit_indices,
     column_masks,
-    natural_key,
     natural_ranks,
     natural_sorted,
     pack_bits,
@@ -63,21 +63,19 @@ def _edge_holds(n2: int, n3: int, basis_points: int) -> bool:
     return 10000 * n3 <= basis_points * (n2 + n3)
 
 
-def flexible_leq(
-    counts: PairCounts, alpha: Flexibility, same_target: bool = False
-) -> bool:
+def flexible_leq(counts: PairCounts, alpha: Flexibility) -> bool:
     """Threshold test for p -> q given the pair's response counts.
 
-    Holds when the pair is reflexive, when no model splits on the pair
-    (n2 + n3 = 0, which covers identical columns), or when the share of
-    q-only models among the splitters is at most alpha.  The comparison
-    is the exact cross-multiplication 10000*n3 <= bp*(n2+n3).
+    Holds when no model splits on the pair (n2 + n3 = 0, which covers
+    p == q and identical columns), or when the share of q-only models
+    among the splitters is at most alpha.  The comparison is the exact
+    cross-multiplication 10000*n3 <= bp*(n2+n3).
     """
-    return same_target or _edge_holds(counts.n2, counts.n3, alpha.basis_points)
+    return _edge_holds(counts.n2, counts.n3, alpha.basis_points)
 
 
 @dataclass(frozen=True)
-class EquivalenceClasses:
+class EquivalenceClasses(NamePartition):
     """Partition of the targets by mutual order (= identical columns).
 
     Members of a block are natural-sorted; a block is labeled by its LAST
@@ -85,44 +83,23 @@ class EquivalenceClasses:
     "t1 (=t0)").  Blocks are ordered by that label.
     """
 
-    blocks: tuple[tuple[str, ...], ...]
-    _block_of: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
-    _members_of: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_block_of", {n: block for block in self.blocks for n in block})
-        object.__setattr__(self, "_members_of", {block[-1]: block for block in self.blocks})
-
-    @property
-    def representatives(self) -> tuple[str, ...]:
-        return tuple(block[-1] for block in self.blocks)
-
-    def block_of(self, name: str) -> tuple[str, ...]:
-        if name not in self._block_of:
-            raise ValueError(f"unknown target {name!r}")
-        return self._block_of[name]
+    LABEL = -1
 
     def members_of(self, representative: str) -> tuple[str, ...]:
-        if representative not in self._members_of:
+        block = self._block_of.get(representative)
+        if block is None or block[-1] != representative:
             raise ValueError(f"no class labeled {representative!r}")
-        return self._members_of[representative]
+        return block
 
 
-def equivalence_classes(
-    table: JudgmentTable, alpha: Flexibility = ZERO_FLEXIBILITY
-) -> EquivalenceClasses:
-    """Group targets that are ordered both ways at the given flexibility.
+def equivalence_classes(table: JudgmentTable) -> EquivalenceClasses:
+    """Group targets that are ordered both ways at any flexibility.
 
     Mutual order below 50% flexibility forces n2 = n3 = 0, i.e. identical
     judgment columns (see ``_edge_holds``), so the blocks are the targets
-    with equal support masks whatever alpha is.
+    with equal support masks.
     """
-    groups: dict[int, list[str]] = {}
-    for name, mask in zip(table.target_names, table.support_masks):
-        groups.setdefault(mask, []).append(name)
-    named = [tuple(natural_sorted(group)) for group in groups.values()]
-    named.sort(key=lambda block: natural_key(block[-1]))
-    return EquivalenceClasses(blocks=tuple(named))
+    return EquivalenceClasses.from_keys(table.target_names, table.support_masks)
 
 
 def sorted_pairs(
@@ -147,7 +124,9 @@ class OrderMatrix:
 
     ``bits[i][j]`` means reps[i] -> reps[j] (reps[i] is a prerequisite of
     reps[j]).  ``rows[i]`` is row i as an int (bit j is ``bits[i][j]``),
-    derived at construction.  ``classes`` carries the member lists behind
+    and ``diagnostics`` the result of checking the order axioms; both are
+    derived once, at construction, so every matrix (also a hand-built one)
+    is checked exactly once.  ``classes`` carries the member lists behind
     each representative; hand-built matrices may omit it.
     """
 
@@ -155,10 +134,13 @@ class OrderMatrix:
     bits: tuple[tuple[bool, ...], ...]
     classes: EquivalenceClasses | None = None
     rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    diagnostics: OrderDiagnostics = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(pack_bits(row) for row in self.bits))
+        rows = tuple(pack_bits(row) for row in self.bits)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "diagnostics", _check_axioms(self.reps, self.bits, rows))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.reps)})
 
     @property
@@ -189,8 +171,8 @@ class OrderMatrix:
     ) -> "OrderMatrix":
         """Build a matrix from strict pairs plus the reflexive diagonal.
 
-        No verification is done here; feed the result to
-        verify_partial_order to interrogate it.
+        Nothing is raised here; ``diagnostics`` (or verify_partial_order)
+        tells whether the result is a partial order.
         """
         reps = tuple(natural_sorted(elements))
         index = {name: i for i, name in enumerate(reps)}
@@ -235,17 +217,18 @@ class OrderDiagnostics:
         return "; ".join(parts)
 
 
-def verify_partial_order(matrix: OrderMatrix) -> OrderDiagnostics:
+def _check_axioms(
+    reps: Sequence[str], bits: Sequence[Sequence[bool]], up: Sequence[int]
+) -> OrderDiagnostics:
     """Check reflexivity, anti-symmetry and transitivity; never raises.
 
     Each witness is the first failure in the scan order i, then j, then
     k.  Works on row and column bitmasks: anti-symmetry is one AND per
-    node, and (i, j) breaks transitivity iff ``rows[j] & ~rows[i]`` is
+    node, and (i, j) breaks transitivity iff ``up[j] & ~up[i]`` is
     non-zero, one test per relation pair.
     """
-    reps, up = matrix.reps, matrix.rows
     size = len(reps)
-    down = column_masks(matrix.bits, size)
+    down = column_masks(bits, size)
 
     reflexivity_witness = next(
         (reps[i] for i in range(size) if not up[i] >> i & 1), None
@@ -278,6 +261,13 @@ def verify_partial_order(matrix: OrderMatrix) -> OrderDiagnostics:
     )
 
 
+def verify_partial_order(matrix: OrderMatrix) -> OrderDiagnostics:
+    """Reflexivity, anti-symmetry and transitivity of the matrix, with the
+    first witness of each failure; never raises.  The check ran once, when
+    the matrix was built (``OrderMatrix.diagnostics``)."""
+    return matrix.diagnostics
+
+
 def order_matrix(
     table: JudgmentTable, alpha: Flexibility = ZERO_FLEXIBILITY
 ) -> OrderMatrix:
@@ -288,7 +278,7 @@ def order_matrix(
     result is verified against the three order axioms; a failure is an
     internal bug and is raised, never ignored.
     """
-    classes = equivalence_classes(table, alpha)
+    classes = equivalence_classes(table)
     reps = classes.representatives
     columns = [table.target_index(rep) for rep in reps]
     supports = [(table.support_masks[j], table.support_sizes[j]) for j in columns]
@@ -301,10 +291,9 @@ def order_matrix(
             row.append(_edge_holds(size_p - n1, size_q - n1, bp))
         bits.append(tuple(row))
     matrix = OrderMatrix(reps=reps, bits=tuple(bits), classes=classes)
-    diagnostics = verify_partial_order(matrix)
-    if not diagnostics.ok:
+    if not matrix.diagnostics.ok:
         raise OrderAxiomError(
             f"order axioms violated on {len(reps)} representatives: "
-            f"{diagnostics.summary()}"
+            f"{matrix.diagnostics.summary()}"
         )
     return matrix

@@ -10,14 +10,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import ClassVar, Hashable, Iterable, Sequence, TypeVar
 
 __all__ = [
     "TableError",
     "FlexibilityError",
     "FlexibilityFormatError",
-    "TargetId",
-    "ModelId",
     "PairCounts",
     "Flexibility",
     "ZERO_FLEXIBILITY",
@@ -25,6 +23,7 @@ __all__ = [
     "build_table",
     "natural_key",
     "natural_sorted",
+    "NamePartition",
 ]
 
 
@@ -113,8 +112,9 @@ def bit_indices(mask: int) -> list[int]:
 
 
 # Names feed unescaped into CSV and DOT output, so the alphabet is
-# restricted up front instead of escaping later.
-_FORBIDDEN_CHARS = ('"', ",")
+# restricted up front instead of escaping later.  A line break would end
+# a CSV line inside a name.
+_FORBIDDEN_CHARS = ('"', ",", "\n", "\r")
 
 
 def _check_name(kind: str, position: int, name: str) -> None:
@@ -128,16 +128,54 @@ def _check_name(kind: str, position: int, name: str) -> None:
             )
 
 
-@dataclass(frozen=True)
-class TargetId:
-    index: int
-    name: str
+_Partition = TypeVar("_Partition", bound="NamePartition")
 
 
 @dataclass(frozen=True)
-class ModelId:
-    index: int
-    name: str
+class NamePartition:
+    """Unique names split into blocks, each natural-sorted and labeled by
+    its member at position ``LABEL``; blocks are ordered by label.
+
+    The two partitions of the pipeline differ only in ``LABEL``: classes
+    of identical columns (``order.EquivalenceClasses``) are labeled by
+    their last member, concepts (``kst.ConceptPartition``) by their first.
+    """
+
+    LABEL: ClassVar[int]
+
+    blocks: tuple[tuple[str, ...], ...]
+    _block_of: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_block_of", {name: block for block in self.blocks for name in block}
+        )
+
+    @classmethod
+    def from_keys(
+        cls: type[_Partition], names: Sequence[str], keys: Iterable[Hashable]
+    ) -> _Partition:
+        """The partition of ``names`` into blocks of equal ``keys``.
+
+        Names are ranked once (``natural_ranks``), so ordering the members
+        and the blocks costs no name comparison.
+        """
+        groups: dict[Hashable, list[int]] = {}
+        for j, key in enumerate(keys):
+            groups.setdefault(key, []).append(j)
+        rank = natural_ranks(names)
+        blocks = [sorted(group, key=rank.__getitem__) for group in groups.values()]
+        blocks.sort(key=lambda block: rank[block[cls.LABEL]])
+        return cls(blocks=tuple(tuple(names[j] for j in block) for block in blocks))
+
+    @property
+    def representatives(self) -> tuple[str, ...]:
+        return tuple(block[self.LABEL] for block in self.blocks)
+
+    def block_of(self, name: str) -> tuple[str, ...]:
+        if name not in self._block_of:
+            raise ValueError(f"unknown target {name!r}")
+        return self._block_of[name]
 
 
 @dataclass(frozen=True)
@@ -220,8 +258,8 @@ class JudgmentTable:
     accessors are pure.
     """
 
-    models: tuple[ModelId, ...]
-    targets: tuple[TargetId, ...]
+    model_names: tuple[str, ...]
+    target_names: tuple[str, ...]
     cells: tuple[tuple[int, ...], ...]
     support_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     support_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -229,35 +267,31 @@ class JudgmentTable:
     _model_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        masks = column_masks(self.cells, len(self.targets))
+        masks = column_masks(self.cells, len(self.target_names))
         object.__setattr__(self, "support_masks", masks)
         object.__setattr__(self, "support_sizes", tuple(m.bit_count() for m in masks))
-        object.__setattr__(self, "_target_index", {t.name: t.index for t in self.targets})
-        object.__setattr__(self, "_model_index", {m.name: m.index for m in self.models})
+        object.__setattr__(
+            self, "_target_index", {name: j for j, name in enumerate(self.target_names)}
+        )
+        object.__setattr__(
+            self, "_model_index", {name: i for i, name in enumerate(self.model_names)}
+        )
 
     @property
     def model_count(self) -> int:
-        return len(self.models)
+        return len(self.model_names)
 
     @property
     def target_count(self) -> int:
-        return len(self.targets)
-
-    @property
-    def model_names(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self.models)
-
-    @property
-    def target_names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.targets)
+        return len(self.target_names)
 
     def _check_model_index(self, i: int) -> None:
-        if not 0 <= i < len(self.models):
-            raise IndexError(f"model index {i} out of range [0, {len(self.models)})")
+        if not 0 <= i < self.model_count:
+            raise IndexError(f"model index {i} out of range [0, {self.model_count})")
 
     def _check_target_index(self, j: int) -> None:
-        if not 0 <= j < len(self.targets):
-            raise IndexError(f"target index {j} out of range [0, {len(self.targets)})")
+        if not 0 <= j < self.target_count:
+            raise IndexError(f"target index {j} out of range [0, {self.target_count})")
 
     def tab(self, i: int, j: int) -> int:
         """The stored judgment of model i on target j (0 or 1)."""
@@ -282,7 +316,7 @@ class JudgmentTable:
         n1 = (self.support_masks[p] & self.support_masks[q]).bit_count()
         n2 = self.support_sizes[p] - n1
         n3 = self.support_sizes[q] - n1
-        return PairCounts(n1, n2, n3, len(self.models) - n1 - n2 - n3)
+        return PairCounts(n1, n2, n3, self.model_count - n1 - n2 - n3)
 
     def target_index(self, name: str) -> int:
         if name not in self._target_index:
@@ -320,8 +354,8 @@ def _freeze(
     """The table of names already checked by ``_check_names`` and rows of
     0/1 ints already checked against the target count."""
     return JudgmentTable(
-        models=tuple(ModelId(i, n) for i, n in enumerate(model_names)),
-        targets=tuple(TargetId(j, n) for j, n in enumerate(target_names)),
+        model_names=tuple(model_names),
+        target_names=tuple(target_names),
         cells=tuple(rows),
     )
 

@@ -15,7 +15,7 @@ from collections import deque
 from fractions import Fraction
 
 from surmise.io import CsvError
-from surmise.table import JudgmentTable, ModelId, TableError, TargetId
+from surmise.table import JudgmentTable, TableError
 
 
 def columns_of(rows: list[list[int]]) -> list[tuple[int, ...]]:
@@ -277,7 +277,7 @@ def parse_csv_reference(data: bytes | str):
     def check_name(kind: str, position: int, name: str) -> None:
         if not isinstance(name, str) or not name:
             raise TableError(f"{kind} name at position {position} is empty")
-        for ch in ('"', ","):
+        for ch in ('"', ",", "\n", "\r"):
             if ch in name:
                 raise TableError(
                     f"{kind} name {name!r} at position {position} contains "
@@ -310,7 +310,7 @@ def parse_csv_reference(data: bytes | str):
                 )
         rows.append(tuple(int(c) for c in raw_row))
     return JudgmentTable(
-        models=tuple(ModelId(i, n) for i, n in enumerate(model_names)),
-        targets=tuple(TargetId(j, n) for j, n in enumerate(target_names)),
+        model_names=tuple(model_names),
+        target_names=tuple(target_names),
         cells=tuple(rows),
     )

@@ -186,6 +186,8 @@ def test_pairs_of_faults_match_reference():
         # ...and target names are checked before model names.
         ("m,a,a\nM1,0,1\nM1,1,1\n", TableError, "duplicate target name 'a' (columns 0 and 1)"),
         ('m,a,b\nM1,0,1\n"M2",1,1\nM1,0,0\n', TableError, "model name '\"M2\"' at position 1"),
+        # A lone "\r" inside a header name is part of the name, and forbidden.
+        ("m,a\r,b\nM1,0,1\n", TableError, "target name 'a\\r' at position 0 contains forbidden"),
         ("m\n\n", CsvError, "header row declares no targets"),
         ("m,a\n\n", CsvError, "row at line 2 has 1 cells, expected 2"),
         ("m,a\n", CsvError, "CSV has a header but no model rows"),

@@ -9,11 +9,14 @@ from surmise import (
     build_table,
     discriminative_reduction,
     equally_informative,
+    equivalence_classes,
     is_discriminative,
     states_containing,
     structure_from_table,
     surmise_from_structure,
 )
+
+from test_bitset import latent_rows
 
 GROUND = ("a", "b", "c", "d", "e")
 WORKED_STATES = (
@@ -280,3 +283,20 @@ def test_antisymmetry_on_discriminative_structures():
         for p, q in relation:
             if (q, p) in relation:
                 assert p == q
+
+
+@pytest.mark.parametrize("complete", [True, False])
+def test_concepts_of_table_structure_are_equivalence_classes(fuzz_corpus, complete):
+    # Every model's row is a state, so two targets lie in the same states
+    # iff their columns are identical; the empty and full states added by
+    # completion contain both or neither.  Only labels and block order
+    # differ between the two partitions.
+    rng = random.Random(20261018)
+    tables = list(fuzz_corpus[:60])
+    for u, v, noise in ((40, 8, 0.8), (40, 200, 0.5), (16, 30, 0.2), (1, 5, 1.0)):
+        rows = latent_rows(rng, u, v, noise)
+        tables.append(build_table([f"t{j}" for j in range(u)], [f"m{i}" for i in range(v)], rows))
+    for table in tables:
+        concepts = equally_informative(structure_from_table(table, complete))
+        classes = equivalence_classes(table)
+        assert set(concepts.blocks) == set(classes.blocks)

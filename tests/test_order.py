@@ -3,14 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import surmise.order
 from surmise import (
     Flexibility,
+    OrderAxiomError,
     OrderMatrix,
     PairCounts,
+    analyze,
     build_table,
     equivalence_classes,
     flexible_leq,
     order_matrix,
+    transitive_reduction,
     verify_partial_order,
 )
 
@@ -45,9 +49,6 @@ class TestFlexibleLeq:
     def test_boundary_fails_just_below(self):
         assert not flexible_leq(PairCounts(6, 4, 1, 1), Flexibility(1999))
 
-    def test_same_target_always_holds(self):
-        assert flexible_leq(PairCounts(0, 9, 9, 0), ALPHA_0, same_target=True)
-
     def test_no_splitters_holds_both_ways(self):
         counts = PairCounts(4, 0, 0, 2)
         assert flexible_leq(counts, ALPHA_0)
@@ -69,14 +70,14 @@ class TestFlexibleLeq:
 
 class TestEquivalenceClasses:
     def test_twelve_models_alpha0(self, twelve_models):
-        classes = equivalence_classes(twelve_models, ALPHA_0)
+        classes = equivalence_classes(twelve_models)
         assert classes.blocks[0] == ("t0", "t1")
         assert classes.representatives == tuple(f"t{j}" for j in range(1, 10))
 
     def test_twelve_models_near_50_same_partition(self, twelve_models):
         assert (
-            equivalence_classes(twelve_models, Flexibility(4999)).blocks
-            == equivalence_classes(twelve_models, ALPHA_0).blocks
+            order_matrix(twelve_models, Flexibility(4999)).classes
+            == order_matrix(twelve_models, ALPHA_0).classes
         )
 
     def test_distinct_columns_all_singletons(self):
@@ -196,3 +197,56 @@ class TestVerifyPartialOrder:
         )
         diagnostics = verify_partial_order(matrix)
         assert not diagnostics.ok
+
+
+class TestAxiomCheckRunsOnce:
+    """Each OrderMatrix scans the axioms once, at construction; order_matrix
+    and transitive_reduction both raise from that one result."""
+
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        calls = []
+        scan = surmise.order._check_axioms
+
+        def counted(*args):
+            calls.append(args[0])
+            return scan(*args)
+
+        monkeypatch.setattr(surmise.order, "_check_axioms", counted)
+        return calls
+
+    def test_analyze_scans_once(self, twelve_models, scans):
+        analyze(twelve_models, ALPHA_20)
+        assert len(scans) == 1
+
+    def test_hasse_build_scans_once(self, twelve_models, scans):
+        transitive_reduction(order_matrix(twelve_models, ALPHA_20))
+        assert len(scans) == 1
+
+    def test_hand_built_matrix_scanned_at_construction_only(self, scans):
+        broken = OrderMatrix.from_pairs(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        assert len(scans) == 1
+        assert verify_partial_order(broken) is broken.diagnostics
+        with pytest.raises(ValueError) as raised:
+            transitive_reduction(broken)
+        assert str(raised.value) == (
+            "not a partial order: reflexivity: pass; anti-symmetry: pass; "
+            "transitivity: FAIL at ('a', 'b', 'c')"
+        )
+        assert len(scans) == 1
+
+    def test_order_matrix_raises_on_intransitive_edge_test(self, monkeypatch):
+        # Supports a > b > c, one model apart.  A test that tolerates at
+        # most one p-only model keeps a -> b and b -> c but not a -> c.
+        monkeypatch.setattr(
+            surmise.order, "_edge_holds", lambda n2, n3, bp: n3 == 0 and n2 <= 1
+        )
+        table = build_table(
+            ["a", "b", "c"], ["M1", "M2", "M3"], [[1, 1, 1], [1, 1, 0], [1, 0, 0]]
+        )
+        with pytest.raises(OrderAxiomError) as raised:
+            order_matrix(table)
+        assert str(raised.value) == (
+            "order axioms violated on 3 representatives: reflexivity: pass; "
+            "anti-symmetry: pass; transitivity: FAIL at ('a', 'b', 'c')"
+        )

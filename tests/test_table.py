@@ -108,6 +108,19 @@ class TestBuildTable:
         with pytest.raises(TableError, match="empty"):
             build_table([""], ["M1"], [[1]])
 
+    def test_line_breaks_in_names_forbidden(self):
+        # emit_csv of such a table would not parse back.
+        with pytest.raises(TableError) as raised:
+            build_table(["a", "b\nc"], ["M1"], [[1, 0]])
+        assert str(raised.value) == (
+            "target name 'b\\nc' at position 1 contains forbidden character '\\n'"
+        )
+        with pytest.raises(TableError) as raised:
+            build_table(["a"], ["M1", "M2\r"], [[1], [0]])
+        assert str(raised.value) == (
+            "model name 'M2\\r' at position 1 contains forbidden character '\\r'"
+        )
+
 
 class TestNameLookup:
     def test_known_names(self, twelve_models):
