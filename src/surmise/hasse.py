@@ -115,21 +115,17 @@ def assign_layers(diagram: HasseDiagram) -> dict[str, int]:
     return _layers_from_edges(diagram.nodes, diagram.edges)
 
 
-def transitive_closure(
-    relation: Sequence[Sequence[int]] | Sequence[Sequence[bool]],
-) -> tuple[tuple[bool, ...], ...]:
-    """Smallest transitive superset of a square boolean matrix (Warshall)."""
-    size = len(relation)
-    grid = [[bool(cell) for cell in row] for row in relation]
-    for row in grid:
-        if len(row) != size:
-            raise ValueError("relation matrix is not square")
+def transitive_closure(rows: Sequence[int]) -> tuple[int, ...]:
+    """Smallest transitive superset of a relation given as row masks (bit j
+    of ``rows[i]``: i relates to j), by Warshall's algorithm on rows: for
+    each k, every row holding k gains row k."""
+    size = len(rows)
+    if any(row >> size for row in rows):
+        raise ValueError(f"relation matrix is not square: a bit at or beyond {size}")
+    closed = list(rows)
     for k in range(size):
-        row_k = grid[k]
-        for i in range(size):
-            if grid[i][k]:
-                row_i = grid[i]
-                for j in range(size):
-                    if row_k[j]:
-                        row_i[j] = True
-    return tuple(tuple(row) for row in grid)
+        bit, row_k = 1 << k, closed[k]
+        for i, row in enumerate(closed):
+            if row & bit:
+                closed[i] = row | row_k
+    return tuple(closed)

@@ -19,8 +19,12 @@ from .table import (
     JudgmentTable,
     PairCounts,
     ZERO_FLEXIBILITY,
+    _DIGIT_VALUES,
     _check_names,
     _freeze,
+    bit_indices,
+    natural_sorted,
+    transpose,
 )
 
 __all__ = [
@@ -38,11 +42,6 @@ __all__ = [
 
 class CsvError(ValueError):
     """Malformed CSV input, with the offending row/column in the message."""
-
-
-# Maps ASCII "0"/"1" to the ints 0/1 when a row's cell digits are
-# translated as bytes; only rows already known to hold nothing else are.
-_CELL_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _row_error(line: str, line_number: int, target_names: Sequence[str]) -> CsvError:
@@ -108,7 +107,7 @@ def parse_csv(data: bytes | str) -> JudgmentTable:
         if len(rest) != rest_length or rest.count(",") != commas or digits.strip("01"):
             raise _row_error(line, line_number, target_names)
         model_names.append(name)
-        rows.append(tuple(digits.encode("ascii").translate(_CELL_VALUES)))
+        rows.append(tuple(digits.encode("ascii").translate(_DIGIT_VALUES)))
     if not rows:
         raise CsvError("CSV has a header but no model rows")
     _check_names(target_names, model_names)
@@ -256,27 +255,37 @@ def hasse_json(diagram: HasseDiagram) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _rendered_states(structure: KnowledgeStructure) -> list[tuple[frozenset[int], str]]:
-    """The sorted states, each paired with its "{a,b}" text."""
-    return [
-        (state, "{" + ",".join(structure.names_of(state)) + "}")
-        for state in structure.sorted_states()
-    ]
+def _rendered_states(structure: KnowledgeStructure) -> tuple[list[int], list[str]]:
+    """The states ordered by size, then member names, and the "{a,b}" text
+    of each.  A state's members are read once, as natural-order ranks
+    (``KnowledgeStructure.rank``), which give both the sort key and the
+    text."""
+    rank = structure.rank
+    keyed = []
+    for state in structure.states:
+        ranks = sorted([rank[j] for j in bit_indices(state)])
+        keyed.append((len(ranks), ranks, state))
+    keyed.sort()
+    by_rank = natural_sorted(structure.ground)
+    texts = ["{" + ",".join([by_rank[r] for r in ranks]) + "}" for _, ranks, _ in keyed]
+    return [state for _, _, state in keyed], texts
 
 
 def structure_report(structure: KnowledgeStructure) -> str:
     """Text rendering of a structure: states, per-target state families,
     the concept partition, and the discriminative reduction.
 
-    Each state is sorted and rendered once, and the partition is computed
-    once and reused for the discriminative flag and the reduction.
+    Each state is sorted and rendered once, the ``K_<name>`` lines read
+    the transposed sorted states, and the partition is computed once and
+    reused for the discriminative flag and the reduction.
     """
-    states = _rendered_states(structure)
+    states, texts = _rendered_states(structure)
     lines = ["targets: " + " ".join(structure.ground)]
     lines.append(f"states ({len(states)}):")
-    lines.extend("  " + text for _, text in states)
-    for j, name in enumerate(structure.ground):
-        rendered = " ".join(text for state, text in states if j in state)
+    lines.extend("  " + text for text in texts)
+    families = transpose(states, len(structure.ground))
+    for name, family in zip(structure.ground, families):
+        rendered = " ".join([texts[k] for k in bit_indices(family)])
         lines.append(f"K_{name}:" + (" " + rendered if rendered else ""))
     partition = equally_informative(structure)
     lines.append(
@@ -285,7 +294,7 @@ def structure_report(structure: KnowledgeStructure) -> str:
     lines.append(f"discriminative: {'true' if _all_singletons(partition) else 'false'}")
     reduced = _reduction(structure, partition)
     lines.append("reduction targets: " + " ".join(reduced.ground))
-    reduced_states = _rendered_states(reduced)
-    lines.append(f"reduction states ({len(reduced_states)}):")
-    lines.extend("  " + text for _, text in reduced_states)
+    _, reduced_texts = _rendered_states(reduced)
+    lines.append(f"reduction states ({len(reduced_texts)}):")
+    lines.extend("  " + text for text in reduced_texts)
     return "\n".join(lines) + "\n"

@@ -2,18 +2,28 @@
 
 A knowledge state is the subset of targets some model handles correctly;
 a structure is a family of such states over a fixed ground list.  This
-module gives the classical set-based machinery: the subfamily of states
-containing a target, the surmise relation, equally-informative targets,
-and the discriminative reduction.
+module gives the classical machinery: the subfamily of states containing
+a target, the surmise relation, equally-informative targets, and the
+discriminative reduction.
 
-States are stored as frozensets of ground indices, never of names, so a
-structure survives renaming of its ground only through reconstruction.
+A state is an int mask whose bit j says whether it contains ``ground[j]``.
+The derivations work on the transposed state matrix (``table.transpose``):
+one column mask per target, whose bit k says whether the k-th state, in
+one fixed iteration of the family, contains it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .table import JudgmentTable, NamePartition, natural_ranks
+from .table import (
+    JudgmentTable,
+    NamePartition,
+    bit_indices,
+    check_masks,
+    natural_ranks,
+    pack_bits,
+    transpose,
+)
 
 __all__ = [
     "KnowledgeStructure",
@@ -31,16 +41,17 @@ __all__ = [
 class KnowledgeStructure:
     """A family of distinct knowledge states over an ordered ground list.
 
-    ``completed`` records that the empty state and the full state were
-    guaranteed at construction (the conventional closure that makes the
-    family a genuine knowledge structure).  ``rank[j]`` is the position
-    of ``ground[j]`` in natural order, derived once at construction
-    together with the name -> index dict, so ordering a state costs no
-    name comparison.
+    Each state is an int mask: bit j is set iff the state contains
+    ``ground[j]``.  ``completed`` records that the empty state and the
+    full state were guaranteed at construction (the conventional closure
+    that makes the family a genuine knowledge structure).  ``rank[j]`` is
+    the position of ``ground[j]`` in natural order, derived once at
+    construction together with the name -> index dict, so ordering a
+    state costs no name comparison.
     """
 
     ground: tuple[str, ...]
-    states: frozenset[frozenset[int]]
+    states: frozenset[int]
     completed: bool = False
     rank: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -51,40 +62,26 @@ class KnowledgeStructure:
             if name in index:
                 raise ValueError(f"duplicate ground name {name!r}")
             index[name] = j
-        n = len(self.ground)
-        for state in self.states:
-            for j in state:
-                if not 0 <= j < n:
-                    raise ValueError(f"state member {j} outside ground of size {n}")
+        check_masks("state", self.states, len(self.ground))
         if self.completed:
-            if frozenset() not in self.states or self.full_state not in self.states:
+            if 0 not in self.states or self.full_state not in self.states:
                 raise ValueError("completed structure must contain {} and the full set")
         object.__setattr__(self, "rank", natural_ranks(self.ground))
         object.__setattr__(self, "_index", index)
 
     @property
-    def full_state(self) -> frozenset[int]:
-        return frozenset(range(len(self.ground)))
+    def full_state(self) -> int:
+        return (1 << len(self.ground)) - 1
 
     def index_of(self, name: str) -> int:
         if name not in self._index:
             raise ValueError(f"unknown target {name!r}")
         return self._index[name]
 
-    def names_of(self, state: frozenset[int]) -> tuple[str, ...]:
+    def names_of(self, state: int) -> tuple[str, ...]:
         """The member names of a state in natural order."""
-        return tuple(self.ground[j] for j in sorted(state, key=self.rank.__getitem__))
-
-    def sorted_states(self) -> list[frozenset[int]]:
-        """States ordered by size, then member names: {} first, full set last.
-
-        Ground names are unique, so ``natural_key`` (which ends in the raw
-        name) is a strict total order on them and ``rank`` is strictly
-        monotone in it: a state's sorted ranks compare exactly as the
-        natural keys of its sorted names would.
-        """
-        rank = self.rank
-        return sorted(self.states, key=lambda s: (len(s), sorted(rank[j] for j in s)))
+        members = sorted(bit_indices(state), key=self.rank.__getitem__)
+        return tuple(self.ground[j] for j in members)
 
 
 def structure_from_table(table: JudgmentTable, complete: bool = True) -> KnowledgeStructure:
@@ -93,10 +90,9 @@ def structure_from_table(table: JudgmentTable, complete: bool = True) -> Knowled
     With ``complete`` the empty and full states are added when absent;
     duplicate model rows collapse to one state either way.
     """
-    states = {table.row_members(i) for i in range(table.model_count)}
+    states = set(map(pack_bits, set(table.cells)))
     if complete:
-        states.add(frozenset())
-        states.add(frozenset(range(table.target_count)))
+        states |= {0, (1 << table.target_count) - 1}
     return KnowledgeStructure(
         ground=table.target_names,
         states=frozenset(states),
@@ -104,17 +100,15 @@ def structure_from_table(table: JudgmentTable, complete: bool = True) -> Knowled
     )
 
 
-def states_containing(
-    structure: KnowledgeStructure, target: str
-) -> frozenset[frozenset[int]]:
+def states_containing(structure: KnowledgeStructure, target: str) -> frozenset[int]:
     """The subfamily of states that include the given target.
 
-    >>> s = KnowledgeStructure(("a", "b"), frozenset({frozenset(), frozenset({0, 1})}))
-    >>> states_containing(s, "a") == frozenset({frozenset({0, 1})})
+    >>> s = KnowledgeStructure(("a", "b"), frozenset({0b00, 0b11}))
+    >>> states_containing(s, "a") == frozenset({0b11})
     True
     """
-    j = structure.index_of(target)
-    return frozenset(state for state in structure.states if j in state)
+    bit = 1 << structure.index_of(target)
+    return frozenset(state for state in structure.states if state & bit)
 
 
 def surmise_from_structure(
@@ -123,21 +117,19 @@ def surmise_from_structure(
     """The surmise relation as name pairs: (p, q) iff p belongs to every
     state containing q, i.e. p is a prerequisite of q.
 
-    A target contained in no state intersects an empty family; that
-    intersection is taken to be the whole ground, so everything is
-    surmised from such a target.  The result is reflexive and transitive.
+    That is the zero-flexibility containment test on the state matrix's
+    columns: the column of q has no bit outside the column of p.  A target
+    in no state has an empty column, so everything is surmised from it.
+    The result is reflexive and transitive.
     """
     ground = structure.ground
-    full = structure.full_state
-    pairs: set[tuple[str, str]] = set()
-    for q_index, q_name in enumerate(ground):
-        meet = full
-        for state in structure.states:
-            if q_index in state:
-                meet &= state
-        for p_index in meet:
-            pairs.add((ground[p_index], q_name))
-    return frozenset(pairs)
+    columns = transpose(structure.states, len(ground))
+    return frozenset(
+        (ground[p], q_name)
+        for q_name, column_q in zip(ground, columns)
+        for p, column_p in enumerate(columns)
+        if not column_q & ~column_p
+    )
 
 
 @dataclass(frozen=True)
@@ -157,17 +149,10 @@ class ConceptPartition(NamePartition):
 
 def equally_informative(structure: KnowledgeStructure) -> ConceptPartition:
     """Partition the ground into blocks whose members lie in exactly the
-    same states.
-
-    Each target is keyed by the int whose bit k is set iff the k-th state
-    (in one fixed iteration of the family) contains it.
+    same states: the targets with equal columns of the state matrix.
     """
-    families = [0] * len(structure.ground)
-    for k, state in enumerate(structure.states):
-        bit = 1 << k
-        for j in state:
-            families[j] |= bit
-    return ConceptPartition.from_keys(structure.ground, families)
+    columns = transpose(structure.states, len(structure.ground))
+    return ConceptPartition.from_keys(structure.ground, columns)
 
 
 def is_discriminative(structure: KnowledgeStructure) -> bool:
@@ -192,13 +177,14 @@ def _all_singletons(partition: ConceptPartition) -> bool:
 def _reduction(
     structure: KnowledgeStructure, partition: ConceptPartition
 ) -> KnowledgeStructure:
-    """``discriminative_reduction`` given the structure's own partition."""
+    """``discriminative_reduction`` given the structure's own partition: a
+    state meets a concept iff it contains the concept's representative, so
+    the reduced states are the transpose of the representatives' columns."""
     new_ground = tuple(sorted(partition.representatives, key=structure.index_of))
-    new_index = {name: j for j, name in enumerate(new_ground)}
-    to_new = [new_index[partition.representative_of(name)] for name in structure.ground]
-    new_states = frozenset(
-        frozenset(to_new[j] for j in state) for state in structure.states
-    )
+    columns = transpose(structure.states, len(structure.ground))
+    kept = [columns[structure.index_of(name)] for name in new_ground]
     return KnowledgeStructure(
-        ground=new_ground, states=new_states, completed=structure.completed
+        ground=new_ground,
+        states=frozenset(transpose(kept, len(structure.states))),
+        completed=structure.completed,
     )

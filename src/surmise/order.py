@@ -19,10 +19,11 @@ from .table import (
     PairCounts,
     ZERO_FLEXIBILITY,
     bit_indices,
-    column_masks,
+    check_masks,
     natural_ranks,
     natural_sorted,
     pack_bits,
+    transpose,
 )
 
 __all__ = [
@@ -122,25 +123,25 @@ def sorted_pairs(
 class OrderMatrix:
     """Boolean matrix of the prerequisite order over class representatives.
 
-    ``bits[i][j]`` means reps[i] -> reps[j] (reps[i] is a prerequisite of
-    reps[j]).  ``rows[i]`` is row i as an int (bit j is ``bits[i][j]``),
-    and ``diagnostics`` the result of checking the order axioms; both are
-    derived once, at construction, so every matrix (also a hand-built one)
-    is checked exactly once.  ``classes`` carries the member lists behind
-    each representative; hand-built matrices may omit it.
+    ``rows[i]`` is row i as an int mask: bit j means reps[i] -> reps[j]
+    (reps[i] is a prerequisite of reps[j]).  ``diagnostics`` is the result
+    of checking the order axioms, derived once, at construction, so every
+    matrix (also a hand-built one) is checked exactly once.  ``classes``
+    carries the member lists behind each representative; hand-built
+    matrices may omit it.
     """
 
     reps: tuple[str, ...]
-    bits: tuple[tuple[bool, ...], ...]
+    rows: tuple[int, ...]
     classes: EquivalenceClasses | None = None
-    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
     diagnostics: OrderDiagnostics = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(pack_bits(row) for row in self.bits)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "diagnostics", _check_axioms(self.reps, self.bits, rows))
+        if len(self.rows) != len(self.reps):
+            raise ValueError(f"{len(self.rows)} rows for {len(self.reps)} representatives")
+        check_masks("row", self.rows, len(self.reps))
+        object.__setattr__(self, "diagnostics", _check_axioms(self.reps, self.rows))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.reps)})
 
     @property
@@ -154,7 +155,7 @@ class OrderMatrix:
         return self._index[name]
 
     def holds(self, p: str, q: str) -> bool:
-        return self.bits[self.index_of(p)][self.index_of(q)]
+        return bool(self.rows[self.index_of(p)] >> self.index_of(q) & 1)
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         """All strict ordered pairs (p, q), natural-sorted."""
@@ -176,11 +177,10 @@ class OrderMatrix:
         """
         reps = tuple(natural_sorted(elements))
         index = {name: i for i, name in enumerate(reps)}
-        size = len(reps)
-        grid = [[i == j for j in range(size)] for i in range(size)]
+        rows = [1 << i for i in range(len(reps))]
         for p, q in pairs:
-            grid[index[p]][index[q]] = True
-        return cls(reps=reps, bits=tuple(tuple(row) for row in grid))
+            rows[index[p]] |= 1 << index[q]
+        return cls(reps=reps, rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -217,9 +217,7 @@ class OrderDiagnostics:
         return "; ".join(parts)
 
 
-def _check_axioms(
-    reps: Sequence[str], bits: Sequence[Sequence[bool]], up: Sequence[int]
-) -> OrderDiagnostics:
+def _check_axioms(reps: Sequence[str], up: Sequence[int]) -> OrderDiagnostics:
     """Check reflexivity, anti-symmetry and transitivity; never raises.
 
     Each witness is the first failure in the scan order i, then j, then
@@ -228,7 +226,7 @@ def _check_axioms(
     non-zero, one test per relation pair.
     """
     size = len(reps)
-    down = column_masks(bits, size)
+    down = transpose(up, size)
 
     reflexivity_witness = next(
         (reps[i] for i in range(size) if not up[i] >> i & 1), None
@@ -283,14 +281,14 @@ def order_matrix(
     columns = [table.target_index(rep) for rep in reps]
     supports = [(table.support_masks[j], table.support_sizes[j]) for j in columns]
     bp = alpha.basis_points
-    bits = []
+    rows = []
     for mask_p, size_p in supports:
         row = []
         for mask_q, size_q in supports:
             n1 = (mask_p & mask_q).bit_count()
             row.append(_edge_holds(size_p - n1, size_q - n1, bp))
-        bits.append(tuple(row))
-    matrix = OrderMatrix(reps=reps, bits=tuple(bits), classes=classes)
+        rows.append(pack_bits(row))
+    matrix = OrderMatrix(reps=reps, rows=tuple(rows), classes=classes)
     if not matrix.diagnostics.ok:
         raise OrderAxiomError(
             f"order axioms violated on {len(reps)} representatives: "

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .hasse import covering_masks, transitive_closure
 from .kst import KnowledgeStructure
-from .table import JudgmentTable, bit_indices, build_table, pack_bits
+from .table import JudgmentTable, bit_indices, build_table
 
 __all__ = [
     "MAX_POSET_ELEMENTS",
@@ -50,21 +50,18 @@ class PlantedPoset:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        index = {name: i for i, name in enumerate(self.elements)}
-        size = len(self.elements)
-        grid = [[False] * size for _ in range(size)]
-        for lower, upper in self.covers:
-            grid[index[lower]][index[upper]] = True
-        closed = transitive_closure(grid)
-        for i in range(size):
-            if closed[i][i]:
+        # i lies on a cycle iff the closure relates i to itself, either way round.
+        closed = transitive_closure(self.predecessor_masks())
+        for i, row in enumerate(closed):
+            if row >> i & 1:
                 raise ValueError(f"cycle through {self.elements[i]!r}")
 
-    def predecessor_indices(self) -> list[set[int]]:
+    def predecessor_masks(self) -> list[int]:
+        """Bit i of entry j: elements[i] is a direct prerequisite of elements[j]."""
         index = {name: i for i, name in enumerate(self.elements)}
-        preds: list[set[int]] = [set() for _ in self.elements]
+        preds = [0] * len(self.elements)
         for lower, upper in self.covers:
-            preds[index[upper]].add(index[lower])
+            preds[index[upper]] |= 1 << index[lower]
         return preds
 
 
@@ -95,38 +92,33 @@ def all_downsets(poset: PlantedPoset) -> KnowledgeStructure:
             f"refusing to enumerate downsets of {size} elements "
             f"(limit {MAX_POSET_ELEMENTS})"
         )
-    preds = poset.predecessor_indices()
+    preds = poset.predecessor_masks()
 
     # Topological order via repeated minimum extraction (indices are the
     # tiebreak, so the walk is deterministic).
-    remaining = set(range(size))
     topo: list[int] = []
-    placed: set[int] = set()
-    while remaining:
-        for i in sorted(remaining):
-            if preds[i] <= placed:
+    placed = 0
+    while len(topo) < size:
+        for i in range(size):
+            if not placed >> i & 1 and not preds[i] & ~placed:
                 topo.append(i)
-                placed.add(i)
-                remaining.remove(i)
+                placed |= 1 << i
                 break
         else:
             raise ValueError("cycle in planted poset")  # unreachable after validation
 
-    states: list[frozenset[int]] = []
-    current: set[int] = set()
+    states: list[int] = []
 
-    def walk(position: int) -> None:
+    def walk(position: int, current: int) -> None:
         if position == size:
-            states.append(frozenset(current))
+            states.append(current)
             return
         element = topo[position]
-        walk(position + 1)
-        if preds[element] <= current:
-            current.add(element)
-            walk(position + 1)
-            current.remove(element)
+        walk(position + 1, current)
+        if not preds[element] & ~current:
+            walk(position + 1, current | 1 << element)
 
-    walk(0)
+    walk(0, 0)
     return KnowledgeStructure(
         ground=poset.elements, states=frozenset(states), completed=True
     )
@@ -136,13 +128,13 @@ def sample_models(spec: SynthSpec) -> JudgmentTable:
     """Sample each model row uniformly from the poset's downsets, then
     flip cells independently with the configured noise probability."""
     structure = all_downsets(spec.poset)
-    downsets = sorted(structure.states, key=lambda s: (len(s), sorted(s)))
+    downsets = sorted(structure.states, key=lambda s: (s.bit_count(), bit_indices(s)))
     rng = random.Random(spec.seed)
     size = len(spec.poset.elements)
     rows: list[list[int]] = []
     for _ in range(spec.model_count):
         chosen = downsets[rng.randrange(len(downsets))]
-        row = [1 if j in chosen else 0 for j in range(size)]
+        row = [chosen >> j & 1 for j in range(size)]
         if spec.noise > 0.0:
             row = [bit ^ (rng.random() < spec.noise) for bit in row]
         rows.append(row)
@@ -159,12 +151,12 @@ def random_poset(n: int, density: float, seed: int) -> PlantedPoset:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = random.Random(seed)
     elements = tuple(f"t{k}" for k in range(n))
-    sampled = [[False] * n for _ in range(n)]
+    sampled = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
-                sampled[i][j] = True
-    reach = [pack_bits(row) for row in transitive_closure(sampled)]
+                sampled[i] |= 1 << j
+    reach = transitive_closure(sampled)
     covers = tuple(
         (elements[i], elements[j])
         for i, above in enumerate(covering_masks(reach))

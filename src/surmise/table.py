@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from typing import ClassVar, Hashable, Iterable, Sequence, TypeVar
 
 __all__ = [
@@ -76,9 +76,11 @@ def natural_ranks(names: Sequence[str]) -> tuple[int, ...]:
     return tuple(rank)
 
 
-# Maps byte 0 to ASCII "0" and every other byte to ASCII "1", so a run of
-# 0/1 cells becomes the binary digits that int(..., 2) reads.
-_BINARY_DIGITS = b"0" + b"1" * 255
+# Maps byte 0 and ASCII "0" to ASCII "0", every other byte to ASCII "1": a run
+# of 0/1 cells, or of binary digits, becomes the digits int(..., 2) reads.
+_BINARY_DIGITS = bytes(48 if byte in (0, 48) else 49 for byte in range(256))
+# The inverse for digits: ASCII "0"/"1" become the bytes 0/1.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def pack_bits(flags: Sequence[int]) -> int:
@@ -86,35 +88,56 @@ def pack_bits(flags: Sequence[int]) -> int:
     return int(bytes(reversed(flags)).translate(_BINARY_DIGITS) or b"0", 2)
 
 
-def column_masks(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
-    """``pack_bits`` of each of the ``width`` columns of a 0/1 matrix.
+def _read_columns(digits: bytes, width: int) -> tuple[int, ...]:
+    """The ``width`` columns of a row-major matrix of 0/1 bytes or ASCII
+    0/1 digits, each as the int whose bit i is row i's entry.  A column is
+    one strided slice read backwards from the last row (the most
+    significant digit), so no Python-level loop touches a cell."""
+    last = len(digits) - width
+    columns = (digits[last + j :: -width] for j in range(width))
+    return tuple(int(column.translate(_BINARY_DIGITS) or b"0", 2) for column in columns)
 
-    The cells are laid out in one byte string and each column is read
-    backwards from the last row as a strided slice, so the first digit is
-    the last row's; no Python-level loop touches a cell, and no per-row
-    copy is made.
-    """
-    flat = bytes(chain.from_iterable(rows))
-    last = len(flat) - width
-    return tuple(
-        int(flat[last + j :: -width].translate(_BINARY_DIGITS) or b"0", 2)
-        for j in range(width)
-    )
+
+def column_masks(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
+    """``pack_bits`` of each of the ``width`` columns of a 0/1 matrix."""
+    return _read_columns(bytes(chain.from_iterable(rows)), width)
+
+
+def transpose(masks: Iterable[int], width: int) -> tuple[int, ...]:
+    """The ``width`` column masks of the 0/1 matrix whose row i is the mask
+    ``masks[i]`` (each below ``1 << width``): bit i of column j is bit j of
+    ``masks[i]``.  Rows are written as binary digits, most significant
+    first, so column j is the strided read at offset ``width - 1 - j``."""
+    digits = "".join([format(mask, "b").zfill(width) for mask in masks])
+    return _read_columns(digits.encode("ascii"), width)[::-1]
+
+
+def check_masks(kind: str, masks: Iterable[object], width: int) -> None:
+    """Raise unless every mask is an int in [0, 1 << width), a subset of a
+    list of ``width`` elements; ``kind`` names a mask in the error."""
+    for mask in masks:
+        if not isinstance(mask, int):
+            raise TypeError(f"{kind} {mask!r} is not an int: {kind}s are int masks")
+        if mask < 0 or mask >> width:
+            raise ValueError(f"{kind} {mask} is not a mask over {width} elements")
 
 
 def bit_indices(mask: int) -> list[int]:
     """Positions of the set bits of a non-negative int, ascending.
 
-    Reads the binary digits once, so the cost is linear in the mask's
-    length (peeling bits off the int would copy it once per bit).
+    Reads the binary digits once, as the 0/1 bytes ``compress`` selects
+    by, so the cost is linear in the mask's length (peeling bits off the
+    int would copy it once per bit).
     """
-    return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
+    digits = bin(mask)[:1:-1].encode("ascii").translate(_DIGIT_VALUES)
+    return list(compress(range(len(digits)), digits))
 
 
 # Names feed unescaped into CSV and DOT output, so the alphabet is
 # restricted up front instead of escaping later.  A line break would end
-# a CSV line inside a name.
-_FORBIDDEN_CHARS = ('"', ",", "\n", "\r")
+# a CSV line inside a name; a backslash would escape the closing quote of
+# a DOT string, or start a label escape such as \N.
+_FORBIDDEN_CHARS = ('"', ",", "\n", "\r", "\\")
 
 
 def _check_name(kind: str, position: int, name: str) -> None:
@@ -303,11 +326,6 @@ class JudgmentTable:
         """Indices of the models that judged target j correctly."""
         self._check_target_index(j)
         return frozenset(bit_indices(self.support_masks[j]))
-
-    def row_members(self, i: int) -> frozenset[int]:
-        """Indices of the targets model i judged correctly."""
-        self._check_model_index(i)
-        return frozenset(j for j, bit in enumerate(self.cells[i]) if bit)
 
     def pair_counts(self, p: int, q: int) -> PairCounts:
         """Count models by their (p, q) response pattern; p == q is allowed."""

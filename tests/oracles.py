@@ -1,9 +1,12 @@
 """Brute-force reference computations, kept deliberately independent of
 the package's own algorithms: supports are read straight off raw rows,
 the threshold uses exact fractions instead of cross-multiplication,
-closures use BFS reachability, the covering extraction tests edge
-removal against reachability, the order axioms are checked by
-nested loops over a boolean matrix, the structure view sorts every
+closures use BFS reachability or Warshall's loop over a list of
+boolean lists, the covering extraction tests edge removal against
+reachability, the order axioms are checked by nested loops over a
+boolean matrix, knowledge states are frozensets of ground indices (the
+surmise relation intersects the states containing each target, concepts
+group targets by their family of states), the structure view sorts every
 state by natural keys of its member names each time it is printed, and
 the CSV reader checks every cell while splitting and again while
 building the table.
@@ -160,6 +163,54 @@ def order_axiom_witnesses(
     return reflexive, antisymmetric, transitive
 
 
+def transitive_closure_reference(
+    relation: list[list[int]] | list[list[bool]],
+) -> tuple[tuple[bool, ...], ...]:
+    """Smallest transitive superset of a square boolean matrix (Warshall)."""
+    size = len(relation)
+    grid = [[bool(cell) for cell in row] for row in relation]
+    for row in grid:
+        if len(row) != size:
+            raise ValueError("relation matrix is not square")
+    for k in range(size):
+        row_k = grid[k]
+        for i in range(size):
+            if grid[i][k]:
+                row_i = grid[i]
+                for j in range(size):
+                    if row_k[j]:
+                        row_i[j] = True
+    return tuple(tuple(row) for row in grid)
+
+
+def state_sets(masks) -> frozenset[frozenset[int]]:
+    """Int-mask states (bit j: ground[j] is a member) as index sets."""
+    return frozenset(
+        frozenset(j for j in range(mask.bit_length()) if mask >> j & 1) for mask in masks
+    )
+
+
+def state_masks(sets) -> frozenset[int]:
+    """Index-set states as int masks."""
+    return frozenset(sum(1 << j for j in state) for state in sets)
+
+
+def surmise_reference(
+    ground: tuple[str, ...], states: frozenset[frozenset[int]]
+) -> frozenset[tuple[str, str]]:
+    """(p, q) iff p lies in the intersection of the states containing q;
+    the intersection of no states is the whole ground."""
+    pairs: set[tuple[str, str]] = set()
+    for q_index, q_name in enumerate(ground):
+        meet = frozenset(range(len(ground)))
+        for state in states:
+            if q_index in state:
+                meet &= state
+        for p_index in meet:
+            pairs.add((ground[p_index], q_name))
+    return frozenset(pairs)
+
+
 def natural_name_key(name: str) -> tuple:
     """Digit runs compare numerically, the raw name breaks ties."""
     runs = tuple(
@@ -200,28 +251,47 @@ def structure_report_reference(
         family = [render(ground, s) for s in ordered if j in s]
         lines.append(f"K_{name}:" + "".join(" " + text for text in family))
 
-    groups: dict[frozenset[frozenset[int]], list[str]] = {}
-    for j, name in enumerate(ground):
-        groups.setdefault(frozenset(s for s in states if j in s), []).append(name)
-    blocks = sorted(
-        (sorted(g, key=natural_name_key) for g in groups.values()),
-        key=lambda block: natural_name_key(block[0]),
-    )
+    blocks = concept_blocks_reference(ground, states)
     lines.append("concepts: " + " ".join("{" + ",".join(b) + "}" for b in blocks))
     discriminative = all(len(block) == 1 for block in blocks)
     lines.append(f"discriminative: {'true' if discriminative else 'false'}")
 
+    new_ground, new_states = reduction_reference(ground, states)
+    reduced = sorted_states(new_ground, new_states)
+    lines.append("reduction targets: " + " ".join(new_ground))
+    lines.append(f"reduction states ({len(reduced)}):")
+    lines += ["  " + render(new_ground, s) for s in reduced]
+    return "\n".join(lines) + "\n"
+
+
+def concept_blocks_reference(
+    ground: tuple[str, ...], states: frozenset[frozenset[int]]
+) -> list[list[str]]:
+    """Targets grouped by the family of states containing them; each block
+    natural-sorted, blocks ordered by their first member."""
+    groups: dict[frozenset[frozenset[int]], list[str]] = {}
+    for j, name in enumerate(ground):
+        groups.setdefault(frozenset(s for s in states if j in s), []).append(name)
+    return sorted(
+        (sorted(g, key=natural_name_key) for g in groups.values()),
+        key=lambda block: natural_name_key(block[0]),
+    )
+
+
+def reduction_reference(
+    ground: tuple[str, ...], states: frozenset[frozenset[int]]
+) -> tuple[tuple[str, ...], frozenset[frozenset[int]]]:
+    """The discriminative reduction: one representative (first member) per
+    concept, in ground order, and each state mapped onto the concepts it
+    meets."""
+    blocks = concept_blocks_reference(ground, states)
     representative = {name: block[0] for block in blocks for name in block}
     new_ground = tuple(name for name in ground if representative[name] == name)
     new_states = frozenset(
         frozenset(new_ground.index(representative[ground[j]]) for j in s)
         for s in states
     )
-    reduced = sorted_states(new_ground, new_states)
-    lines.append("reduction targets: " + " ".join(new_ground))
-    lines.append(f"reduction states ({len(reduced)}):")
-    lines += ["  " + render(new_ground, s) for s in reduced]
-    return "\n".join(lines) + "\n"
+    return new_ground, new_states
 
 
 def parse_csv_reference(data: bytes | str):
@@ -277,7 +347,7 @@ def parse_csv_reference(data: bytes | str):
     def check_name(kind: str, position: int, name: str) -> None:
         if not isinstance(name, str) or not name:
             raise TableError(f"{kind} name at position {position} is empty")
-        for ch in ('"', ",", "\n", "\r"):
+        for ch in ('"', ",", "\n", "\r", "\\"):
             if ch in name:
                 raise TableError(
                     f"{kind} name {name!r} at position {position} contains "

@@ -128,10 +128,11 @@ def test_verify_matches_triple_loop_oracle():
             )
             matrix = order_matrix(table, Flexibility(rng.choice((0, 1000, 4999))))
             names = matrix.reps
-            bits = [list(row) for row in matrix.bits]
+            bits = [[bool(row >> j & 1) for j in range(len(names))] for row in matrix.rows]
             if style == 2 and bits:
                 _corrupt(bits, rng, rng.randint(1, 2))
-        matrix = OrderMatrix(reps=names, bits=tuple(tuple(row) for row in bits))
+        rows = tuple(sum(1 << j for j, bit in enumerate(row) if bit) for row in bits)
+        matrix = OrderMatrix(reps=names, rows=rows)
         diagnostics = verify_partial_order(matrix)
         witnesses = oracles.order_axiom_witnesses(names, bits)
         assert (

@@ -206,6 +206,14 @@ class TestExitCodes:
         code, _, _ = run(capsys, "analyze", str(bad))
         assert code == 2
 
+    def test_backslash_in_header_is_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "backslash.csv"
+        bad.write_text("model,a\\,b\nM1,1,0\n")
+        code, out, err = run(capsys, "hasse", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "forbidden character '\\\\'" in err
+
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = run(capsys)
         assert code == 1

@@ -224,7 +224,7 @@ def test_any_body_line_matches_reference(targets, line):
 
 NAME = st.text(
     alphabet=st.characters(
-        blacklist_categories=("Cs",), blacklist_characters=',"\r\n'
+        blacklist_categories=("Cs",), blacklist_characters=',"\r\n\\'
     ),
     min_size=1,
     max_size=6,

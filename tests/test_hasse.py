@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from surmise import (
     Flexibility,
@@ -117,23 +118,29 @@ class TestLayers:
 
 class TestTransitiveClosure:
     def test_adds_composed_pair(self):
-        got = transitive_closure(
-            [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-        )
-        assert got == (
-            (False, True, True),
-            (False, False, True),
-            (False, False, False),
-        )
+        got = transitive_closure([0b010, 0b100, 0b000])
+        assert got == (0b110, 0b100, 0b000)
 
     def test_transitive_input_is_fixpoint(self):
-        matrix = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+        matrix = [0b111, 0b110, 0b100]
         once = transitive_closure(matrix)
         assert transitive_closure(once) == once
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            transitive_closure([[1, 0], [1]])
+            transitive_closure([0b01, 0b100])
+
+    @given(st.integers(0, 9).flatmap(
+        lambda n: st.lists(
+            st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ))
+    def test_matches_warshall_on_boolean_grid(self, grid):
+        rows = [sum(1 << j for j, cell in enumerate(row) if cell) for row in grid]
+        expected = oracles.transitive_closure_reference(grid)
+        assert transitive_closure(rows) == tuple(
+            sum(1 << j for j, cell in enumerate(row) if cell) for row in expected
+        )
 
     def test_twelve_models_hasse_closure_recovers_order(self, twelve_models):
         # Duality on the worked table: the covering edges plus the
@@ -142,10 +149,10 @@ class TestTransitiveClosure:
         diagram = transitive_reduction(matrix)
         index = {rep: k for k, rep in enumerate(matrix.reps)}
         size = len(matrix.reps)
-        seed = [[i == j for j in range(size)] for i in range(size)]
+        seed = [1 << i for i in range(size)]
         for lower, upper in diagram.edges:
-            seed[index[lower]][index[upper]] = True
-        assert transitive_closure(seed) == matrix.bits
+            seed[index[lower]] |= 1 << index[upper]
+        assert transitive_closure(seed) == matrix.rows
 
 
 def test_duality_and_minimality_sample(fuzz_corpus):

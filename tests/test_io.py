@@ -135,6 +135,11 @@ class TestParseCsv:
         with pytest.raises(CsvError, match="UTF-8"):
             parse_csv(b"\xff\xfe\x00")
 
+    def test_utf8_bom_lands_in_ignored_header_cell(self):
+        table = parse_csv(b"\xef\xbb\xbfmodel,a,b\r\nM1,1,0\r\n")
+        assert table.target_names == ("a", "b")
+        assert table.cells == ((1, 0),)
+
     def test_whitespace_cell_rejected(self):
         with pytest.raises(CsvError, match="' 1'"):
             parse_csv(b"model,a\nM1, 1\n")

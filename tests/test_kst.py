@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from surmise import (
     KnowledgeStructure,
@@ -16,6 +16,7 @@ from surmise import (
     surmise_from_structure,
 )
 
+import oracles
 from test_bitset import latent_rows
 
 GROUND = ("a", "b", "c", "d", "e")
@@ -39,13 +40,13 @@ WORKED_SURMISE = {
 
 
 def names_to_state(names):
-    return frozenset(GROUND.index(n) for n in names)
+    return sum(1 << GROUND.index(n) for n in names)
 
 
 def make_structure(ground, state_names, completed=False):
     index = {name: j for j, name in enumerate(ground)}
     states = frozenset(
-        frozenset(index[n] for n in names) for names in state_names
+        sum(1 << index[n] for n in names) for names in state_names
     )
     return KnowledgeStructure(ground=tuple(ground), states=states, completed=completed)
 
@@ -61,9 +62,7 @@ def structures(max_ground=6):
     def build(args):
         size, masks = args
         ground = tuple(f"q{j}" for j in range(size))
-        states = frozenset(
-            frozenset(j for j in range(size) if mask >> j & 1) for mask in masks
-        )
+        states = frozenset(masks)
         return KnowledgeStructure(ground=ground, states=states)
 
     return st.integers(1, max_ground).flatmap(
@@ -78,7 +77,7 @@ class TestStructureFromTable:
     def test_twelve_models_complete_has_14_states(self, twelve_models):
         structure = structure_from_table(twelve_models, complete=True)
         assert len(structure.states) == 14
-        assert frozenset() in structure.states
+        assert 0 in structure.states
         assert structure.full_state in structure.states
         assert structure.completed
 
@@ -89,17 +88,29 @@ class TestStructureFromTable:
     def test_single_all_correct_model(self):
         table = build_table(["a", "b"], ["M1"], [[1, 1]])
         structure = structure_from_table(table, complete=True)
-        assert structure.states == frozenset({frozenset(), frozenset({0, 1})})
+        assert structure.states == frozenset({0b00, 0b11})
 
     def test_identical_rows_deduplicate(self):
         table = build_table(["a", "b"], ["M1", "M2"], [[1, 0], [1, 0]])
         structure = structure_from_table(table, complete=False)
-        assert structure.states == frozenset({frozenset({0})})
+        assert structure.states == frozenset({0b01})
+
+    def test_state_outside_ground_rejected(self):
+        with pytest.raises(ValueError, match=r"^state 4 is not a mask over 2 elements$"):
+            KnowledgeStructure(ground=("a", "b"), states=frozenset({0b01, 0b100}))
+        with pytest.raises(ValueError, match=r"^state -1 is not a mask over 2 elements$"):
+            KnowledgeStructure(ground=("a", "b"), states=frozenset({-1}))
+
+    def test_set_state_rejected_by_name(self):
+        with pytest.raises(
+            TypeError, match=r"^state frozenset\(\{0\}\) is not an int: states are int masks$"
+        ):
+            KnowledgeStructure(ground=("a", "b"), states=frozenset({frozenset({0})}))
 
     def test_completed_flag_requires_both_states(self):
         with pytest.raises(ValueError, match="completed"):
             KnowledgeStructure(
-                ground=("a",), states=frozenset({frozenset({0})}), completed=True
+                ground=("a",), states=frozenset({0b1}), completed=True
             )
 
 
@@ -165,11 +176,26 @@ class TestSurmise:
     def test_completion_leaves_surmise_unchanged(self, structure):
         completed = KnowledgeStructure(
             ground=structure.ground,
-            states=structure.states
-            | {frozenset(), frozenset(range(len(structure.ground)))},
+            states=structure.states | {0, (1 << len(structure.ground)) - 1},
             completed=True,
         )
         assert surmise_from_structure(structure) == surmise_from_structure(completed)
+
+
+@given(structures())
+@example(KnowledgeStructure(ground=("q0", "q1"), states=frozenset()))
+def test_mask_derivations_match_set_references(structure):
+    ground = structure.ground
+    sets = oracles.state_sets(structure.states)
+    assert surmise_from_structure(structure) == oracles.surmise_reference(ground, sets)
+    assert [list(block) for block in equally_informative(structure).blocks] == (
+        oracles.concept_blocks_reference(ground, sets)
+    )
+    reduced = discriminative_reduction(structure)
+    new_ground, new_states = oracles.reduction_reference(ground, sets)
+    assert reduced.ground == new_ground
+    assert reduced.states == oracles.state_masks(new_states)
+    assert reduced.completed == structure.completed
 
 
 class TestEquallyInformative:
@@ -202,7 +228,7 @@ class TestDiscriminativeReduction:
         index = {name: j for j, name in enumerate(reduced.ground)}
 
         def state(names):
-            return frozenset(index[n] for n in names)
+            return sum(1 << index[n] for n in names)
 
         assert reduced.states == frozenset(
             {
@@ -227,7 +253,7 @@ class TestDiscriminativeReduction:
         structure = make_structure(("a", "b"), [frozenset(), frozenset({"a", "b"})])
         reduced = discriminative_reduction(structure)
         assert reduced.ground == ("a",)
-        assert reduced.states == frozenset({frozenset(), frozenset({0})})
+        assert reduced.states == frozenset({0b0, 0b1})
 
     @given(structures())
     def test_reduction_is_discriminative(self, structure):
@@ -272,12 +298,7 @@ def test_antisymmetry_on_discriminative_structures():
         size = rng.randint(1, 6)
         ground = tuple(f"q{j}" for j in range(size))
         masks = {rng.randrange(2**size) for _ in range(rng.randint(1, 10))}
-        structure = KnowledgeStructure(
-            ground=ground,
-            states=frozenset(
-                frozenset(j for j in range(size) if m >> j & 1) for m in masks
-            ),
-        )
+        structure = KnowledgeStructure(ground=ground, states=frozenset(masks))
         reduced = discriminative_reduction(structure)
         relation = surmise_from_structure(reduced)
         for p, q in relation:

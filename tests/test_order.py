@@ -178,13 +178,19 @@ class TestVerifyPartialOrder:
         assert diagnostics.antisymmetry_witness == ("a", "b")
 
     def test_missing_diagonal_breaks_reflexivity(self):
-        matrix = OrderMatrix(reps=("a",), bits=((False,),))
+        matrix = OrderMatrix(reps=("a",), rows=(0b0,))
         diagnostics = verify_partial_order(matrix)
         assert not diagnostics.reflexive
         assert diagnostics.reflexivity_witness == "a"
 
+    def test_rows_must_be_masks_over_the_reps(self):
+        with pytest.raises(ValueError, match=r"^1 rows for 2 representatives$"):
+            OrderMatrix(reps=("a", "b"), rows=(0b1,))
+        with pytest.raises(ValueError, match=r"^row 4 is not a mask over 2 elements$"):
+            OrderMatrix(reps=("a", "b"), rows=(0b01, 0b100))
+
     def test_trivial_matrix_passes(self):
-        matrix = OrderMatrix(reps=("a",), bits=((True,),))
+        matrix = OrderMatrix(reps=("a",), rows=(0b1,))
         diagnostics = verify_partial_order(matrix)
         assert diagnostics.ok
         assert diagnostics.summary() == (

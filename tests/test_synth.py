@@ -33,6 +33,16 @@ class TestPlantedPoset:
                 covers=(("a", "b"), ("b", "c"), ("c", "a")),
             )
 
+    def test_cycle_named_by_its_first_element(self):
+        with pytest.raises(ValueError, match=r"^cycle through 'a'$"):
+            PlantedPoset(elements=("a", "b", "c"), covers=(("c", "a"), ("a", "c"), ("a", "b")))
+        # "a" only feeds the cycle between "c" and "b", which lies above it.
+        with pytest.raises(ValueError, match=r"^cycle through 'b'$"):
+            PlantedPoset(
+                elements=("a", "b", "c", "d"),
+                covers=(("a", "c"), ("c", "b"), ("b", "c"), ("d", "a")),
+            )
+
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(ValueError, match="unknown element"):
             PlantedPoset(elements=("a",), covers=(("a", "b"),))
@@ -45,9 +55,7 @@ class TestPlantedPoset:
 class TestAllDownsets:
     def test_chain_of_two(self):
         structure = all_downsets(chain("a", "b"))
-        assert structure.states == frozenset(
-            {frozenset(), frozenset({0}), frozenset({0, 1})}
-        )
+        assert structure.states == frozenset({0b00, 0b01, 0b11})
         assert structure.completed
 
     def test_antichain_of_two(self):
@@ -57,7 +65,7 @@ class TestAllDownsets:
 
     def test_single_element(self):
         structure = all_downsets(PlantedPoset(elements=("x",), covers=()))
-        assert structure.states == frozenset({frozenset(), frozenset({0})})
+        assert structure.states == frozenset({0b0, 0b1})
 
     def test_size_guard(self):
         big = PlantedPoset(elements=tuple(f"e{k}" for k in range(21)), covers=())
@@ -66,10 +74,11 @@ class TestAllDownsets:
 
     def test_every_state_is_downward_closed(self):
         poset = random_poset(6, 0.5, seed=99)
-        preds = poset.predecessor_indices()
+        preds = poset.predecessor_masks()
         for state in all_downsets(poset).states:
-            for j in state:
-                assert preds[j] <= state
+            for j in range(len(preds)):
+                if state >> j & 1:
+                    assert preds[j] & ~state == 0
 
     def test_diamond_counts(self):
         # a below b and c, d above both: 6 downsets
@@ -104,7 +113,9 @@ class TestSampleModels:
         poset = chain("a", "b", "c")
         spec = SynthSpec(poset=poset, model_count=60, seed=11)
         table = sample_models(spec)
-        sampled_states = {table.row_members(i) for i in range(table.model_count)}
+        sampled_states = {
+            sum(bit << j for j, bit in enumerate(row)) for row in table.cells
+        }
         assert sampled_states == all_downsets(poset).states
         relation = surmise_from_structure(structure_from_table(table))
         expected = oracles.closure_pairs(set(poset.covers), poset.elements)

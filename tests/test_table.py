@@ -13,6 +13,7 @@ from surmise import (
     natural_key,
     natural_sorted,
 )
+from surmise.table import bit_indices, transpose
 
 
 def small_tables(max_targets=5, max_models=6):
@@ -120,6 +121,34 @@ class TestBuildTable:
         assert str(raised.value) == (
             "model name 'M2\\r' at position 1 contains forbidden character '\\r'"
         )
+
+
+    def test_backslash_in_names_forbidden(self):
+        # In DOT, "a\" would not end the quoted string "a\".
+        with pytest.raises(TableError) as raised:
+            build_table(["a\\", "b"], ["M1"], [[1, 0]])
+        assert str(raised.value) == (
+            "target name 'a\\\\' at position 0 contains forbidden character '\\\\'"
+        )
+
+
+class TestMasks:
+    @given(st.integers(0, 2**1100))
+    def test_bit_indices_matches_bit_scan(self, mask):
+        assert bit_indices(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    @given(st.integers(0, 12).flatmap(
+        lambda width: st.tuples(
+            st.just(width), st.lists(st.integers(0, 2**width - 1), max_size=20)
+        )
+    ))
+    def test_transpose_matches_nested_loop(self, args):
+        width, masks = args
+        expected = tuple(
+            sum((mask >> j & 1) << i for i, mask in enumerate(masks)) for j in range(width)
+        )
+        assert transpose(masks, width) == expected
+        assert transpose(expected, len(masks)) == tuple(masks)
 
 
 class TestNameLookup:
