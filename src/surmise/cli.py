@@ -7,18 +7,20 @@ parameters).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from typing import Iterable
 
 from .hasse import transitive_reduction
 from .io import (
     CsvError,
     analyze,
+    dot_chunks,
     emit_csv,
-    emit_dot,
-    emit_report,
-    hasse_json,
+    hasse_json_chunks,
     parse_csv,
-    structure_report,
+    report_chunks,
+    structure_chunks,
 )
 from .kst import structure_from_table
 from .order import order_matrix
@@ -45,43 +47,39 @@ def _read_table(path: str):
         return parse_csv(handle.read())
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+# Each command returns its standard output as text chunks; cli_main
+# writes them as they are made.
+def _cmd_analyze(args: argparse.Namespace) -> Iterable[str]:
     table = _read_table(args.csv)
     alpha = Flexibility.parse(args.flexibility)
     report = analyze(table, alpha, include_counts=args.counts)
-    sys.stdout.write(emit_report(report, "json" if args.json else "text"))
-    return EXIT_OK
+    return report_chunks(report, "json" if args.json else "text")
 
 
-def _cmd_hasse(args: argparse.Namespace) -> int:
+def _cmd_hasse(args: argparse.Namespace) -> Iterable[str]:
     table = _read_table(args.csv)
     alpha = Flexibility.parse(args.flexibility)
     diagram = transitive_reduction(order_matrix(table, alpha))
-    sys.stdout.write(hasse_json(diagram) if args.json else emit_dot(diagram))
-    return EXIT_OK
+    return hasse_json_chunks(diagram) if args.json else dot_chunks(diagram)
 
 
-def _cmd_counts(args: argparse.Namespace) -> int:
+def _cmd_counts(args: argparse.Namespace) -> Iterable[str]:
     table = _read_table(args.csv)
     counts = table.pair_counts(table.target_index(args.p), table.target_index(args.q))
-    print(f"n1={counts.n1} n2={counts.n2} n3={counts.n3} n4={counts.n4}")
-    return EXIT_OK
+    return [f"n1={counts.n1} n2={counts.n2} n3={counts.n3} n4={counts.n4}\n"]
 
 
-def _cmd_structure(args: argparse.Namespace) -> int:
+def _cmd_structure(args: argparse.Namespace) -> Iterable[str]:
     table = _read_table(args.csv)
-    structure = structure_from_table(table, complete=not args.no_complete)
-    sys.stdout.write(structure_report(structure))
-    return EXIT_OK
+    return structure_chunks(structure_from_table(table, complete=not args.no_complete))
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace) -> Iterable[str]:
     poset = random_poset(args.targets, args.density, args.seed)
     spec = SynthSpec(
         poset=poset, model_count=args.models, noise=args.noise, seed=args.seed
     )
-    sys.stdout.write(emit_csv(sample_models(spec)))
-    return EXIT_OK
+    return [emit_csv(sample_models(spec))]
 
 
 def build_parser() -> _Parser:
@@ -150,21 +148,25 @@ def cli_main(argv: list[str] | None = None) -> int:
         print("error: no command given (try --help)", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        sys.stdout.writelines(args.func(args))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``surmise ... | head``), which ends
+        # the output, not the run.  What is still buffered goes to devnull
+        # at exit instead of raising the same error again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (_UsageError, FlexibilityFormatError) as exc:
         # Non-numeric flexibility is a usage problem; a numeric one out of
         # range (or too precise) violates the < 50% contract (exit 3).
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CsvError, TableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except OSError as exc:
+    except (CsvError, TableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
+    return EXIT_OK
 
 
 def main() -> None:

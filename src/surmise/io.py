@@ -3,13 +3,16 @@
 Every emitter is byte-deterministic for a given input: collections are
 natural-sorted, JSON key order is fixed, and all numbers are integers
 (the flexibility is echoed as decimal text as well, so consumers never
-re-round it).
+re-round it).  Each output has one writer, a generator of one text chunk
+per section (``report_chunks``, ``dot_chunks``, ``hasse_json_chunks``,
+``structure_chunks``) that the CLI streams to stdout; ``emit_report``,
+``emit_dot``, ``hasse_json`` and ``structure_report`` join its chunks.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .hasse import HasseDiagram, transitive_reduction
 from .kst import KnowledgeStructure, _all_singletons, _reduction, equally_informative
@@ -19,6 +22,7 @@ from .table import (
     JudgmentTable,
     PairCounts,
     ZERO_FLEXIBILITY,
+    _BINARY_DIGITS,
     _DIGIT_VALUES,
     _check_names,
     _freeze,
@@ -36,6 +40,10 @@ __all__ = [
     "emit_report",
     "hasse_json",
     "structure_report",
+    "dot_chunks",
+    "report_chunks",
+    "hasse_json_chunks",
+    "structure_chunks",
     "analyze",
 ]
 
@@ -115,29 +123,59 @@ def parse_csv(data: bytes | str) -> JudgmentTable:
 
 
 def emit_csv(table: JudgmentTable) -> str:
+    """CSV text of a table; each row's cells are rendered by one translate
+    of its 0/1 bytes to digits."""
     lines = ["model," + ",".join(table.target_names)]
     for name, row in zip(table.model_names, table.cells):
-        lines.append(name + "," + ",".join(str(c) for c in row))
+        lines.append(name + "," + ",".join(bytes(row).translate(_BINARY_DIGITS).decode("ascii")))
     return "\n".join(lines) + "\n"
+
+
+def _array(elements: Iterable[str], depth: int) -> str:
+    """A JSON array of rendered elements at nesting ``depth``, laid out as
+    ``json.dumps(..., indent=2)`` lays it out: "[]" when empty, else one
+    element per line, indented two spaces per level."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(elements)
+    return f"[{inner}{body}\n{'  ' * depth}]" if body else "[]"
+
+
+class _JsonNames(dict):
+    """Name -> JSON string literal, quoted by ``json.dumps`` on first use,
+    and the arrays of names both JSON outputs are made of.  One per
+    document, so each name is quoted once per document."""
+
+    def __missing__(self, name: str) -> str:
+        self[name] = text = json.dumps(name)
+        return text
+
+    def array(self, names: Iterable[str], depth: int) -> str:
+        return _array(map(self.__getitem__, names), depth)
+
+    def pairs(self, pairs: Iterable[tuple[str, str]]) -> str:
+        return _array((f"[\n      {self[p]},\n      {self[q]}\n    ]" for p, q in pairs), 1)
+
+    def blocks(self, key: str, blocks: Iterable[tuple[str, Sequence[str]]]) -> str:
+        return _array((f'{{\n      "{key}": {self[label]},\n      "members": '
+                       f'{self.array(members, 3)}\n    }}' for label, members in blocks), 1)
 
 
 def _node_label(node: str, members: tuple[str, ...]) -> str:
-    subsumed = [m for m in members if m != node]
-    if not subsumed:
-        return node
-    return f"{node} (={','.join(subsumed)})"
+    subsumed = ",".join([m for m in members if m != node])
+    return f"{node} (={subsumed})" if subsumed else node
+
+
+def dot_chunks(diagram: HasseDiagram) -> Iterator[str]:
+    """Graphviz text for the diagram; rankdir=BT puts prerequisites below."""
+    yield "digraph hierarchy {\n  rankdir=BT;\n"
+    yield "".join(
+        [f'  "{n}" [label="{_node_label(n, diagram.members[n])}"];\n' for n in diagram.nodes]
+    )
+    yield "".join([f'  "{lower}" -> "{upper}";\n' for lower, upper in diagram.edges]) + "}\n"
 
 
 def emit_dot(diagram: HasseDiagram) -> str:
-    """Graphviz text for the diagram; rankdir=BT puts prerequisites below."""
-    lines = ["digraph hierarchy {", "  rankdir=BT;"]
-    for node in diagram.nodes:
-        label = _node_label(node, diagram.members[node])
-        lines.append(f'  "{node}" [label="{label}"];')
-    for lower, upper in diagram.edges:
-        lines.append(f'  "{lower}" -> "{upper}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(dot_chunks(diagram))
 
 
 @dataclass(frozen=True)
@@ -187,72 +225,69 @@ def analyze(
     )
 
 
-def _report_object(report: AnalysisReport) -> dict:
-    obj: dict = {
-        "targets": list(report.targets),
-        "flexibility": {
-            "percent": report.flexibility.percent_text,
-            "basis_points": report.flexibility.basis_points,
-        },
-        "classes": [
-            {"representative": block[-1], "members": list(block)}
-            for block in report.classes.blocks
-        ],
-        "relation": [list(pair) for pair in report.relation],
-        "hasse": [list(pair) for pair in report.hasse],
-        "layers": [list(group) for group in report.layers],
-    }
+def _report_json(report: AnalysisReport) -> Iterator[str]:
+    names = _JsonNames()
+    yield (
+        f'{{\n  "targets": {names.array(report.targets, 1)},\n  "flexibility": {{'
+        f'\n    "percent": {json.dumps(report.flexibility.percent_text)},'
+        f'\n    "basis_points": {report.flexibility.basis_points}\n  }},\n  "classes": '
+    )
+    yield names.blocks("representative", ((b[-1], b) for b in report.classes.blocks))
+    yield ',\n  "relation": ' + names.pairs(report.relation)
+    yield ',\n  "hasse": ' + names.pairs(report.hasse)
+    yield ',\n  "layers": ' + _array((names.array(group, 2) for group in report.layers), 1)
     if report.counts is not None:
-        obj["counts"] = [
-            {"p": p, "q": q, "n1": c.n1, "n2": c.n2, "n3": c.n3, "n4": c.n4}
-            for p, q, c in report.counts
-        ]
-    return obj
+        yield ',\n  "counts": ' + _array((
+            f'{{\n      "p": {names[p]},\n      "q": {names[q]},\n      "n1": {c.n1},\n      '
+            f'"n2": {c.n2},\n      "n3": {c.n3},\n      "n4": {c.n4}\n    }}'
+            for p, q, c in report.counts), 1)
+    yield "\n}\n"
 
 
-def _report_text(report: AnalysisReport) -> str:
-    lines = [
-        "targets: " + " ".join(report.targets),
-        f"flexibility: {report.flexibility.percent_text}% "
-        f"({report.flexibility.basis_points} basis points)",
-        "classes:",
-    ]
-    for block in report.classes.blocks:
-        lines.append(f"  {block[-1]}: " + " ".join(block))
-    lines.append(f"relation ({len(report.relation)}):")
-    for p, q in report.relation:
-        lines.append(f"  {p} -> {q}")
-    lines.append(f"hasse ({len(report.hasse)}):")
-    for p, q in report.hasse:
-        lines.append(f"  {p} -> {q}")
-    lines.append("layers:")
-    for level, group in enumerate(report.layers):
-        lines.append(f"  {level}: " + " ".join(group))
+def _report_text(report: AnalysisReport) -> Iterator[str]:
+    yield (
+        f"targets: {' '.join(report.targets)}\nflexibility: {report.flexibility.percent_text}% "
+        f"({report.flexibility.basis_points} basis points)\nclasses:\n"
+    )
+    yield "".join([f"  {block[-1]}: {' '.join(block)}\n" for block in report.classes.blocks])
+    for key, pairs in (("relation", report.relation), ("hasse", report.hasse)):
+        yield f"{key} ({len(pairs)}):\n" + "".join([f"  {p} -> {q}\n" for p, q in pairs])
+    yield "layers:\n" + "".join(
+        [f"  {level}: {' '.join(group)}\n" for level, group in enumerate(report.layers)]
+    )
     if report.counts is not None:
-        lines.append("counts:")
-        for p, q, c in report.counts:
-            lines.append(f"  {p},{q}: n1={c.n1} n2={c.n2} n3={c.n3} n4={c.n4}")
-    return "\n".join(lines) + "\n"
+        yield "counts:\n" + "".join(
+            [f"  {p},{q}: n1={c.n1} n2={c.n2} n3={c.n3} n4={c.n4}\n" for p, q, c in report.counts]
+        )
+
+
+def report_chunks(report: AnalysisReport, fmt: str = "json") -> Iterator[str]:
+    """The report as text chunks, in ``"json"`` or ``"text"`` format.  The
+    JSON is laid out as ``json.dumps(..., indent=2)`` lays out the
+    report's object: fixed key order, ``"counts"`` last and only when
+    present."""
+    writers = {"json": _report_json, "text": _report_text}
+    if fmt not in writers:
+        raise ValueError(f"unknown report format {fmt!r} (expected 'json' or 'text')")
+    return writers[fmt](report)
 
 
 def emit_report(report: AnalysisReport, fmt: str = "json") -> str:
-    if fmt == "json":
-        return json.dumps(_report_object(report), indent=2) + "\n"
-    if fmt == "text":
-        return _report_text(report)
-    raise ValueError(f"unknown report format {fmt!r} (expected 'json' or 'text')")
+    return "".join(report_chunks(report, fmt))
+
+
+def hasse_json_chunks(diagram: HasseDiagram) -> Iterator[str]:
+    """The diagram as JSON: nodes with their members, covering edges and
+    layers, laid out as ``json.dumps(..., indent=2)`` lays it out."""
+    names = _JsonNames()
+    yield '{\n  "nodes": ' + names.blocks("name", ((n, diagram.members[n]) for n in diagram.nodes))
+    yield ',\n  "edges": ' + names.pairs(diagram.edges)
+    layers = _array((names.array(group, 2) for group in diagram.layer_groups()), 1)
+    yield ',\n  "layers": ' + layers + "\n}\n"
 
 
 def hasse_json(diagram: HasseDiagram) -> str:
-    obj = {
-        "nodes": [
-            {"name": node, "members": list(diagram.members[node])}
-            for node in diagram.nodes
-        ],
-        "edges": [list(edge) for edge in diagram.edges],
-        "layers": [list(group) for group in diagram.layer_groups()],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    return "".join(hasse_json_chunks(diagram))
 
 
 def _rendered_states(structure: KnowledgeStructure) -> tuple[list[int], list[str]]:
@@ -271,30 +306,33 @@ def _rendered_states(structure: KnowledgeStructure) -> tuple[list[int], list[str
     return [state for _, _, state in keyed], texts
 
 
-def structure_report(structure: KnowledgeStructure) -> str:
+def structure_chunks(structure: KnowledgeStructure) -> Iterator[str]:
     """Text rendering of a structure: states, per-target state families,
     the concept partition, and the discriminative reduction.
 
     Each state is sorted and rendered once, the ``K_<name>`` lines read
     the transposed sorted states, and the partition is computed once and
-    reused for the discriminative flag and the reduction.
+    reused for the discriminative flag and the reduction.  Each
+    ``K_<name>`` line is a chunk of its own: a line can list every state,
+    so the lines together can be far larger than the rendered states.
     """
     states, texts = _rendered_states(structure)
-    lines = ["targets: " + " ".join(structure.ground)]
-    lines.append(f"states ({len(states)}):")
-    lines.extend("  " + text for text in texts)
+    yield f"targets: {' '.join(structure.ground)}\nstates ({len(states)}):\n"
+    yield "".join([f"  {text}\n" for text in texts])
     families = transpose(states, len(structure.ground))
     for name, family in zip(structure.ground, families):
-        rendered = " ".join([texts[k] for k in bit_indices(family)])
-        lines.append(f"K_{name}:" + (" " + rendered if rendered else ""))
+        yield " ".join([f"K_{name}:", *map(texts.__getitem__, bit_indices(family))]) + "\n"
     partition = equally_informative(structure)
-    lines.append(
-        "concepts: " + " ".join("{" + ",".join(block) + "}" for block in partition.blocks)
-    )
-    lines.append(f"discriminative: {'true' if _all_singletons(partition) else 'false'}")
+    concepts = " ".join("{" + ",".join(block) + "}" for block in partition.blocks)
+    discriminative = "true" if _all_singletons(partition) else "false"
     reduced = _reduction(structure, partition)
-    lines.append("reduction targets: " + " ".join(reduced.ground))
     _, reduced_texts = _rendered_states(reduced)
-    lines.append(f"reduction states ({len(reduced_texts)}):")
-    lines.extend("  " + text for text in reduced_texts)
-    return "\n".join(lines) + "\n"
+    yield (
+        f"concepts: {concepts}\ndiscriminative: {discriminative}\n"
+        f"reduction targets: {' '.join(reduced.ground)}\n"
+        f"reduction states ({len(reduced_texts)}):\n" + "".join([f"  {t}\n" for t in reduced_texts])
+    )
+
+
+def structure_report(structure: KnowledgeStructure) -> str:
+    return "".join(structure_chunks(structure))

@@ -7,12 +7,14 @@ reachability, the order axioms are checked by nested loops over a
 boolean matrix, knowledge states are frozensets of ground indices (the
 surmise relation intersects the states containing each target, concepts
 group targets by their family of states), the structure view sorts every
-state by natural keys of its member names each time it is printed, and
-the CSV reader checks every cell while splitting and again while
-building the table.
+state by natural keys of its member names each time it is printed, the
+CSV reader checks every cell while splitting and again while building
+the table, and the JSON outputs are ``json.dumps(..., indent=2)`` of a
+dict built from the report or diagram.
 """
 from __future__ import annotations
 
+import json
 import re
 from collections import deque
 from fractions import Fraction
@@ -384,3 +386,40 @@ def parse_csv_reference(data: bytes | str):
         target_names=tuple(target_names),
         cells=tuple(rows),
     )
+
+
+def report_json_reference(report) -> str:
+    """The ``analyze --json`` text of an ``AnalysisReport``."""
+    obj: dict = {
+        "targets": list(report.targets),
+        "flexibility": {
+            "percent": report.flexibility.percent_text,
+            "basis_points": report.flexibility.basis_points,
+        },
+        "classes": [
+            {"representative": block[-1], "members": list(block)}
+            for block in report.classes.blocks
+        ],
+        "relation": [list(pair) for pair in report.relation],
+        "hasse": [list(pair) for pair in report.hasse],
+        "layers": [list(group) for group in report.layers],
+    }
+    if report.counts is not None:
+        obj["counts"] = [
+            {"p": p, "q": q, "n1": c.n1, "n2": c.n2, "n3": c.n3, "n4": c.n4}
+            for p, q, c in report.counts
+        ]
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def hasse_json_reference(diagram) -> str:
+    """The ``hasse --json`` text of a ``HasseDiagram``."""
+    obj = {
+        "nodes": [
+            {"name": node, "members": list(diagram.members[node])}
+            for node in diagram.nodes
+        ],
+        "edges": [list(edge) for edge in diagram.edges],
+        "layers": [list(group) for group in diagram.layer_groups()],
+    }
+    return json.dumps(obj, indent=2) + "\n"

@@ -1,0 +1,241 @@
+"""Tests for the streaming emitters.
+
+The JSON writers fill fixed templates; ``oracles`` keeps the
+``json.dumps(..., indent=2)`` form of both JSON outputs, and every
+rendering must match it byte for byte, on names that JSON escapes
+(controls, DEL, non-ASCII, astral code points), on empty arrays and on
+long ones.  The CLI streams the same chunks the library joins, and a
+reader that closes stdout early ends the run quietly.
+"""
+from __future__ import annotations
+
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from surmise import (
+    Flexibility,
+    HasseDiagram,
+    SynthSpec,
+    analyze,
+    build_table,
+    emit_csv,
+    emit_dot,
+    emit_report,
+    hasse_json,
+    order_matrix,
+    parse_csv,
+    random_poset,
+    sample_models,
+    structure_from_table,
+    structure_report,
+    transitive_reduction,
+)
+from surmise.cli import cli_main
+
+import oracles
+from conftest import DATA_DIR, FUZZ_ALPHAS, TWELVE_MODELS_PATH, WORKED_EXAMPLE_PATH
+
+TWELVE = str(TWELVE_MODELS_PATH)
+ALPHA = Flexibility(1000)
+# Legal names that JSON escapes or that look like numbers: tab, DEL and
+# other C0 controls, non-ASCII BMP letters, astral code points (written
+# as surrogate pairs), all-digit names.
+ODD_NAMES = ("a\tb", "x\x7fy", "\x01", "\x1fz", "é", "中", "\U0001d538", "😀", "7", "007")
+NAME = st.one_of(
+    st.text(
+        alphabet=st.characters(
+            blacklist_categories=("Cs",), blacklist_characters=',"\r\n\\'
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.text(alphabet="t\t\x7f\x00\x01\x0b\x1fé中\U0001d538😀", min_size=1, max_size=4),
+    st.from_regex(r"[0-9]{1,3}", fullmatch=True),
+)
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "surmise", *argv], capture_output=True, env=dict(os.environ)
+    )
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("twelve_models.analyze.json", ["analyze", TWELVE, "--json"]),
+        ("twelve_models.analyze-counts.json", ["analyze", TWELVE, "--json", "--counts"]),
+        (
+            "twelve_models.analyze-19.99.json",
+            ["analyze", TWELVE, "--json", "--flexibility", "19.99"],
+        ),
+        ("twelve_models.hasse.json", ["hasse", TWELVE, "--json"]),
+    ],
+)
+def test_json_outputs_match_golden_bytes(golden, argv):
+    result = run_cli(*argv)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (DATA_DIR / golden).read_bytes()
+
+
+@st.composite
+def tables(draw):
+    u = draw(st.integers(1, 8))
+    v = draw(st.integers(1, 12))
+    targets = draw(st.lists(NAME, min_size=u, max_size=u, unique=True))
+    bits = draw(st.integers(0, 2 ** (u * v) - 1))
+    rows = [[(bits >> (i * u + j)) & 1 for j in range(u)] for i in range(v)]
+    return build_table(targets, [f"M{i}" for i in range(v)], rows)
+
+
+def assert_json_matches_oracles(table, alpha, counts: bool) -> None:
+    report = analyze(table, alpha, include_counts=counts)
+    assert emit_report(report, "json") == oracles.report_json_reference(report)
+    diagram = transitive_reduction(order_matrix(table, alpha))
+    assert hasse_json(diagram) == oracles.hasse_json_reference(diagram)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.sampled_from(FUZZ_ALPHAS), st.booleans())
+def test_json_matches_json_dumps(table, alpha, counts):
+    assert_json_matches_oracles(table, alpha, counts)
+
+
+@pytest.mark.parametrize("counts", [False, True])
+@pytest.mark.parametrize(
+    "names, rows",
+    [
+        (["\U0001d538"], [[1], [0]]),  # a single target
+        (["a\tb", "7", "é"], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),  # an antichain
+        (list(ODD_NAMES), [[1] * 5 + [0] * 5, [0] * 5 + [1] * 5, [1, 0] * 5]),
+    ],
+)
+def test_json_fixed_shapes_match_json_dumps(names, rows, counts):
+    table = build_table(names, [f"M{i}" for i in range(len(rows))], rows)
+    assert_json_matches_oracles(table, ALPHA, counts)
+
+
+def test_empty_diagram_matches_json_dumps():
+    diagram = HasseDiagram(nodes=(), members={}, edges=(), layers={})
+    assert hasse_json(diagram) == oracles.hasse_json_reference(diagram)
+
+
+def test_long_arrays_match_json_dumps():
+    # A chain of 100 targets: 4950 relation pairs and 9900 counts.
+    u = 100
+    rows = [[1 if j < i else 0 for j in range(u)] for i in range(u + 1)]
+    table = build_table([f"t{j}" for j in range(u)], [f"M{i}" for i in range(u + 1)], rows)
+    report = analyze(table, include_counts=True)
+    assert len(report.relation) == u * (u - 1) // 2
+    assert_json_matches_oracles(table, Flexibility(0), True)
+    text = emit_report(report, "text")
+    assert text.count(" -> ") == len(report.relation) + len(report.hasse)
+    assert text.count(" n1=") == u * (u - 1)
+
+
+def odd_names_csv(tmp_path) -> str:
+    rng = random.Random(7)
+    lines = ["model," + ",".join(ODD_NAMES)]
+    for i in range(12):
+        lines.append(f"M{i}," + ",".join(rng.choice("01") for _ in ODD_NAMES))
+    path = tmp_path / "odd.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+OUTPUTS = {
+    "analyze --json": (
+        ["analyze", "--json", "--flexibility", "10"],
+        lambda t: emit_report(analyze(t, ALPHA), "json"),
+    ),
+    "analyze --text": (
+        ["analyze", "--text", "--flexibility", "10"],
+        lambda t: emit_report(analyze(t, ALPHA), "text"),
+    ),
+    "analyze --json --counts": (
+        ["analyze", "--json", "--counts"],
+        lambda t: emit_report(analyze(t, include_counts=True), "json"),
+    ),
+    "analyze --text --counts": (
+        ["analyze", "--text", "--counts"],
+        lambda t: emit_report(analyze(t, include_counts=True), "text"),
+    ),
+    "hasse --dot": (
+        ["hasse", "--dot", "--flexibility", "10"],
+        lambda t: emit_dot(transitive_reduction(order_matrix(t, ALPHA))),
+    ),
+    "hasse --json": (
+        ["hasse", "--json", "--flexibility", "10"],
+        lambda t: hasse_json(transitive_reduction(order_matrix(t, ALPHA))),
+    ),
+    "structure": (["structure"], lambda t: structure_report(structure_from_table(t))),
+    "structure --no-complete": (
+        ["structure", "--no-complete"],
+        lambda t: structure_report(structure_from_table(t, complete=False)),
+    ),
+}
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+@pytest.mark.parametrize(
+    "source", [TWELVE, str(WORKED_EXAMPLE_PATH), "odd"], ids=["twelve", "worked", "odd"]
+)
+def test_cli_stdout_equals_library_string(capsys, tmp_path, output, source):
+    path = odd_names_csv(tmp_path) if source == "odd" else source
+    (command, *flags), library = OUTPUTS[output]
+    code = cli_main([command, path, *flags])
+    captured = capsys.readouterr()
+    with open(path, "rb") as handle:
+        expected = library(parse_csv(handle.read()))
+    assert (code, captured.err) == (0, "")
+    assert captured.out == expected
+
+
+def test_synth_stdout_equals_library_string(capsys):
+    code = cli_main(["synth", "--targets", "6", "--models", "9", "--seed", "3"])
+    spec = SynthSpec(poset=random_poset(6, 0.5, 3), model_count=9, noise=0.0, seed=3)
+    assert (code, capsys.readouterr().out) == (0, emit_csv(sample_models(spec)))
+
+
+def big_table_csv(tmp_path, targets: int, models: int) -> str:
+    rng = random.Random(targets * models)
+    lines = ["model," + ",".join(f"t{j}" for j in range(targets))]
+    for i in range(models):
+        lines.append(f"M{i}," + ",".join(rng.choice("01") for _ in range(targets)))
+    path = tmp_path / f"big-{targets}x{models}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, shape",
+    [(["analyze", "--json", "--counts"], (150, 30)), (["structure"], (40, 600))],
+)
+def test_reader_closing_stdout_early_ends_run_quietly(tmp_path, command, shape):
+    path = big_table_csv(tmp_path, *shape)
+    full = run_cli(command[0], path, *command[1:])
+    assert full.returncode == 0
+    assert len(full.stdout) > 16 * 64 * 1024  # far more than a pipe holds
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "surmise", command[0], path, *command[1:]],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ),
+    )
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert head == full.stdout[:10]
+    assert (proc.returncode, err) == (0, b"")
+
