@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .order import OrderMatrix, sorted_pairs
-from .table import bit_indices, natural_key
+from .table import natural_key
 
 __all__ = [
     "HasseDiagram",
@@ -69,34 +69,19 @@ def _layers_from_edges(
     return layers
 
 
-def covering_masks(strict_up: Sequence[int]) -> list[int]:
-    """Covering successors of every node of a strict partial order.
-
-    Bit j of ``strict_up[i]`` means i < j.  j covers i iff no k with
-    i < k has k < j, so row i loses the union of the rows of everything
-    above it (Aho, Garey & Ullman 1972): one OR per relation pair.
-    """
-    covers = []
-    for above in strict_up:
-        implied = 0
-        for k in bit_indices(above):
-            implied |= strict_up[k]
-        covers.append(above & ~implied)
-    return covers
-
-
 def transitive_reduction(matrix: OrderMatrix) -> HasseDiagram:
     """Strip every implied edge, leaving the unique covering relation.
 
     A strict pair (p, r) survives iff no third node sits between them.
     The input must be a partial order (its ``diagnostics``, taken when it
     was built, must pass); for one, the reflexive-transitive closure of
-    the result is the original matrix.
+    the result is the original matrix.  The covering rows were found by
+    the same pass that checked the axioms (``OrderMatrix.covers``).
     """
     if not matrix.diagnostics.ok:
         raise ValueError(f"not a partial order: {matrix.diagnostics.summary()}")
 
-    edges = sorted_pairs(matrix.reps, covering_masks(matrix.strict_rows))
+    edges = sorted_pairs(matrix.reps, matrix.covers)
     return HasseDiagram(
         nodes=matrix.reps,
         members=matrix.member_map(),

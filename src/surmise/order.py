@@ -10,6 +10,9 @@ and is a genuine partial order: reflexive, anti-symmetric, transitive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import groupby
+from operator import or_
 from typing import Sequence
 
 from .table import (
@@ -22,7 +25,6 @@ from .table import (
     check_masks,
     natural_ranks,
     natural_sorted,
-    pack_bits,
     transpose,
 )
 
@@ -60,8 +62,19 @@ def _edge_holds(n2: int, n3: int, basis_points: int) -> bool:
     - Size order: the left side of (*) is >= 0, so |S_p| >= |S_q|, and
       equal sizes force n3 = 0 and then n2 = 0.  A strict edge between
       different columns thus goes from a larger support to a smaller one.
+      ``order_matrix`` relies on this: it tests only pairs whose q has a
+      strictly smaller support, against ``_q_only_limits``, which is (*)
+      solved for n3.
     """
     return 10000 * n3 <= basis_points * (n2 + n3)
+
+
+def _q_only_limits(models: int, basis_points: int) -> list[int]:
+    """limit[d], for d in 0..models: the most q-only models an edge p -> q
+    tolerates when |S_p| - |S_q| = d.  As 10000 - 2*bp > 0, (*) of
+    ``_edge_holds`` holds iff n3 <= bp*d // (10000 - 2*bp)."""
+    scale = 10000 - 2 * basis_points
+    return [basis_points * d // scale for d in range(models + 1)]
 
 
 def flexible_leq(counts: PairCounts, alpha: Flexibility) -> bool:
@@ -125,23 +138,27 @@ class OrderMatrix:
 
     ``rows[i]`` is row i as an int mask: bit j means reps[i] -> reps[j]
     (reps[i] is a prerequisite of reps[j]).  ``diagnostics`` is the result
-    of checking the order axioms, derived once, at construction, so every
-    matrix (also a hand-built one) is checked exactly once.  ``classes``
-    carries the member lists behind each representative; hand-built
-    matrices may omit it.
+    of checking the order axioms and ``covers[i]`` the mask of the nodes
+    covering reps[i] (meaningful when ``diagnostics.ok``); both come from
+    one pass, at construction, so every matrix (also a hand-built one) is
+    checked exactly once.  ``classes`` carries the member lists behind
+    each representative; hand-built matrices may omit it.
     """
 
     reps: tuple[str, ...]
     rows: tuple[int, ...]
     classes: EquivalenceClasses | None = None
     diagnostics: OrderDiagnostics = field(init=False, repr=False, compare=False)
+    covers: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.rows) != len(self.reps):
             raise ValueError(f"{len(self.rows)} rows for {len(self.reps)} representatives")
         check_masks("row", self.rows, len(self.reps))
-        object.__setattr__(self, "diagnostics", _check_axioms(self.reps, self.rows))
+        diagnostics, covers = _check_axioms(self.reps, self.rows)
+        object.__setattr__(self, "diagnostics", diagnostics)
+        object.__setattr__(self, "covers", covers)
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.reps)})
 
     @property
@@ -217,16 +234,24 @@ class OrderDiagnostics:
         return "; ".join(parts)
 
 
-def _check_axioms(reps: Sequence[str], up: Sequence[int]) -> OrderDiagnostics:
-    """Check reflexivity, anti-symmetry and transitivity; never raises.
+def _check_axioms(
+    reps: Sequence[str], up: Sequence[int]
+) -> tuple[OrderDiagnostics, tuple[int, ...]]:
+    """Check reflexivity, anti-symmetry and transitivity, and find the
+    covering successors of every node; never raises.
 
     Each witness is the first failure in the scan order i, then j, then
     k.  Works on row and column bitmasks: anti-symmetry is one AND per
-    node, and (i, j) breaks transitivity iff ``up[j] & ~up[i]`` is
-    non-zero, one test per relation pair.
+    node.  For each row i, ``implied`` is the OR of the strict rows of
+    everything strictly above i, one OR per relation pair.  Some (i, j)
+    breaks transitivity (``up[j] & ~up[i]`` non-zero) iff ``implied`` has
+    a bit outside ``up[i]``: j's own bit is in ``up[i]``.  In a partial
+    order, j covers i iff no k above i lies below j, so the covers of i
+    are its strict row less ``implied`` (Aho, Garey & Ullman 1972).
     """
     size = len(reps)
     down = transpose(up, size)
+    strict = [row & ~(1 << i) for i, row in enumerate(up)]
 
     reflexivity_witness = next(
         (reps[i] for i in range(size) if not up[i] >> i & 1), None
@@ -240,16 +265,17 @@ def _check_axioms(reps: Sequence[str], up: Sequence[int]) -> OrderDiagnostics:
             break
 
     transitivity_witness = None
-    for i in range(size):
-        for j in bit_indices(up[i]):
-            missing = up[j] & ~up[i]
-            if missing:
-                transitivity_witness = (reps[i], reps[j], reps[bit_indices(missing)[0]])
-                break
-        if transitivity_witness is not None:
-            break
+    covers = []
+    for i, above in enumerate(strict):
+        implied = reduce(or_, map(strict.__getitem__, bit_indices(above)), 0)
+        if implied & ~up[i] and transitivity_witness is None:
+            # Only the first failing row pays for the witness search.
+            j = next(j for j in bit_indices(up[i]) if up[j] & ~up[i])
+            k = bit_indices(up[j] & ~up[i])[0]
+            transitivity_witness = (reps[i], reps[j], reps[k])
+        covers.append(above & ~implied)
 
-    return OrderDiagnostics(
+    diagnostics = OrderDiagnostics(
         reflexive=reflexivity_witness is None,
         antisymmetric=antisymmetry_witness is None,
         transitive=transitivity_witness is None,
@@ -257,6 +283,7 @@ def _check_axioms(reps: Sequence[str], up: Sequence[int]) -> OrderDiagnostics:
         antisymmetry_witness=antisymmetry_witness,
         transitivity_witness=transitivity_witness,
     )
+    return diagnostics, tuple(covers)
 
 
 def verify_partial_order(matrix: OrderMatrix) -> OrderDiagnostics:
@@ -271,23 +298,34 @@ def order_matrix(
 ) -> OrderMatrix:
     """The prerequisite order over class representatives.
 
-    One pass over the representative pairs: n1 is the popcount of the two
-    support masks' AND, n2 and n3 follow from the support sizes.  The
-    result is verified against the three order axioms; a failure is an
-    internal bug and is raised, never ignored.
+    A strict edge p -> q needs |S_q| < |S_p| (see ``_edge_holds``), so the
+    classes are walked by ascending support size and each is tested only
+    against the strictly smaller ones: n3 is the popcount of S_q less
+    S_p, and the edge holds iff n3 <= limit[|S_p| - |S_q|].  The result is
+    verified against the three order axioms; a failure is an internal bug
+    and is raised, never ignored.
     """
     classes = equivalence_classes(table)
     reps = classes.representatives
     columns = [table.target_index(rep) for rep in reps]
-    supports = [(table.support_masks[j], table.support_sizes[j]) for j in columns]
-    bp = alpha.basis_points
-    rows = []
-    for mask_p, size_p in supports:
-        row = []
-        for mask_q, size_q in supports:
-            n1 = (mask_p & mask_q).bit_count()
-            row.append(_edge_holds(size_p - n1, size_q - n1, bp))
-        rows.append(pack_bits(row))
+    masks = [table.support_masks[j] for j in columns]
+    sizes = [table.support_sizes[j] for j in columns]
+    limit = _q_only_limits(table.model_count, alpha.basis_points)
+    every_model = (1 << table.model_count) - 1
+    rows = [1 << i for i in range(len(reps))]
+    below: list[tuple[int, int, int]] = []  # (mask, size, row bit) of smaller supports
+    by_size = sorted(range(len(reps)), key=sizes.__getitem__)
+    for size_p, group in groupby(by_size, key=sizes.__getitem__):
+        group = list(group)
+        for p in group:
+            outside = every_model ^ masks[p]  # not ~masks[p]: & on a negative int is slower
+            hits = [
+                bit
+                for mask, size, bit in below
+                if (mask & outside).bit_count() <= limit[size_p - size]
+            ]
+            rows[p] |= sum(hits)  # distinct bits, so the sum is their OR
+        below.extend((masks[q], sizes[q], 1 << q) for q in group)
     matrix = OrderMatrix(reps=reps, rows=tuple(rows), classes=classes)
     if not matrix.diagnostics.ok:
         raise OrderAxiomError(

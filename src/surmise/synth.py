@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .hasse import covering_masks, transitive_closure
+from .hasse import transitive_closure
 from .kst import KnowledgeStructure
+from .order import OrderMatrix
 from .table import JudgmentTable, bit_indices, build_table
 
 __all__ = [
@@ -157,9 +158,10 @@ def random_poset(n: int, density: float, seed: int) -> PlantedPoset:
             if rng.random() < density:
                 sampled[i] |= 1 << j
     reach = transitive_closure(sampled)
+    order = OrderMatrix(elements, tuple(row | 1 << i for i, row in enumerate(reach)))
     covers = tuple(
         (elements[i], elements[j])
-        for i, above in enumerate(covering_masks(reach))
+        for i, above in enumerate(order.covers)
         for j in bit_indices(above)
     )
     return PlantedPoset(elements=elements, covers=covers)

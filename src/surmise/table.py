@@ -242,8 +242,9 @@ class Flexibility:
 
     @classmethod
     def parse(cls, text: str) -> "Flexibility":
-        """Parse a percentage with at most two decimal digits ("19.99")."""
-        m = re.fullmatch(r"(?P<sign>-?)(?P<whole>\d+)(?:\.(?P<frac>\d+))?", text.strip())
+        """Parse a percentage with at most two decimal digits ("19.99"), in
+        ASCII: ``\\d`` would also take Unicode decimals such as "１０"."""
+        m = re.fullmatch(r"(?P<sign>-?)(?P<whole>[0-9]+)(?:\.(?P<frac>[0-9]+))?", text.strip())
         if m is None:
             raise FlexibilityFormatError(f"flexibility {text!r} is not a decimal percentage")
         frac = m["frac"] or ""

@@ -10,7 +10,10 @@ group targets by their family of states), the structure view sorts every
 state by natural keys of its member names each time it is printed, the
 CSV reader checks every cell while splitting and again while building
 the table, and the JSON outputs are ``json.dumps(..., indent=2)`` of a
-dict built from the report or diagram.
+dict built from the report or diagram.  The package's earlier row-mask
+forms are kept as references for the faster code that replaced them:
+the order rows by one threshold test per ordered pair, the axiom check
+by one test per relation pair, and the covering rows by their own loop.
 """
 from __future__ import annotations
 
@@ -20,7 +23,19 @@ from collections import deque
 from fractions import Fraction
 
 from surmise.io import CsvError
-from surmise.table import JudgmentTable, TableError
+from surmise.order import (
+    OrderDiagnostics,
+    _edge_holds,
+    equivalence_classes,
+)
+from surmise.table import (
+    Flexibility,
+    JudgmentTable,
+    TableError,
+    bit_indices,
+    pack_bits,
+    transpose,
+)
 
 
 def columns_of(rows: list[list[int]]) -> list[tuple[int, ...]]:
@@ -163,6 +178,74 @@ def order_axiom_witnesses(
             break
 
     return reflexive, antisymmetric, transitive
+
+
+def pairwise_order_rows(table: JudgmentTable, alpha: Flexibility) -> tuple[int, ...]:
+    """The order rows over class representatives by the plain c^2 loop:
+    one ``_edge_holds`` call per ordered pair, each row folded from its
+    flags with ``pack_bits``, with no use of the size order."""
+    classes = equivalence_classes(table)
+    columns = [table.target_index(rep) for rep in classes.representatives]
+    supports = [(table.support_masks[j], table.support_sizes[j]) for j in columns]
+    rows = []
+    for mask_p, size_p in supports:
+        row = []
+        for mask_q, size_q in supports:
+            n1 = (mask_p & mask_q).bit_count()
+            row.append(_edge_holds(size_p - n1, size_q - n1, alpha.basis_points))
+        rows.append(pack_bits(row))
+    return tuple(rows)
+
+
+def check_axioms_reference(names, up) -> OrderDiagnostics:
+    """The order axioms checked on row masks, transitivity by one
+    ``up[j] & ~up[i]`` test per relation pair (j = i included); each
+    witness is the first failure in the scan order i, then j, then k."""
+    size = len(names)
+    down = transpose(up, size)
+
+    reflexivity_witness = next(
+        (names[i] for i in range(size) if not up[i] >> i & 1), None
+    )
+
+    antisymmetry_witness = None
+    for i in range(size):
+        mutual = (up[i] & down[i]) >> (i + 1)
+        if mutual:
+            antisymmetry_witness = (names[i], names[i + 1 + bit_indices(mutual)[0]])
+            break
+
+    transitivity_witness = None
+    for i in range(size):
+        for j in bit_indices(up[i]):
+            missing = up[j] & ~up[i]
+            if missing:
+                transitivity_witness = (names[i], names[j], names[bit_indices(missing)[0]])
+                break
+        if transitivity_witness is not None:
+            break
+
+    return OrderDiagnostics(
+        reflexive=reflexivity_witness is None,
+        antisymmetric=antisymmetry_witness is None,
+        transitive=transitivity_witness is None,
+        reflexivity_witness=reflexivity_witness,
+        antisymmetry_witness=antisymmetry_witness,
+        transitivity_witness=transitivity_witness,
+    )
+
+
+def covering_masks_reference(strict_up) -> list[int]:
+    """Covering successors of every node of a strict partial order (bit j
+    of ``strict_up[i]``: i < j): row i less the union of the rows of
+    everything above it (Aho, Garey & Ullman 1972)."""
+    covers = []
+    for above in strict_up:
+        implied = 0
+        for k in bit_indices(above):
+            implied |= strict_up[k]
+        covers.append(above & ~implied)
+    return covers
 
 
 def transitive_closure_reference(

@@ -53,6 +53,12 @@ class TestAnalyze:
         assert code == 1
         assert "decimal percentage" in err
 
+    def test_flexibility_non_ascii_digits_are_usage_errors(self, capsys):
+        for text in ("１０", "١٠", "1.٥"):
+            code, out, err = run(capsys, "analyze", TWELVE, "--flexibility", text)
+            assert (code, out) == (1, "")
+            assert "decimal percentage" in err
+
     def test_flexibility_two_decimals_accepted(self, capsys):
         code, out, _ = run(
             capsys, "analyze", TWELVE, "--flexibility", "19.99", "--json"

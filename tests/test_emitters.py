@@ -83,6 +83,22 @@ def test_json_outputs_match_golden_bytes(golden, argv):
     assert result.stdout == (DATA_DIR / golden).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("twelve_models.hasse-20.dot", ["hasse", TWELVE, "--flexibility", "20"]),
+        (
+            "synth-12x40-seed7.csv",
+            ["synth", "--targets", "12", "--models", "40", "--seed", "7", "--noise", "0.1"],
+        ),
+    ],
+)
+def test_dot_and_synth_outputs_match_golden_bytes(golden, argv):
+    result = run_cli(*argv)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (DATA_DIR / golden).read_bytes()
+
+
 @st.composite
 def tables(draw):
     u = draw(st.integers(1, 8))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import surmise.order
 from surmise import (
@@ -14,9 +14,12 @@ from surmise import (
     equivalence_classes,
     flexible_leq,
     order_matrix,
+    transitive_closure,
     transitive_reduction,
     verify_partial_order,
 )
+from surmise.order import _check_axioms, _edge_holds, _q_only_limits
+from surmise.table import bit_indices
 
 import oracles
 
@@ -242,10 +245,12 @@ class TestAxiomCheckRunsOnce:
         assert len(scans) == 1
 
     def test_order_matrix_raises_on_intransitive_edge_test(self, monkeypatch):
-        # Supports a > b > c, one model apart.  A test that tolerates at
-        # most one p-only model keeps a -> b and b -> c but not a -> c.
+        # Supports a > b > c, one model apart.  A rule that wants n3 = 0
+        # and a size gap d <= 1 keeps a -> b and b -> c but not a -> c.
         monkeypatch.setattr(
-            surmise.order, "_edge_holds", lambda n2, n3, bp: n3 == 0 and n2 <= 1
+            surmise.order,
+            "_q_only_limits",
+            lambda models, bp: [0, 0] + [-1] * (models - 1),
         )
         table = build_table(
             ["a", "b", "c"], ["M1", "M2", "M3"], [[1, 1, 1], [1, 1, 0], [1, 0, 0]]
@@ -256,3 +261,123 @@ class TestAxiomCheckRunsOnce:
             "order axioms violated on 3 representatives: reflexivity: pass; "
             "anti-symmetry: pass; transitivity: FAIL at ('a', 'b', 'c')"
         )
+
+
+LIMIT_BASIS_POINTS = (0, 1, 999, 1000, 2550, 4999)
+
+
+@st.composite
+def kernel_tables(draw):
+    """Tables of 1-10 models whose columns include empty and full supports
+    and rotations of other columns: equal support sizes, usually on
+    different supports."""
+    models = draw(st.integers(1, 10))
+    full = (1 << models) - 1
+    columns = draw(
+        st.lists(
+            st.one_of(st.integers(0, full), st.sampled_from((0, full))),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    rotations = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(columns) - 1), st.integers(1, models)),
+            max_size=4,
+        )
+    )
+    for k, shift in rotations:
+        column = columns[k]
+        columns.append((column << shift | column >> (models - shift)) & full)
+    rows = [[column >> i & 1 for column in columns] for i in range(models)]
+    return build_table(
+        [f"t{j}" for j in range(len(columns))], [f"M{i}" for i in range(models)], rows
+    )
+
+
+class TestSizeOrderKernel:
+    @pytest.mark.parametrize("bp", LIMIT_BASIS_POINTS)
+    def test_limits_solve_the_edge_test(self, bp):
+        # n3 <= limit[d] iff the edge test holds with n2 = n3 + d: every n3
+        # for small d, and for d up to 3000 the two n3 on either side of
+        # the limit (the test is monotone in n3).
+        models = 3000
+        limit = _q_only_limits(models, bp)
+        assert len(limit) == models + 1
+        for d in range(models + 1):
+            for n3 in range(60) if d < 60 else (limit[d], limit[d] + 1):
+                assert (n3 <= limit[d]) == _edge_holds(n3 + d, n3, bp), (d, n3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_tables(), st.one_of(st.sampled_from((0, 1, 4999)), st.integers(0, 4999)))
+    @example(build_table(["a", "b", "c"], ["M1"], [[1, 0, 1]]), 0)
+    @example(build_table(["a", "b", "c", "d"], ["M1", "M2"], [[1, 0, 0, 1], [0, 1, 0, 1]]), 4999)
+    def test_rows_match_pairwise_loop_and_threshold(self, table, bp):
+        alpha = Flexibility(bp)
+        matrix = order_matrix(table, alpha)
+        assert matrix.rows == oracles.pairwise_order_rows(table, alpha)
+
+        cells = [list(row) for row in table.cells]
+        relation = oracles.threshold_relation(cells, Fraction(bp, 100))
+        names = table.target_names
+        rep_of = {
+            name: block[-1] for block in matrix.classes.blocks for name in block
+        }
+        for p, name_p in enumerate(names):
+            for q, name_q in enumerate(names):
+                assert matrix.holds(rep_of[name_p], rep_of[name_q]) == (
+                    (p, q) in relation
+                ), (name_p, name_q)
+
+
+@st.composite
+def partial_orders(draw):
+    """Row masks of a random partial order on 0-9 nodes, reflexive, with
+    the nodes shuffled so the order is not the index order."""
+    size = draw(st.integers(0, 9))
+    upward = [draw(st.integers(0, (1 << size) - 1)) >> (i + 1) << (i + 1) for i in range(size)]
+    place = draw(st.permutations(range(size)))
+    rows = [0] * size
+    for i, row in enumerate(transitive_closure(upward)):
+        rows[place[i]] = sum(1 << place[j] for j in bit_indices(row | 1 << i))
+    return tuple(rows)
+
+
+@st.composite
+def relations(draw):
+    """Hand-built relations: arbitrary row masks (mostly non-reflexive,
+    cyclic and intransitive), or a partial order with a few bits flipped."""
+    if draw(st.booleans()):
+        size = draw(st.integers(0, 8))
+        rows = draw(st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size))
+        return tuple(rows)
+    rows = list(draw(partial_orders()))
+    if rows:
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] ^= 1 << draw(st.integers(0, len(rows) - 1))
+    return tuple(rows)
+
+
+def node_names(size: int) -> tuple[str, ...]:
+    return tuple(f"n{k}" for k in range(size))
+
+
+class TestFusedAxiomCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(relations())
+    @example((0b110, 0b100, 0b100))  # intransitive, not reflexive
+    @example((0b011, 0b011))  # a 2-cycle
+    @example((0b011, 0b110, 0b100))  # a -> b -> c without a -> c
+    def test_diagnostics_match_reference_scan(self, rows):
+        names = node_names(len(rows))
+        diagnostics, _ = _check_axioms(names, rows)
+        assert diagnostics == oracles.check_axioms_reference(names, rows)
+        assert OrderMatrix(reps=names, rows=rows).diagnostics == diagnostics
+
+    @settings(max_examples=300, deadline=None)
+    @given(partial_orders())
+    def test_covers_match_reference_loop_on_partial_orders(self, rows):
+        matrix = OrderMatrix(reps=node_names(len(rows)), rows=rows)
+        assert matrix.diagnostics.ok
+        assert list(matrix.covers) == oracles.covering_masks_reference(matrix.strict_rows)

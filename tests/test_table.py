@@ -280,7 +280,10 @@ class TestFlexibility:
 
     @pytest.mark.parametrize(
         "text,not_a_number",
-        [("abc", True), ("", True), ("1.", True), ("50", False), ("-1", False), ("1.234", False)],
+        [
+            ("abc", True), ("", True), ("1.", True), ("１０", True), ("١٠", True),
+            ("1.٥", True), ("50", False), ("-1", False), ("1.234", False),
+        ],
     )
     def test_parse_tells_format_from_range(self, text, not_a_number):
         with pytest.raises(FlexibilityError) as caught:
