@@ -50,15 +50,15 @@ def _read_table(path: str):
 # Each command returns its standard output as text chunks; cli_main
 # writes them as they are made.
 def _cmd_analyze(args: argparse.Namespace) -> Iterable[str]:
+    alpha = Flexibility.parse(args.flexibility)  # checked before the file is read
     table = _read_table(args.csv)
-    alpha = Flexibility.parse(args.flexibility)
     report = analyze(table, alpha, include_counts=args.counts)
     return report_chunks(report, "json" if args.json else "text")
 
 
 def _cmd_hasse(args: argparse.Namespace) -> Iterable[str]:
+    alpha = Flexibility.parse(args.flexibility)  # checked before the file is read
     table = _read_table(args.csv)
-    alpha = Flexibility.parse(args.flexibility)
     diagram = transitive_reduction(order_matrix(table, alpha))
     return hasse_json_chunks(diagram) if args.json else dot_chunks(diagram)
 

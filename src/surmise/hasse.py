@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .order import OrderMatrix, sorted_pairs
-from .table import natural_key
+from .order import OrderMatrix
+from .table import bit_indices, natural_key, natural_sorted
 
 __all__ = [
     "HasseDiagram",
@@ -40,33 +40,26 @@ class HasseDiagram:
         return tuple(tuple(sorted(g, key=natural_key)) for g in groups)
 
 
-def _layers_from_edges(
-    nodes: Sequence[str], edges: Sequence[tuple[str, str]]
-) -> dict[str, int]:
-    # Longest path from the minimal elements; Kahn's algorithm doubles as
-    # the cycle detector.
-    preds: dict[str, set[str]] = {n: set() for n in nodes}
-    succs: dict[str, set[str]] = {n: set() for n in nodes}
-    for lower, upper in edges:
-        if lower not in preds or upper not in preds:
-            raise ValueError(f"edge ({lower!r}, {upper!r}) mentions an unknown node")
-        preds[upper].add(lower)
-        succs[lower].add(upper)
-
-    pending = {n: len(preds[n]) for n in nodes}
-    ready = [n for n in nodes if pending[n] == 0]
-    layers: dict[str, int] = {}
-    while ready:
-        node = ready.pop()
-        layers[node] = max((layers[p] + 1 for p in preds[node]), default=0)
-        for nxt in succs[node]:
-            pending[nxt] -= 1
-            if pending[nxt] == 0:
-                ready.append(nxt)
-    if len(layers) != len(nodes):
-        stuck = sorted(set(nodes) - set(layers), key=natural_key)
+def _layers(nodes: Sequence[str], above: Sequence[Sequence[int]]) -> dict[str, int]:
+    """Layer of each node: 0 for a minimal node, else one above its highest
+    predecessor.  ``above[i]`` holds j for each edge (nodes[i], nodes[j]).
+    Kahn's algorithm, which doubles as the cycle detector."""
+    pending = [0] * len(nodes)
+    for successors in above:
+        for j in successors:
+            pending[j] += 1
+    layer = [0] * len(nodes)
+    queue = [i for i, count in enumerate(pending) if not count]
+    for i in queue:  # a FIFO queue: nodes are appended as they become ready
+        for j in above[i]:
+            layer[j] = max(layer[j], layer[i] + 1)
+            pending[j] -= 1
+            if not pending[j]:
+                queue.append(j)
+    if len(queue) != len(nodes):
+        stuck = natural_sorted(name for name, count in zip(nodes, pending) if count)
         raise ValueError(f"cycle detected among {stuck}")
-    return layers
+    return dict(zip(nodes, layer))
 
 
 def transitive_reduction(matrix: OrderMatrix) -> HasseDiagram:
@@ -81,12 +74,13 @@ def transitive_reduction(matrix: OrderMatrix) -> HasseDiagram:
     if not matrix.diagnostics.ok:
         raise ValueError(f"not a partial order: {matrix.diagnostics.summary()}")
 
-    edges = sorted_pairs(matrix.reps, matrix.covers)
+    reps = matrix.reps
+    above = [bit_indices(row) for row in matrix.covers]
     return HasseDiagram(
-        nodes=matrix.reps,
+        nodes=reps,
         members=matrix.member_map(),
-        edges=edges,
-        layers=_layers_from_edges(matrix.reps, edges),
+        edges=tuple((p, reps[j]) for p, successors in zip(reps, above) for j in successors),
+        layers=_layers(reps, above),
     )
 
 
@@ -97,7 +91,15 @@ def assign_layers(diagram: HasseDiagram) -> dict[str, int]:
     highest covering prerequisite.  Raises on a cycle, which can only
     mean the edge set was corrupted after construction.
     """
-    return _layers_from_edges(diagram.nodes, diagram.edges)
+    index = {name: i for i, name in enumerate(diagram.nodes)}
+    if len(index) != len(diagram.nodes):
+        raise ValueError("a node is listed twice")
+    above: list[list[int]] = [[] for _ in diagram.nodes]
+    for lower, upper in diagram.edges:
+        if lower not in index or upper not in index:
+            raise ValueError(f"edge ({lower!r}, {upper!r}) mentions an unknown node")
+        above[index[lower]].append(index[upper])
+    return _layers(diagram.nodes, above)
 
 
 def transitive_closure(rows: Sequence[int]) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import groupby
+from itertools import groupby, pairwise
 from operator import or_
 from typing import Sequence
 
@@ -23,7 +23,7 @@ from .table import (
     ZERO_FLEXIBILITY,
     bit_indices,
     check_masks,
-    natural_ranks,
+    natural_key,
     natural_sorted,
     transpose,
 )
@@ -116,26 +116,12 @@ def equivalence_classes(table: JudgmentTable) -> EquivalenceClasses:
     return EquivalenceClasses.from_keys(table.target_names, table.support_masks)
 
 
-def sorted_pairs(
-    names: Sequence[str], masks: Sequence[int]
-) -> tuple[tuple[str, str], ...]:
-    """(names[i], names[j]) for every bit j of masks[i], natural-sorted.
-
-    Names are ranked once, so sorting costs no name comparison per pair.
-    """
-    rank = natural_ranks(names)
-    order = sorted(range(len(names)), key=rank.__getitem__)
-    return tuple(
-        (names[i], names[j])
-        for i in order
-        for j in sorted(bit_indices(masks[i]), key=rank.__getitem__)
-    )
-
-
 @dataclass(frozen=True)
 class OrderMatrix:
     """Boolean matrix of the prerequisite order over class representatives.
 
+    ``reps`` are distinct and in natural order, so index order is natural
+    order: ascending bits of a row list its successors natural-sorted.
     ``rows[i]`` is row i as an int mask: bit j means reps[i] -> reps[j]
     (reps[i] is a prerequisite of reps[j]).  ``diagnostics`` is the result
     of checking the order axioms and ``covers[i]`` the mask of the nodes
@@ -153,6 +139,12 @@ class OrderMatrix:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for first, second in pairwise(map(natural_key, self.reps)):
+            if first >= second:  # a natural key ends in the name itself
+                raise ValueError(
+                    f"representatives must be distinct and natural-sorted: "
+                    f"{first[-1]!r} before {second[-1]!r}"
+                )
         if len(self.rows) != len(self.reps):
             raise ValueError(f"{len(self.rows)} rows for {len(self.reps)} representatives")
         check_masks("row", self.rows, len(self.reps))
@@ -176,7 +168,10 @@ class OrderMatrix:
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         """All strict ordered pairs (p, q), natural-sorted."""
-        return sorted_pairs(self.reps, self.strict_rows)
+        reps = self.reps
+        return tuple(
+            (p, reps[j]) for p, row in zip(reps, self.strict_rows) for j in bit_indices(row)
+        )
 
     def member_map(self) -> dict[str, tuple[str, ...]]:
         if self.classes is None:
@@ -189,8 +184,9 @@ class OrderMatrix:
     ) -> "OrderMatrix":
         """Build a matrix from strict pairs plus the reflexive diagonal.
 
-        Nothing is raised here; ``diagnostics`` (or verify_partial_order)
-        tells whether the result is a partial order.
+        A repeated element raises (representatives are distinct); whether
+        the result is a partial order is told by ``diagnostics`` (or
+        verify_partial_order), not raised.
         """
         reps = tuple(natural_sorted(elements))
         index = {name: i for i, name in enumerate(reps)}

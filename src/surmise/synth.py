@@ -95,18 +95,10 @@ def all_downsets(poset: PlantedPoset) -> KnowledgeStructure:
         )
     preds = poset.predecessor_masks()
 
-    # Topological order via repeated minimum extraction (indices are the
-    # tiebreak, so the walk is deterministic).
-    topo: list[int] = []
-    placed = 0
-    while len(topo) < size:
-        for i in range(size):
-            if not placed >> i & 1 and not preds[i] & ~placed:
-                topo.append(i)
-                placed |= 1 << i
-                break
-        else:
-            raise ValueError("cycle in planted poset")  # unreachable after validation
+    # An element has strictly more ancestors than each of its prerequisites
+    # (the poset is acyclic), so ordering by ancestor count is topological.
+    ancestors = transitive_closure(preds)
+    topo = sorted(range(size), key=lambda i: ancestors[i].bit_count())
 
     states: list[int] = []
 

@@ -243,8 +243,12 @@ class Flexibility:
     @classmethod
     def parse(cls, text: str) -> "Flexibility":
         """Parse a percentage with at most two decimal digits ("19.99"), in
-        ASCII: ``\\d`` would also take Unicode decimals such as "１０"."""
-        m = re.fullmatch(r"(?P<sign>-?)(?P<whole>[0-9]+)(?:\.(?P<frac>[0-9]+))?", text.strip())
+        ASCII: ``\\d`` would also take Unicode decimals such as "１０".  Only
+        ASCII spaces and tabs around it are ignored; ``strip()`` would also
+        drop Unicode spaces and separator controls such as "\\u3000"."""
+        m = re.fullmatch(
+            r"(?P<sign>-?)(?P<whole>[0-9]+)(?:\.(?P<frac>[0-9]+))?", text.strip(" \t")
+        )
         if m is None:
             raise FlexibilityFormatError(f"flexibility {text!r} is not a decimal percentage")
         frac = m["frac"] or ""

@@ -13,7 +13,9 @@ the table, and the JSON outputs are ``json.dumps(..., indent=2)`` of a
 dict built from the report or diagram.  The package's earlier row-mask
 forms are kept as references for the faster code that replaced them:
 the order rows by one threshold test per ordered pair, the axiom check
-by one test per relation pair, and the covering rows by their own loop.
+by one test per relation pair, the covering rows by their own loop, and
+the layers by Kahn's algorithm over name-keyed predecessor and successor
+sets built from the edge pairs.
 """
 from __future__ import annotations
 
@@ -246,6 +248,34 @@ def covering_masks_reference(strict_up) -> list[int]:
             implied |= strict_up[k]
         covers.append(above & ~implied)
     return covers
+
+
+def layers_from_edges_reference(nodes, edges) -> dict[str, int]:
+    """Layer of each node (longest path from the minimal elements) by
+    Kahn's algorithm over name-keyed sets, which doubles as the cycle
+    detector; raises on an unknown node or a cycle."""
+    preds: dict[str, set[str]] = {n: set() for n in nodes}
+    succs: dict[str, set[str]] = {n: set() for n in nodes}
+    for lower, upper in edges:
+        if lower not in preds or upper not in preds:
+            raise ValueError(f"edge ({lower!r}, {upper!r}) mentions an unknown node")
+        preds[upper].add(lower)
+        succs[lower].add(upper)
+
+    pending = {n: len(preds[n]) for n in nodes}
+    ready = [n for n in nodes if pending[n] == 0]
+    layers: dict[str, int] = {}
+    while ready:
+        node = ready.pop()
+        layers[node] = max((layers[p] + 1 for p in preds[node]), default=0)
+        for nxt in succs[node]:
+            pending[nxt] -= 1
+            if pending[nxt] == 0:
+                ready.append(nxt)
+    if len(layers) != len(nodes):
+        stuck = sorted(set(nodes) - set(layers), key=natural_name_key)
+        raise ValueError(f"cycle detected among {stuck}")
+    return layers
 
 
 def transitive_closure_reference(

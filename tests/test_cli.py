@@ -54,10 +54,22 @@ class TestAnalyze:
         assert "decimal percentage" in err
 
     def test_flexibility_non_ascii_digits_are_usage_errors(self, capsys):
-        for text in ("１０", "١٠", "1.٥"):
+        # So are Unicode spaces and separator controls around ASCII digits:
+        # only ASCII spaces and tabs are stripped.
+        for text in ("１０", "١٠", "1.٥", "\u300010", "10\u2009", "\x1c10"):
             code, out, err = run(capsys, "analyze", TWELVE, "--flexibility", text)
             assert (code, out) == (1, "")
             assert "decimal percentage" in err
+
+    def test_flexibility_is_checked_before_the_file_is_read(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        for command in ("analyze", "hasse"):
+            code, out, err = run(capsys, command, missing, "--flexibility", "１０")
+            assert (code, out) == (1, "")
+            assert "decimal percentage" in err
+            code, out, err = run(capsys, command, missing, "--flexibility", "50")
+            assert (code, out) == (3, "")
+            assert "flexibility must lie in" in err
 
     def test_flexibility_two_decimals_accepted(self, capsys):
         code, out, _ = run(

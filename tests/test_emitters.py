@@ -99,6 +99,19 @@ def test_dot_and_synth_outputs_match_golden_bytes(golden, argv):
     assert result.stdout == (DATA_DIR / golden).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("twelve_models.analyze-10.txt", ["analyze", TWELVE, "--text", "--flexibility", "10"]),
+        ("worked_example.structure.txt", ["structure", str(WORKED_EXAMPLE_PATH)]),
+    ],
+)
+def test_text_outputs_match_golden_bytes(golden, argv):
+    result = run_cli(*argv)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (DATA_DIR / golden).read_bytes()
+
+
 @st.composite
 def tables(draw):
     u = draw(st.integers(1, 8))

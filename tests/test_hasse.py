@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from surmise import (
     Flexibility,
@@ -13,6 +13,7 @@ from surmise import (
 
 import oracles
 from conftest import FUZZ_ALPHAS
+from test_order import partial_orders
 
 # Covering edges of the 12x10 example at zero flexibility, frozen from
 # the remove-an-edge reachability oracle.
@@ -99,6 +100,13 @@ class TestLayers:
         with pytest.raises(ValueError, match="cycle"):
             assign_layers(corrupted)
 
+    def test_assign_layers_rejects_repeated_node(self):
+        corrupted = HasseDiagram(
+            nodes=("a", "a"), members={"a": ("a",)}, edges=(), layers={}
+        )
+        with pytest.raises(ValueError, match="listed twice"):
+            assign_layers(corrupted)
+
     def test_assign_layers_rejects_unknown_node(self):
         corrupted = HasseDiagram(
             nodes=("a",),
@@ -175,3 +183,78 @@ def test_reduction_matches_remove_edge_oracle(fuzz_corpus):
         matrix = order_matrix(table, Flexibility(2500))
         diagram = transitive_reduction(matrix)
         assert set(diagram.edges) == oracles.covering_pairs(set(matrix.pairs()))
+
+
+def spaced_names(size: int) -> tuple[str, ...]:
+    """n0, n5, n10, ...: in natural order, which is not code-point order."""
+    return tuple(f"n{5 * k}" for k in range(size))
+
+
+def natural_pair_key(pair: tuple[str, str]) -> tuple:
+    return oracles.natural_name_key(pair[0]), oracles.natural_name_key(pair[1])
+
+
+# Names whose natural order differs from code-point order.
+NODE_POOL = ("a", "b", "t1", "t2", "t10", "x")
+
+
+@st.composite
+def digraphs(draw):
+    """Hand-built diagrams: distinct nodes in any order, and edges that
+    point up the node list (acyclic), join any two nodes (loops, repeats,
+    cycles), or may mention a node not in the list."""
+    nodes = tuple(draw(st.lists(st.sampled_from(NODE_POOL), unique=True, max_size=6)))
+    style = draw(st.sampled_from(("acyclic", "any", "unknown")))
+    if style == "unknown":
+        end = st.sampled_from(NODE_POOL + ("ghost",))
+    elif nodes:
+        end = st.sampled_from(nodes)
+    else:
+        return nodes, ()
+    edges = draw(st.lists(st.tuples(end, end), max_size=12))
+    if style == "acyclic":
+        place = {name: k for k, name in enumerate(nodes)}
+        edges = [tuple(sorted(e, key=place.__getitem__)) for e in edges if e[0] != e[1]]
+    return nodes, tuple(edges)
+
+
+class TestIndexWalk:
+    """Pairs, covering edges and layers read the order matrix by index;
+    the name-keyed forms they replaced are the references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(partial_orders())
+    def test_pairs_edges_and_layers_match_references(self, rows):
+        matrix = OrderMatrix(reps=spaced_names(len(rows)), rows=rows)
+        reps = matrix.reps
+        strict = {
+            (reps[i], reps[j])
+            for i, row in enumerate(rows)
+            for j in range(len(rows))
+            if i != j and row >> j & 1
+        }
+        assert matrix.pairs() == tuple(sorted(strict, key=natural_pair_key))
+        diagram = transitive_reduction(matrix)
+        covering = oracles.covering_pairs(strict)
+        assert diagram.edges == tuple(sorted(covering, key=natural_pair_key))
+        assert diagram.layers == oracles.layers_from_edges_reference(reps, diagram.edges)
+        assert diagram.layers == oracles.longest_path_layers(reps, covering)
+
+    @settings(max_examples=500, deadline=None)
+    @given(digraphs())
+    @example((("t10", "t2", "a"), (("a", "t2"), ("t2", "t10"), ("t10", "t2"))))
+    @example((("t10", "t2", "a"), (("a", "t2"), ("a", "ghost"))))
+    @example((("x", "t1", "b"), (("b", "t1"), ("t1", "x"), ("b", "x"), ("b", "t1"))))
+    def test_assign_layers_matches_reference(self, graph):
+        nodes, edges = graph
+        diagram = HasseDiagram(
+            nodes=nodes, members={n: (n,) for n in nodes}, edges=edges, layers={}
+        )
+        try:
+            expected = oracles.layers_from_edges_reference(nodes, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                assign_layers(diagram)
+            assert str(caught.value) == str(exc)
+        else:
+            assert assign_layers(diagram) == expected

@@ -192,6 +192,18 @@ class TestVerifyPartialOrder:
         with pytest.raises(ValueError, match=r"^row 4 is not a mask over 2 elements$"):
             OrderMatrix(reps=("a", "b"), rows=(0b01, 0b100))
 
+    def test_reps_must_be_distinct_and_natural_sorted(self):
+        # Index order is natural order; a repeated name would make
+        # index_of ambiguous, so both are refused at construction.
+        for first, second in (("b", "a"), ("a", "a"), ("t10", "t2")):
+            with pytest.raises(ValueError, match=f"natural-sorted: {first!r} before {second!r}$"):
+                OrderMatrix(reps=(first, second), rows=(0b01, 0b10))
+        assert OrderMatrix(reps=("t2", "t10"), rows=(0b01, 0b10)).diagnostics.ok
+
+    def test_from_pairs_rejects_repeated_element(self):
+        with pytest.raises(ValueError, match="distinct"):
+            OrderMatrix.from_pairs(["a", "a"], [])
+
     def test_trivial_matrix_passes(self):
         matrix = OrderMatrix(reps=("a",), rows=(0b1,))
         diagnostics = verify_partial_order(matrix)

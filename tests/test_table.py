@@ -268,7 +268,10 @@ class TestNaturalOrder:
 class TestFlexibility:
     @pytest.mark.parametrize(
         "text,expected",
-        [("0", 0), ("20", 2000), ("25.5", 2550), ("19.99", 1999), ("49.99", 4999)],
+        [
+            ("0", 0), ("20", 2000), ("25.5", 2550), ("19.99", 1999), ("49.99", 4999),
+            (" \t10 ", 1000),
+        ],
     )
     def test_parse(self, text, expected):
         assert Flexibility.parse(text).basis_points == expected
@@ -282,7 +285,8 @@ class TestFlexibility:
         "text,not_a_number",
         [
             ("abc", True), ("", True), ("1.", True), ("１０", True), ("١٠", True),
-            ("1.٥", True), ("50", False), ("-1", False), ("1.234", False),
+            ("1.٥", True), ("\u300010", True), ("10\u2009", True), ("\x1c10", True),
+            ("50", False), ("-1", False), ("1.234", False),
         ],
     )
     def test_parse_tells_format_from_range(self, text, not_a_number):
