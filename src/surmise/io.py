@@ -3,20 +3,26 @@
 Every emitter is byte-deterministic for a given input: collections are
 natural-sorted, JSON key order is fixed, and all numbers are integers
 (the flexibility is echoed as decimal text as well, so consumers never
-re-round it).  Each output has one writer, a generator of one text chunk
-per section (``report_chunks``, ``dot_chunks``, ``hasse_json_chunks``,
+re-round it).  Each output has one writer, a generator of text chunks
+(``report_chunks``, ``dot_chunks``, ``hasse_json_chunks``,
 ``structure_chunks``) that the CLI streams to stdout; ``emit_report``,
-``emit_dot``, ``hasse_json`` and ``structure_report`` join its chunks.
+``emit_dot``, ``hasse_json`` and ``structure_report`` join its chunks.  A
+section is one chunk, except the sections that can grow quadratically:
+the pair lists (relation and covering edges) are one chunk per row, all
+pairs with the same first element, and each ``K_<name>`` line is its own
+chunk.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .hasse import HasseDiagram, transitive_reduction
 from .kst import KnowledgeStructure, _all_singletons, _reduction, equally_informative
-from .order import EquivalenceClasses, order_matrix
+from .order import EquivalenceClasses, OrderMatrix, order_matrix
 from .table import (
     Flexibility,
     JudgmentTable,
@@ -152,12 +158,29 @@ class _JsonNames(dict):
     def array(self, names: Iterable[str], depth: int) -> str:
         return _array(map(self.__getitem__, names), depth)
 
-    def pairs(self, pairs: Iterable[tuple[str, str]]) -> str:
-        return _array((f"[\n      {self[p]},\n      {self[q]}\n    ]" for p, q in pairs), 1)
+    def pairs(self, rows: Iterable[tuple[str, Sequence[str]]]) -> Iterator[str]:
+        """The array of [p, q] pairs at depth 1, from rows (p, [q, ...]):
+        one chunk per non-empty row, which quotes p once."""
+        opener = "[\n    "
+        for p, successors in rows:
+            if successors:
+                head = f"[\n      {self[p]},\n      "
+                yield opener + head + ("\n    ],\n    " + head).join(
+                    map(self.__getitem__, successors)
+                )
+                opener = "\n    ],\n    "
+        yield "[]" if opener == "[\n    " else "\n    ]\n  ]"
 
     def blocks(self, key: str, blocks: Iterable[tuple[str, Sequence[str]]]) -> str:
         return _array((f'{{\n      "{key}": {self[label]},\n      "members": '
                        f'{self.array(members, 3)}\n    }}' for label, members in blocks), 1)
+
+
+def _edge_rows(edges: Iterable[tuple[str, str]]) -> Iterator[tuple[str, list[str]]]:
+    """Edges as rows (lower, [upper, ...]), one per run of edges with the
+    same lower end; rendering the rows in turn renders the edges in turn."""
+    for lower, run in groupby(edges, key=itemgetter(0)):
+        yield lower, [upper for _, upper in run]
 
 
 def _node_label(node: str, members: tuple[str, ...]) -> str:
@@ -171,7 +194,10 @@ def dot_chunks(diagram: HasseDiagram) -> Iterator[str]:
     yield "".join(
         [f'  "{n}" [label="{_node_label(n, diagram.members[n])}"];\n' for n in diagram.nodes]
     )
-    yield "".join([f'  "{lower}" -> "{upper}";\n' for lower, upper in diagram.edges]) + "}\n"
+    for lower, uppers in _edge_rows(diagram.edges):
+        prefix = f'  "{lower}" -> "'
+        yield prefix + ('";\n' + prefix).join(uppers) + '";\n'
+    yield "}\n"
 
 
 def emit_dot(diagram: HasseDiagram) -> str:
@@ -182,19 +208,28 @@ def emit_dot(diagram: HasseDiagram) -> str:
 class AnalysisReport:
     """Everything the pipeline derives from one table at one flexibility.
 
-    ``relation`` holds the strict ordered pairs, ``hasse`` the covering
-    subset of them, ``layers`` the node names per drawing layer; all
-    names are class representatives.  ``counts`` is optional per-pair
-    response counts.
+    ``order`` is the order matrix (its rows hold the strict ordered
+    pairs), ``hasse`` the covering subset of those pairs, ``layers`` the
+    node names per drawing layer; all names are class representatives.
+    ``counts`` is optional per-pair response counts.  ``relation`` and
+    ``classes`` are read from ``order``.
     """
 
     targets: tuple[str, ...]
     flexibility: Flexibility
-    classes: EquivalenceClasses
-    relation: tuple[tuple[str, str], ...]
+    order: OrderMatrix
     hasse: tuple[tuple[str, str], ...]
     layers: tuple[tuple[str, ...], ...]
     counts: tuple[tuple[str, str, PairCounts], ...] | None = None
+
+    @property
+    def relation(self) -> tuple[tuple[str, str], ...]:
+        """The strict ordered pairs, natural-sorted (``OrderMatrix.pairs``)."""
+        return self.order.pairs()
+
+    @property
+    def classes(self) -> EquivalenceClasses | None:
+        return self.order.classes
 
 
 def analyze(
@@ -217,8 +252,7 @@ def analyze(
     return AnalysisReport(
         targets=table.target_names,
         flexibility=alpha,
-        classes=matrix.classes,
-        relation=matrix.pairs(),
+        order=matrix,
         hasse=diagram.edges,
         layers=diagram.layer_groups(),
         counts=counts,
@@ -233,8 +267,10 @@ def _report_json(report: AnalysisReport) -> Iterator[str]:
         f'\n    "basis_points": {report.flexibility.basis_points}\n  }},\n  "classes": '
     )
     yield names.blocks("representative", ((b[-1], b) for b in report.classes.blocks))
-    yield ',\n  "relation": ' + names.pairs(report.relation)
-    yield ',\n  "hasse": ' + names.pairs(report.hasse)
+    yield ',\n  "relation": '
+    yield from names.pairs(report.order.successors())
+    yield ',\n  "hasse": '
+    yield from names.pairs(_edge_rows(report.hasse))
     yield ',\n  "layers": ' + _array((names.array(group, 2) for group in report.layers), 1)
     if report.counts is not None:
         yield ',\n  "counts": ' + _array((
@@ -244,14 +280,27 @@ def _report_json(report: AnalysisReport) -> Iterator[str]:
     yield "\n}\n"
 
 
+def _text_pairs(
+    key: str, count: int, rows: Iterable[tuple[str, Sequence[str]]]
+) -> Iterator[str]:
+    """A "key (count):" section of "p -> q" lines, from rows (p, [q, ...]):
+    one chunk per non-empty row."""
+    yield f"{key} ({count}):\n"
+    for p, successors in rows:
+        if successors:
+            prefix = f"  {p} -> "
+            yield prefix + ("\n" + prefix).join(successors) + "\n"
+
+
 def _report_text(report: AnalysisReport) -> Iterator[str]:
     yield (
         f"targets: {' '.join(report.targets)}\nflexibility: {report.flexibility.percent_text}% "
         f"({report.flexibility.basis_points} basis points)\nclasses:\n"
     )
     yield "".join([f"  {block[-1]}: {' '.join(block)}\n" for block in report.classes.blocks])
-    for key, pairs in (("relation", report.relation), ("hasse", report.hasse)):
-        yield f"{key} ({len(pairs)}):\n" + "".join([f"  {p} -> {q}\n" for p, q in pairs])
+    relation_count = sum(row.bit_count() for row in report.order.strict_rows)
+    yield from _text_pairs("relation", relation_count, report.order.successors())
+    yield from _text_pairs("hasse", len(report.hasse), _edge_rows(report.hasse))
     yield "layers:\n" + "".join(
         [f"  {level}: {' '.join(group)}\n" for level, group in enumerate(report.layers)]
     )
@@ -281,7 +330,8 @@ def hasse_json_chunks(diagram: HasseDiagram) -> Iterator[str]:
     layers, laid out as ``json.dumps(..., indent=2)`` lays it out."""
     names = _JsonNames()
     yield '{\n  "nodes": ' + names.blocks("name", ((n, diagram.members[n]) for n in diagram.nodes))
-    yield ',\n  "edges": ' + names.pairs(diagram.edges)
+    yield ',\n  "edges": '
+    yield from names.pairs(_edge_rows(diagram.edges))
     layers = _array((names.array(group, 2) for group in diagram.layer_groups()), 1)
     yield ',\n  "layers": ' + layers + "\n}\n"
 

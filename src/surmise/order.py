@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import groupby, pairwise
+from itertools import chain, groupby, pairwise, repeat
 from operator import or_
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .table import (
     Flexibility,
@@ -166,12 +166,18 @@ class OrderMatrix:
     def holds(self, p: str, q: str) -> bool:
         return bool(self.rows[self.index_of(p)] >> self.index_of(q) & 1)
 
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        """All strict ordered pairs (p, q), natural-sorted."""
+    def successors(self) -> Iterator[tuple[str, list[str]]]:
+        """(p, [q, ...]) for each row of ``strict_rows``, in index order: p's
+        strict successors, natural-sorted (empty for a maximal p).  The
+        names of one row are built only when that row is reached."""
         reps = self.reps
-        return tuple(
-            (p, reps[j]) for p, row in zip(reps, self.strict_rows) for j in bit_indices(row)
-        )
+        for p, row in zip(reps, self.strict_rows):
+            yield p, list(map(reps.__getitem__, bit_indices(row)))
+
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """All strict ordered pairs (p, q), natural-sorted: ``successors``
+        flattened."""
+        return tuple(chain.from_iterable(zip(repeat(p), qs) for p, qs in self.successors()))
 
     def member_map(self) -> dict[str, tuple[str, ...]]:
         if self.classes is None:
@@ -184,15 +190,21 @@ class OrderMatrix:
     ) -> "OrderMatrix":
         """Build a matrix from strict pairs plus the reflexive diagonal.
 
-        A repeated element raises (representatives are distinct); whether
-        the result is a partial order is told by ``diagnostics`` (or
-        verify_partial_order), not raised.
+        A repeated element, or a pair naming an element not in
+        ``elements``, raises ``ValueError``; whether the result is a
+        partial order is told by ``diagnostics`` (or verify_partial_order),
+        not raised.
         """
         reps = tuple(natural_sorted(elements))
         index = {name: i for i, name in enumerate(reps)}
         rows = [1 << i for i in range(len(reps))]
         for p, q in pairs:
-            rows[index[p]] |= 1 << index[q]
+            try:
+                rows[index[p]] |= 1 << index[q]
+            except KeyError as exc:
+                raise ValueError(
+                    f"pair {(p, q)!r} names an unknown element {exc.args[0]!r}"
+                ) from None
         return cls(reps=reps, rows=tuple(rows))
 
 

@@ -15,7 +15,8 @@ forms are kept as references for the faster code that replaced them:
 the order rows by one threshold test per ordered pair, the axiom check
 by one test per relation pair, the covering rows by their own loop, and
 the layers by Kahn's algorithm over name-keyed predecessor and successor
-sets built from the edge pairs.
+sets built from the edge pairs, and the pair sections of the JSON, text
+and DOT outputs by one rendered element per (p, q) pair.
 """
 from __future__ import annotations
 
@@ -536,3 +537,49 @@ def hasse_json_reference(diagram) -> str:
         "layers": [list(group) for group in diagram.layer_groups()],
     }
     return json.dumps(obj, indent=2) + "\n"
+
+
+def pairs_json_reference(pairs) -> str:
+    """A JSON array of [p, q] pairs at depth 1, one element per pair."""
+    body = ",\n    ".join(
+        f"[\n      {json.dumps(p)},\n      {json.dumps(q)}\n    ]" for p, q in pairs
+    )
+    return f"[\n    {body}\n  ]" if body else "[]"
+
+
+def pairs_text_reference(key: str, pairs) -> str:
+    """A "key (count):" text section, one "p -> q" line per pair."""
+    return f"{key} ({len(pairs)}):\n" + "".join(f"  {p} -> {q}\n" for p, q in pairs)
+
+
+def report_text_reference(report) -> str:
+    """The ``analyze --text`` text of an ``AnalysisReport``."""
+    flexibility = report.flexibility
+    lines = [
+        f"targets: {' '.join(report.targets)}",
+        f"flexibility: {flexibility.percent_text}% ({flexibility.basis_points} basis points)",
+        "classes:",
+        *(f"  {block[-1]}: {' '.join(block)}" for block in report.classes.blocks),
+    ]
+    text = "\n".join(lines) + "\n"
+    text += pairs_text_reference("relation", report.relation)
+    text += pairs_text_reference("hasse", report.hasse)
+    text += "layers:\n" + "".join(
+        f"  {level}: {' '.join(group)}\n" for level, group in enumerate(report.layers)
+    )
+    if report.counts is not None:
+        text += "counts:\n" + "".join(
+            f"  {p},{q}: n1={c.n1} n2={c.n2} n3={c.n3} n4={c.n4}\n" for p, q, c in report.counts
+        )
+    return text
+
+
+def dot_reference(diagram) -> str:
+    """The ``hasse --dot`` text of a ``HasseDiagram``, one line per edge."""
+    text = "digraph hierarchy {\n  rankdir=BT;\n"
+    for node in diagram.nodes:
+        subsumed = ",".join(m for m in diagram.members[node] if m != node)
+        label = f"{node} (={subsumed})" if subsumed else node
+        text += f'  "{node}" [label="{label}"];\n'
+    text += "".join(f'  "{lower}" -> "{upper}";\n' for lower, upper in diagram.edges)
+    return text + "}\n"

@@ -4,24 +4,29 @@ The JSON writers fill fixed templates; ``oracles`` keeps the
 ``json.dumps(..., indent=2)`` form of both JSON outputs, and every
 rendering must match it byte for byte, on names that JSON escapes
 (controls, DEL, non-ASCII, astral code points), on empty arrays and on
-long ones.  The CLI streams the same chunks the library joins, and a
-reader that closes stdout early ends the run quietly.
+long ones.  The pair sections (relation and covering edges) are written
+one row at a time; ``oracles`` keeps their one-element-per-pair forms in
+JSON, text and DOT.  The CLI streams the same chunks the library joins,
+and a reader that closes stdout early ends the run quietly.
 """
 from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from surmise import (
     Flexibility,
     HasseDiagram,
+    OrderMatrix,
     SynthSpec,
     analyze,
+    assign_layers,
     build_table,
     emit_csv,
     emit_dot,
@@ -36,9 +41,12 @@ from surmise import (
     transitive_reduction,
 )
 from surmise.cli import cli_main
+from surmise.io import _edge_rows, _JsonNames, _text_pairs, report_chunks
+from surmise.table import natural_sorted
 
 import oracles
 from conftest import DATA_DIR, FUZZ_ALPHAS, TWELVE_MODELS_PATH, WORKED_EXAMPLE_PATH
+from test_order import partial_orders
 
 TWELVE = str(TWELVE_MODELS_PATH)
 ALPHA = Flexibility(1000)
@@ -104,6 +112,10 @@ def test_dot_and_synth_outputs_match_golden_bytes(golden, argv):
     [
         ("twelve_models.analyze-10.txt", ["analyze", TWELVE, "--text", "--flexibility", "10"]),
         ("worked_example.structure.txt", ["structure", str(WORKED_EXAMPLE_PATH)]),
+        (
+            "twelve_models.analyze-5-counts.txt",
+            ["analyze", TWELVE, "--text", "--counts", "--flexibility", "5"],
+        ),
     ],
 )
 def test_text_outputs_match_golden_bytes(golden, argv):
@@ -123,10 +135,14 @@ def tables(draw):
 
 
 def assert_json_matches_oracles(table, alpha, counts: bool) -> None:
+    """Both JSON outputs against ``json.dumps``; the text and DOT outputs
+    against their one-line-per-pair forms."""
     report = analyze(table, alpha, include_counts=counts)
     assert emit_report(report, "json") == oracles.report_json_reference(report)
+    assert emit_report(report, "text") == oracles.report_text_reference(report)
     diagram = transitive_reduction(order_matrix(table, alpha))
     assert hasse_json(diagram) == oracles.hasse_json_reference(diagram)
+    assert emit_dot(diagram) == oracles.dot_reference(diagram)
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,6 +181,85 @@ def test_long_arrays_match_json_dumps():
     text = emit_report(report, "text")
     assert text.count(" -> ") == len(report.relation) + len(report.hasse)
     assert text.count(" n1=") == u * (u - 1)
+
+
+@st.composite
+def named_orders(draw):
+    """A random partial order (empty, single nodes, antichains included) on
+    distinct names that JSON escapes, as an ``OrderMatrix``."""
+    rows = draw(partial_orders())
+    names = draw(st.lists(NAME, min_size=len(rows), max_size=len(rows), unique=True))
+    return OrderMatrix(reps=tuple(natural_sorted(names)), rows=rows)
+
+
+def assert_pair_sections_match_oracles(diagram: HasseDiagram) -> None:
+    edges = diagram.edges
+    assert "".join(_JsonNames().pairs(_edge_rows(edges))) == oracles.pairs_json_reference(edges)
+    assert "".join(_text_pairs("hasse", len(edges), _edge_rows(edges))) == (
+        oracles.pairs_text_reference("hasse", edges)
+    )
+    assert emit_dot(diagram) == oracles.dot_reference(diagram)
+    assert hasse_json(diagram) == oracles.hasse_json_reference(diagram)
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_orders(), st.randoms(use_true_random=False))
+@example(OrderMatrix(reps=(), rows=()), random.Random(0))
+@example(OrderMatrix(reps=("\U0001d538",), rows=(0b1,)), random.Random(0))
+@example(OrderMatrix(reps=("7", "a\tb", "é"), rows=(0b001, 0b010, 0b100)), random.Random(0))
+def test_row_writers_match_per_pair_oracles(matrix, rng):
+    relation = matrix.pairs()
+    assert "".join(_JsonNames().pairs(matrix.successors())) == (
+        oracles.pairs_json_reference(relation)
+    )
+    assert "".join(_text_pairs("relation", len(relation), matrix.successors())) == (
+        oracles.pairs_text_reference("relation", relation)
+    )
+    diagram = transitive_reduction(matrix)
+    assert_pair_sections_match_oracles(diagram)
+    # The same covering edges in any order: rows are runs of equal lower
+    # ends, so an edge list not grouped by lower end renders pair by pair.
+    edges = list(diagram.edges)
+    rng.shuffle(edges)
+    assert_pair_sections_match_oracles(
+        HasseDiagram(nodes=diagram.nodes, members=diagram.members, edges=tuple(edges),
+                     layers=diagram.layers)
+    )
+
+
+def test_ungrouped_edges_render_in_their_order():
+    nodes = ("a", "b", "c", "d")
+    edges = (("a", "b"), ("c", "d"), ("a", "c"), ("b", "d"))  # a's edges are split
+    diagram = HasseDiagram(nodes=nodes, members={n: (n,) for n in nodes}, edges=edges,
+                           layers={"a": 0, "b": 1, "c": 1, "d": 2})
+    assert assign_layers(diagram) == diagram.layers
+    assert [lower for lower, _ in _edge_rows(edges)] == ["a", "c", "a", "b"]
+    assert_pair_sections_match_oracles(diagram)
+    assert emit_dot(diagram).count("->") == 4
+
+
+def test_pair_sections_stream_one_chunk_per_row():
+    # A chain of 100 targets: t0 .. t98 each precede every later target,
+    # t99 precedes none, so the relation has 99 non-empty rows.
+    u = 100
+    rows = [[1 if j < i else 0 for j in range(u)] for i in range(u + 1)]
+    table = build_table([f"t{j}" for j in range(u)], [f"M{i}" for i in range(u + 1)], rows)
+    report = analyze(table)
+
+    chunks = list(report_chunks(report, "json"))
+    section = chunks[chunks.index(',\n  "relation": ') + 1:chunks.index(',\n  "hasse": ')]
+    heads = [re.findall(r'\[\n      "(t\d+)",\n', chunk) for chunk in section]
+    assert [set(found) for found in heads[:-1]] == [{f"t{i}"} for i in range(u - 1)]
+    assert [len(found) for found in heads[:-1]] == list(range(u - 1, 0, -1))
+    assert section[-1] == "\n    ]\n  ]"
+    assert "".join(section) == oracles.pairs_json_reference(report.relation)
+
+    chunks = list(report_chunks(report, "text"))
+    section = chunks[chunks.index(f"relation ({len(report.relation)}):\n") + 1:
+                     chunks.index(f"hasse ({u - 1}):\n")]
+    assert [set(re.findall(r"^  (t\d+) -> ", chunk, re.M)) for chunk in section] == [
+        {f"t{i}"} for i in range(u - 1)
+    ]
 
 
 def odd_names_csv(tmp_path) -> str:

@@ -204,6 +204,12 @@ class TestVerifyPartialOrder:
         with pytest.raises(ValueError, match="distinct"):
             OrderMatrix.from_pairs(["a", "a"], [])
 
+    def test_from_pairs_rejects_unknown_element(self):
+        for pair, unknown in ((("a", "z"), "z"), (("z", "b"), "z"), (("y", "z"), "y")):
+            with pytest.raises(ValueError) as caught:
+                OrderMatrix.from_pairs(["a", "b"], [("a", "b"), pair])
+            assert str(caught.value) == f"pair {pair!r} names an unknown element {unknown!r}"
+
     def test_trivial_matrix_passes(self):
         matrix = OrderMatrix(reps=("a",), rows=(0b1,))
         diagnostics = verify_partial_order(matrix)
