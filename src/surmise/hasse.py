@@ -1,11 +1,14 @@
 """Covering edges of a partial order and the layered drawing behind them."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, repeat
+from operator import or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .order import OrderMatrix
-from .table import bit_indices, natural_key, natural_sorted
+from .order import OrderMatrix, check_natural_order, named_rows
+from .table import bit_indices, check_masks, natural_sorted, transpose
 
 __all__ = [
     "HasseDiagram",
@@ -19,47 +22,94 @@ __all__ = [
 class HasseDiagram:
     """Covering edges of a partial order, plus a drawing layer per node.
 
-    An edge (lower, upper) says lower is a prerequisite of upper with
-    nothing strictly between; lower is drawn below.  ``members`` maps a
-    node to the equally-informative targets it stands for.
+    ``nodes`` are distinct and in natural order, so index order is
+    natural order, as in ``OrderMatrix``.  Bit j of ``covers[i]`` is the
+    edge (nodes[i], nodes[j]): nodes[i] is a prerequisite of nodes[j] with
+    nothing strictly between, and is drawn below it.  ``members`` maps a
+    node to the equally-informative targets it stands for.  Every diagram,
+    also a hand-built one, is checked once, at construction, which also
+    computes ``layers`` and so rejects a cycle; ``from_edges`` builds one
+    from name pairs.
     """
 
     nodes: tuple[str, ...]
     members: Mapping[str, tuple[str, ...]]
-    edges: tuple[tuple[str, str], ...]
-    layers: Mapping[str, int]
+    covers: tuple[int, ...]
+    layers: Mapping[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        check_natural_order("nodes", self.nodes)
+        if len(self.covers) != len(self.nodes):
+            raise ValueError(f"{len(self.covers)} covering rows for {len(self.nodes)} nodes")
+        check_masks("covering row", self.covers, len(self.nodes))
+        for node in self.nodes:
+            if node not in self.members:
+                raise ValueError(f"node {node!r} has no entry in members")
+        object.__setattr__(self, "layers", _layers(self.nodes, self.covers))
+
+    @classmethod
+    def from_edges(
+        cls, nodes: Iterable[str], members: Mapping[str, tuple[str, ...]],
+        edges: Iterable[tuple[str, str]],
+    ) -> "HasseDiagram":
+        """Build a diagram from (lower, upper) name pairs, in any order.  A
+        repeated node, or an edge naming a node not in ``nodes``, raises
+        ``ValueError``, as does every check of the constructor."""
+        nodes = tuple(natural_sorted(nodes))
+        index = {name: i for i, name in enumerate(nodes)}
+        if len(index) != len(nodes):
+            raise ValueError("a node is listed twice")
+        covers = [0] * len(nodes)
+        for lower, upper in edges:
+            if lower not in index or upper not in index:
+                raise ValueError(f"edge ({lower!r}, {upper!r}) mentions an unknown node")
+            covers[index[lower]] |= 1 << index[upper]
+        return cls(nodes=nodes, members=members, covers=tuple(covers))
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Every edge (lower, upper), natural-sorted: ``successors``
+        flattened."""
+        return tuple(chain.from_iterable(zip(repeat(p), qs) for p, qs in self.successors()))
+
+    def successors(self) -> Iterator[tuple[str, list[str]]]:
+        """(lower, [upper, ...]) for each row of ``covers``, in index order:
+        the nodes covering ``lower``, natural-sorted (empty for a maximal
+        node)."""
+        return named_rows(self.nodes, self.covers)
 
     def layer_groups(self) -> tuple[tuple[str, ...], ...]:
-        """Node names grouped by layer, bottom (no prerequisites) first."""
-        if not self.nodes:
-            return ()
-        depth = max(self.layers.values()) + 1
-        groups: list[list[str]] = [[] for _ in range(depth)]
+        """Node names grouped by layer, bottom (no prerequisites) first; each
+        group natural-sorted, as the nodes are."""
+        groups: list[list[str]] = [[] for _ in range(max(self.layers.values(), default=-1) + 1)]
         for node in self.nodes:
             groups[self.layers[node]].append(node)
-        return tuple(tuple(sorted(g, key=natural_key)) for g in groups)
+        return tuple(map(tuple, groups))
 
 
-def _layers(nodes: Sequence[str], above: Sequence[Sequence[int]]) -> dict[str, int]:
+def _layers(nodes: Sequence[str], covers: Sequence[int]) -> dict[str, int]:
     """Layer of each node: 0 for a minimal node, else one above its highest
-    predecessor.  ``above[i]`` holds j for each edge (nodes[i], nodes[j]).
-    Kahn's algorithm, which doubles as the cycle detector."""
-    pending = [0] * len(nodes)
-    for successors in above:
-        for j in successors:
-            pending[j] += 1
-    layer = [0] * len(nodes)
-    queue = [i for i, count in enumerate(pending) if not count]
-    for i in queue:  # a FIFO queue: nodes are appended as they become ready
-        for j in above[i]:
-            layer[j] = max(layer[j], layer[i] + 1)
-            pending[j] -= 1
-            if not pending[j]:
-                queue.append(j)
-    if len(queue) != len(nodes):
-        stuck = natural_sorted(name for name, count in zip(nodes, pending) if count)
-        raise ValueError(f"cycle detected among {stuck}")
-    return dict(zip(nodes, layer))
+    covering predecessor.
+
+    Peels the minimal nodes off with masks: a node joins the next layer
+    once its column of ``covers`` (its predecessors) has no bit left in
+    ``remaining``.  Only the nodes covering the layer just peeled can
+    become ready, so each layer tests only those, and the whole peel
+    costs O(c + E) mask operations for E edges.  Nodes never peeled sit
+    on a cycle or above one, the set Kahn's algorithm leaves stuck.
+    """
+    down = transpose(covers, len(nodes))
+    remaining = (1 << len(nodes)) - 1
+    groups: list[list[int]] = []
+    ready = [i for i, row in enumerate(down) if not row]
+    while ready:
+        groups.append(ready)
+        remaining ^= sum(1 << i for i in ready)  # distinct bits of remaining: clears them
+        above = reduce(or_, map(covers.__getitem__, ready), 0)
+        ready = [j for j in bit_indices(above) if not down[j] & remaining]
+    if remaining:  # index order is natural order, so the names come natural-sorted
+        raise ValueError(f"cycle detected among {list(map(nodes.__getitem__, bit_indices(remaining)))}")
+    return {nodes[i]: level for level, group in enumerate(groups) for i in group}
 
 
 def transitive_reduction(matrix: OrderMatrix) -> HasseDiagram:
@@ -73,33 +123,17 @@ def transitive_reduction(matrix: OrderMatrix) -> HasseDiagram:
     """
     if not matrix.diagnostics.ok:
         raise ValueError(f"not a partial order: {matrix.diagnostics.summary()}")
-
-    reps = matrix.reps
-    above = [bit_indices(row) for row in matrix.covers]
-    return HasseDiagram(
-        nodes=reps,
-        members=matrix.member_map(),
-        edges=tuple((p, reps[j]) for p, successors in zip(reps, above) for j in successors),
-        layers=_layers(reps, above),
-    )
+    return HasseDiagram(nodes=matrix.reps, members=matrix.member_map(), covers=matrix.covers)
 
 
 def assign_layers(diagram: HasseDiagram) -> dict[str, int]:
-    """Recompute the layer map from the diagram's edges.
+    """Recompute the layer map from the diagram's covering rows, by the
+    routine that filled ``diagram.layers`` at construction.
 
     A node with no incoming edge sits at layer 0; otherwise one above its
-    highest covering prerequisite.  Raises on a cycle, which can only
-    mean the edge set was corrupted after construction.
+    highest covering prerequisite.
     """
-    index = {name: i for i, name in enumerate(diagram.nodes)}
-    if len(index) != len(diagram.nodes):
-        raise ValueError("a node is listed twice")
-    above: list[list[int]] = [[] for _ in diagram.nodes]
-    for lower, upper in diagram.edges:
-        if lower not in index or upper not in index:
-            raise ValueError(f"edge ({lower!r}, {upper!r}) mentions an unknown node")
-        above[index[lower]].append(index[upper])
-    return _layers(diagram.nodes, above)
+    return _layers(diagram.nodes, diagram.covers)
 
 
 def transitive_closure(rows: Sequence[int]) -> tuple[int, ...]:

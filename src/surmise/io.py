@@ -9,15 +9,15 @@ re-round it).  Each output has one writer, a generator of text chunks
 ``emit_dot``, ``hasse_json`` and ``structure_report`` join its chunks.  A
 section is one chunk, except the sections that can grow quadratically:
 the pair lists (relation and covering edges) are one chunk per row, all
-pairs with the same first element, and each ``K_<name>`` line is its own
-chunk.
+pairs with the same first element, read straight from the row masks of
+the order matrix and of the Hasse diagram by one row walker
+(``OrderMatrix.successors``, ``HasseDiagram.successors``), and each
+``K_<name>`` line is its own chunk.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .hasse import HasseDiagram, transitive_reduction
@@ -176,13 +176,6 @@ class _JsonNames(dict):
                        f'{self.array(members, 3)}\n    }}' for label, members in blocks), 1)
 
 
-def _edge_rows(edges: Iterable[tuple[str, str]]) -> Iterator[tuple[str, list[str]]]:
-    """Edges as rows (lower, [upper, ...]), one per run of edges with the
-    same lower end; rendering the rows in turn renders the edges in turn."""
-    for lower, run in groupby(edges, key=itemgetter(0)):
-        yield lower, [upper for _, upper in run]
-
-
 def _node_label(node: str, members: tuple[str, ...]) -> str:
     subsumed = ",".join([m for m in members if m != node])
     return f"{node} (={subsumed})" if subsumed else node
@@ -194,9 +187,10 @@ def dot_chunks(diagram: HasseDiagram) -> Iterator[str]:
     yield "".join(
         [f'  "{n}" [label="{_node_label(n, diagram.members[n])}"];\n' for n in diagram.nodes]
     )
-    for lower, uppers in _edge_rows(diagram.edges):
-        prefix = f'  "{lower}" -> "'
-        yield prefix + ('";\n' + prefix).join(uppers) + '";\n'
+    for lower, uppers in diagram.successors():
+        if uppers:
+            prefix = f'  "{lower}" -> "'
+            yield prefix + ('";\n' + prefix).join(uppers) + '";\n'
     yield "}\n"
 
 
@@ -209,17 +203,17 @@ class AnalysisReport:
     """Everything the pipeline derives from one table at one flexibility.
 
     ``order`` is the order matrix (its rows hold the strict ordered
-    pairs), ``hasse`` the covering subset of those pairs, ``layers`` the
-    node names per drawing layer; all names are class representatives.
-    ``counts`` is optional per-pair response counts.  ``relation`` and
-    ``classes`` are read from ``order``.
+    pairs) and ``diagram`` its Hasse diagram (its rows hold the covering
+    subset of those pairs, and it carries the drawing layers); all names
+    are class representatives.  ``counts`` is optional per-pair response
+    counts.  ``relation`` and ``classes`` are read from ``order``,
+    ``hasse`` and ``layers`` from ``diagram``.
     """
 
     targets: tuple[str, ...]
     flexibility: Flexibility
     order: OrderMatrix
-    hasse: tuple[tuple[str, str], ...]
-    layers: tuple[tuple[str, ...], ...]
+    diagram: HasseDiagram
     counts: tuple[tuple[str, str, PairCounts], ...] | None = None
 
     @property
@@ -230,6 +224,16 @@ class AnalysisReport:
     @property
     def classes(self) -> EquivalenceClasses | None:
         return self.order.classes
+
+    @property
+    def hasse(self) -> tuple[tuple[str, str], ...]:
+        """The covering edges, natural-sorted (``HasseDiagram.edges``)."""
+        return self.diagram.edges
+
+    @property
+    def layers(self) -> tuple[tuple[str, ...], ...]:
+        """The node names per drawing layer (``HasseDiagram.layer_groups``)."""
+        return self.diagram.layer_groups()
 
 
 def analyze(
@@ -253,8 +257,7 @@ def analyze(
         targets=table.target_names,
         flexibility=alpha,
         order=matrix,
-        hasse=diagram.edges,
-        layers=diagram.layer_groups(),
+        diagram=diagram,
         counts=counts,
     )
 
@@ -270,7 +273,7 @@ def _report_json(report: AnalysisReport) -> Iterator[str]:
     yield ',\n  "relation": '
     yield from names.pairs(report.order.successors())
     yield ',\n  "hasse": '
-    yield from names.pairs(_edge_rows(report.hasse))
+    yield from names.pairs(report.diagram.successors())
     yield ',\n  "layers": ' + _array((names.array(group, 2) for group in report.layers), 1)
     if report.counts is not None:
         yield ',\n  "counts": ' + _array((
@@ -300,7 +303,8 @@ def _report_text(report: AnalysisReport) -> Iterator[str]:
     yield "".join([f"  {block[-1]}: {' '.join(block)}\n" for block in report.classes.blocks])
     relation_count = sum(row.bit_count() for row in report.order.strict_rows)
     yield from _text_pairs("relation", relation_count, report.order.successors())
-    yield from _text_pairs("hasse", len(report.hasse), _edge_rows(report.hasse))
+    edge_count = sum(row.bit_count() for row in report.diagram.covers)
+    yield from _text_pairs("hasse", edge_count, report.diagram.successors())
     yield "layers:\n" + "".join(
         [f"  {level}: {' '.join(group)}\n" for level, group in enumerate(report.layers)]
     )
@@ -331,7 +335,7 @@ def hasse_json_chunks(diagram: HasseDiagram) -> Iterator[str]:
     names = _JsonNames()
     yield '{\n  "nodes": ' + names.blocks("name", ((n, diagram.members[n]) for n in diagram.nodes))
     yield ',\n  "edges": '
-    yield from names.pairs(_edge_rows(diagram.edges))
+    yield from names.pairs(diagram.successors())
     layers = _array((names.array(group, 2) for group in diagram.layer_groups()), 1)
     yield ',\n  "layers": ' + layers + "\n}\n"
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, groupby, pairwise, repeat
 from operator import or_
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .table import (
     Flexibility,
@@ -42,6 +42,23 @@ __all__ = [
 
 class OrderAxiomError(RuntimeError):
     """An order matrix failed verification; this signals a bug, not bad data."""
+
+
+def check_natural_order(kind: str, names: Sequence[str]) -> None:
+    """Raise unless ``names`` are distinct and in natural order, so that
+    index order is natural order; ``kind`` names them in the error."""
+    for first, second in pairwise(map(natural_key, names)):
+        if first >= second:  # a natural key ends in the name itself
+            raise ValueError(f"{kind} must be distinct and natural-sorted: "
+                             f"{first[-1]!r} before {second[-1]!r}")
+
+
+def named_rows(names: Sequence[str], masks: Iterable[int]) -> Iterator[tuple[str, list[str]]]:
+    """(names[i], [names[j] for each set bit j of masks[i]]) for each row i,
+    in index order.  The names of one row are built only when that row is
+    reached."""
+    for name, mask in zip(names, masks):
+        yield name, list(map(names.__getitem__, bit_indices(mask)))
 
 
 def _edge_holds(n2: int, n3: int, basis_points: int) -> bool:
@@ -139,12 +156,7 @@ class OrderMatrix:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for first, second in pairwise(map(natural_key, self.reps)):
-            if first >= second:  # a natural key ends in the name itself
-                raise ValueError(
-                    f"representatives must be distinct and natural-sorted: "
-                    f"{first[-1]!r} before {second[-1]!r}"
-                )
+        check_natural_order("representatives", self.reps)
         if len(self.rows) != len(self.reps):
             raise ValueError(f"{len(self.rows)} rows for {len(self.reps)} representatives")
         check_masks("row", self.rows, len(self.reps))
@@ -168,11 +180,8 @@ class OrderMatrix:
 
     def successors(self) -> Iterator[tuple[str, list[str]]]:
         """(p, [q, ...]) for each row of ``strict_rows``, in index order: p's
-        strict successors, natural-sorted (empty for a maximal p).  The
-        names of one row are built only when that row is reached."""
-        reps = self.reps
-        for p, row in zip(reps, self.strict_rows):
-            yield p, list(map(reps.__getitem__, bit_indices(row)))
+        strict successors, natural-sorted (empty for a maximal p)."""
+        return named_rows(self.reps, self.strict_rows)
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         """All strict ordered pairs (p, q), natural-sorted: ``successors``

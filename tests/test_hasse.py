@@ -6,6 +6,8 @@ from surmise import (
     HasseDiagram,
     OrderMatrix,
     assign_layers,
+    emit_dot,
+    hasse_json,
     order_matrix,
     transitive_closure,
     transitive_reduction,
@@ -90,38 +92,94 @@ class TestLayers:
         diagram = transitive_reduction(order_matrix(twelve_models))
         assert assign_layers(diagram) == dict(diagram.layers)
 
+    # A diagram is checked, and layered, once, at construction, so a
+    # corrupted edge set is rejected before anything can layer it.
     def test_assign_layers_detects_cycle(self):
-        corrupted = HasseDiagram(
-            nodes=("a", "b"),
-            members={"a": ("a",), "b": ("b",)},
-            edges=(("a", "b"), ("b", "a")),
-            layers={},
-        )
         with pytest.raises(ValueError, match="cycle"):
-            assign_layers(corrupted)
+            HasseDiagram.from_edges(
+                ("a", "b"), {"a": ("a",), "b": ("b",)}, (("a", "b"), ("b", "a"))
+            )
 
     def test_assign_layers_rejects_repeated_node(self):
-        corrupted = HasseDiagram(
-            nodes=("a", "a"), members={"a": ("a",)}, edges=(), layers={}
-        )
         with pytest.raises(ValueError, match="listed twice"):
-            assign_layers(corrupted)
+            HasseDiagram.from_edges(("a", "a"), {"a": ("a",)}, ())
 
     def test_assign_layers_rejects_unknown_node(self):
-        corrupted = HasseDiagram(
-            nodes=("a",),
-            members={"a": ("a",)},
-            edges=(("a", "z"),),
-            layers={},
-        )
         with pytest.raises(ValueError, match="unknown node"):
-            assign_layers(corrupted)
+            HasseDiagram.from_edges(("a",), {"a": ("a",)}, (("a", "z"),))
+
+    def test_deep_chain_from_edges(self):
+        # Deeper than the recursive oracle can go: layers are the positions.
+        nodes = tuple(f"n{k}" for k in range(2000))
+        diagram = HasseDiagram.from_edges(
+            nodes, {n: (n,) for n in nodes}, zip(nodes, nodes[1:])
+        )
+        assert diagram.layers == dict(zip(nodes, range(2000)))
+        assert diagram.layer_groups() == tuple((n,) for n in nodes)
+        assert assign_layers(diagram) == diagram.layers
+
+    def test_deep_chain_from_order_matrix(self):
+        size = 300
+        nodes = tuple(f"n{k}" for k in range(size))
+        rows = tuple(((1 << size) - 1) >> i << i for i in range(size))  # i -> j for j >= i
+        diagram = transitive_reduction(OrderMatrix(reps=nodes, rows=rows))
+        assert diagram.edges == tuple(zip(nodes, nodes[1:]))
+        assert diagram.layers == dict(zip(nodes, range(size)))
+        assert assign_layers(diagram) == diagram.layers
 
     def test_layer_strictly_increases_along_edges(self, fuzz_corpus):
         for table in fuzz_corpus[:30]:
             diagram = transitive_reduction(order_matrix(table))
             for lower, upper in diagram.edges:
                 assert diagram.layers[lower] < diagram.layers[upper]
+
+
+SINGLETONS = {"a": ("a",), "b": ("b",)}
+
+
+class TestConstructionChecks:
+    """Every diagram is checked once, at construction, with a located
+    ``ValueError``; the writers can then trust any diagram that exists."""
+
+    def test_dangling_edge(self):
+        with pytest.raises(ValueError, match=r"edge \('a', 'z'\) mentions an unknown node"):
+            HasseDiagram.from_edges(("a",), {"a": ("a",)}, [("a", "z")])
+
+    def test_node_missing_from_members(self):
+        with pytest.raises(ValueError, match="node 'b' has no entry in members"):
+            HasseDiagram(nodes=("a", "b"), members={"a": ("a",)}, covers=(0b10, 0))
+        with pytest.raises(ValueError, match="node 'b' has no entry in members"):
+            HasseDiagram.from_edges(("a", "b"), {"a": ("a",)}, [("a", "b")])
+
+    def test_repeated_node(self):
+        with pytest.raises(ValueError, match="distinct and natural-sorted: 'a' before 'a'"):
+            HasseDiagram(nodes=("a", "a"), members={"a": ("a",)}, covers=(0, 0))
+        with pytest.raises(ValueError, match="a node is listed twice"):
+            HasseDiagram.from_edges(("a", "b", "a"), SINGLETONS, [])
+
+    def test_nodes_out_of_natural_order(self):
+        with pytest.raises(ValueError, match="natural-sorted: 't10' before 't2'"):
+            HasseDiagram(nodes=("t10", "t2"), members={"t10": (), "t2": ()}, covers=(0, 0))
+
+    def test_self_loop(self):
+        with pytest.raises(ValueError, match=r"cycle detected among \['a'\]"):
+            HasseDiagram.from_edges(("a", "b"), SINGLETONS, [("b", "a"), ("a", "a")])
+        with pytest.raises(ValueError, match=r"cycle detected among \['a', 'b'\]"):
+            HasseDiagram(nodes=("a", "b"), members=SINGLETONS, covers=(0b11, 0))
+
+    def test_two_cycle(self):
+        with pytest.raises(ValueError, match=r"cycle detected among \['a', 'b'\]"):
+            HasseDiagram.from_edges(("b", "a"), SINGLETONS, [("a", "b"), ("b", "a")])
+
+    def test_covers_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="1 covering rows for 2 nodes"):
+            HasseDiagram(nodes=("a", "b"), members=SINGLETONS, covers=(0b10,))
+
+    def test_row_bit_beyond_the_nodes(self):
+        with pytest.raises(ValueError, match="covering row 4 is not a mask over 2 elements"):
+            HasseDiagram(nodes=("a", "b"), members=SINGLETONS, covers=(0b100, 0))
+        with pytest.raises(ValueError, match="covering row -1 is not a mask"):
+            HasseDiagram(nodes=("a", "b"), members=SINGLETONS, covers=(-1, 0))
 
 
 class TestTransitiveClosure:
@@ -247,14 +305,18 @@ class TestIndexWalk:
     @example((("x", "t1", "b"), (("b", "t1"), ("t1", "x"), ("b", "x"), ("b", "t1"))))
     def test_assign_layers_matches_reference(self, graph):
         nodes, edges = graph
-        diagram = HasseDiagram(
-            nodes=nodes, members={n: (n,) for n in nodes}, edges=edges, layers={}
-        )
+        members = {n: (n,) for n in nodes}
         try:
             expected = oracles.layers_from_edges_reference(nodes, edges)
         except ValueError as exc:
             with pytest.raises(ValueError) as caught:
-                assign_layers(diagram)
+                HasseDiagram.from_edges(nodes, members, edges)
             assert str(caught.value) == str(exc)
         else:
+            diagram = HasseDiagram.from_edges(nodes, members, edges)
+            assert diagram.layers == expected
             assert assign_layers(diagram) == expected
+            assert set(diagram.edges) == set(edges)
+            # Every writer takes every diagram that constructs.
+            assert emit_dot(diagram) == oracles.dot_reference(diagram)
+            assert hasse_json(diagram) == oracles.hasse_json_reference(diagram)
