@@ -24,7 +24,7 @@ from .io import (
 )
 from .kst import structure_from_table
 from .order import order_matrix
-from .synth import SynthSpec, random_poset, sample_models
+from .synth import SynthSpec, check_poset_size, random_poset, sample_models
 from .table import Flexibility, FlexibilityFormatError, TableError
 
 EXIT_OK = 0
@@ -75,6 +75,7 @@ def _cmd_structure(args: argparse.Namespace) -> Iterable[str]:
 
 
 def _cmd_synth(args: argparse.Namespace) -> Iterable[str]:
+    check_poset_size(args.targets)  # before the O(N^2) poset is drawn
     poset = random_poset(args.targets, args.density, args.seed)
     spec = SynthSpec(
         poset=poset, model_count=args.models, noise=args.noise, seed=args.seed

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .hasse import HasseDiagram, transitive_reduction
@@ -28,10 +29,7 @@ from .table import (
     JudgmentTable,
     PairCounts,
     ZERO_FLEXIBILITY,
-    _BINARY_DIGITS,
-    _DIGIT_VALUES,
-    _check_names,
-    _freeze,
+    _read_columns,
     bit_indices,
     natural_sorted,
     transpose,
@@ -58,9 +56,9 @@ class CsvError(ValueError):
     """Malformed CSV input, with the offending row/column in the message."""
 
 
-def _row_error(line: str, line_number: int, target_names: Sequence[str]) -> CsvError:
+def _row_error(line: str, line_number: int, target_names: Sequence[str]) -> CsvError | None:
     """The located error for a body line that is not a model name followed
-    by exactly one "0"/"1" cell per target."""
+    by exactly one "0"/"1" cell per target, or None for a line that is."""
     cells = line.split(",")
     width = len(target_names) + 1
     if len(cells) != width:
@@ -74,7 +72,7 @@ def _row_error(line: str, line_number: int, target_names: Sequence[str]) -> CsvE
                 f"(target {target_names[column - 1]!r}) is {cell!r}, "
                 f"expected '0' or '1'"
             )
-    raise AssertionError(f"line {line_number} has no faulty cell")
+    return None
 
 
 def parse_csv(data: bytes | str) -> JudgmentTable:
@@ -82,16 +80,20 @@ def parse_csv(data: bytes | str) -> JudgmentTable:
 
     Layout: the header's first cell is reserved (ignored), the rest are
     target names; each body row is a model name followed by "0"/"1"
-    cells.  Name validation is shared with build_table.
+    cells.  The ``JudgmentTable`` constructor checks the names, as it does
+    for ``build_table``.
 
-    Each body line is checked once, by string methods that run in C: with
-    u targets, the text after the first comma is exactly u one-character
-    0/1 cells iff it has length 2u-1, holds u-1 commas and its even
-    positions hold only "0" and "1" (those u characters are then not
-    commas, so the u-1 commas fill the u-1 odd positions).  Only a line
-    that fails is split and scanned cell by cell, to name the fault.
-    Cell and shape faults are reported in line order, then a missing
-    body, then bad names.
+    The body is checked at once, by string methods that run in C.  With u
+    targets, a line is valid iff it ends in u cells, each a comma and a
+    "0"/"1" digit, and the name before them holds no comma.  So the body
+    is valid iff the last 2u characters of its lines, joined, are 2u
+    characters per line with only "0"/"1" at the odd positions and only
+    commas at the even ones, and the names hold no comma.  The odd
+    positions are then the cells in row-major order, and each column is
+    one strided read of them (``table._read_columns``).  Only a body that
+    fails is scanned line by line, to name the first faulty line.  Cell
+    and shape faults are reported in line order, then a missing body,
+    then bad names.
     """
     if isinstance(data, bytes):
         try:
@@ -101,39 +103,42 @@ def parse_csv(data: bytes | str) -> JudgmentTable:
     else:
         text = data
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
-    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    if not lines or all(line == "" for line in lines):
+    if "\r" in text:
+        lines = [line.removesuffix("\r") for line in lines]
+    if not any(lines):
         raise CsvError("empty CSV input")
 
     target_names = lines[0].split(",")[1:]
     if not target_names:
         raise CsvError("header row declares no targets")
     u = len(target_names)
-    rest_length, commas = 2 * u - 1, u - 1
-
-    model_names: list[str] = []
-    rows: list[tuple[int, ...]] = []
-    for line_number, line in enumerate(lines[1:], start=2):
-        name, _, rest = line.partition(",")
-        digits = rest[::2]
-        if len(rest) != rest_length or rest.count(",") != commas or digits.strip("01"):
-            raise _row_error(line, line_number, target_names)
-        model_names.append(name)
-        rows.append(tuple(digits.encode("ascii").translate(_DIGIT_VALUES)))
-    if not rows:
+    body = lines[1:]
+    if not body:
         raise CsvError("CSV has a header but no model rows")
-    _check_names(target_names, model_names)
-    return _freeze(target_names, model_names, rows)
+    width = 2 * u
+    tails = "".join(map(itemgetter(slice(-width, None)), body))
+    model_names = tuple(map(itemgetter(slice(None, -width)), body))
+    digits = tails[1::2].encode("ascii", "replace")  # "?" fails the 0/1 test
+    if (
+        len(tails) != width * len(body)
+        or digits.translate(None, b"01")
+        or tails.count(",") != len(digits)
+        or "," in "".join(model_names)
+    ):
+        errors = (_row_error(line, n, target_names) for n, line in enumerate(body, start=2))
+        raise next(filter(None, errors), AssertionError("the body check found no faulty line"))
+    return JudgmentTable(model_names, tuple(target_names), _read_columns(digits, u))
 
 
 def emit_csv(table: JudgmentTable) -> str:
-    """CSV text of a table; each row's cells are rendered by one translate
-    of its 0/1 bytes to digits."""
+    """CSV text of a table, rendered from its row masks: a row's cells are
+    the binary digits of its mask, least significant first."""
+    u = table.target_count
     lines = ["model," + ",".join(table.target_names)]
-    for name, row in zip(table.model_names, table.cells):
-        lines.append(name + "," + ",".join(bytes(row).translate(_BINARY_DIGITS).decode("ascii")))
+    for name, row in zip(table.model_names, table.row_masks):
+        lines.append(name + "," + ",".join(format(row, "b").zfill(u)[::-1]))
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,6 @@ from .table import (
     bit_indices,
     check_masks,
     natural_ranks,
-    pack_bits,
     transpose,
 )
 
@@ -90,7 +89,7 @@ def structure_from_table(table: JudgmentTable, complete: bool = True) -> Knowled
     With ``complete`` the empty and full states are added when absent;
     duplicate model rows collapse to one state either way.
     """
-    states = set(map(pack_bits, set(table.cells)))
+    states = set(table.row_masks)
     if complete:
         states |= {0, (1 << table.target_count) - 1}
     return KnowledgeStructure(

@@ -80,6 +80,15 @@ class SynthSpec:
             raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
 
 
+def check_poset_size(size: int) -> None:
+    """Raise unless the downsets of ``size`` elements may be enumerated."""
+    if size > MAX_POSET_ELEMENTS:
+        raise ValueError(
+            f"refusing to enumerate downsets of {size} elements "
+            f"(limit {MAX_POSET_ELEMENTS})"
+        )
+
+
 def all_downsets(poset: PlantedPoset) -> KnowledgeStructure:
     """Every subset closed under prerequisites, as a knowledge structure.
 
@@ -88,11 +97,7 @@ def all_downsets(poset: PlantedPoset) -> KnowledgeStructure:
     branches on include/exclude, visiting each downset exactly once.
     """
     size = len(poset.elements)
-    if size > MAX_POSET_ELEMENTS:
-        raise ValueError(
-            f"refusing to enumerate downsets of {size} elements "
-            f"(limit {MAX_POSET_ELEMENTS})"
-        )
+    check_poset_size(size)
     preds = poset.predecessor_masks()
 
     # An element has strictly more ancestors than each of its prerequisites

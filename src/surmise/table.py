@@ -3,7 +3,7 @@
 The table is the root object of the whole pipeline.  Everything downstream
 (knowledge structures, the flexible order, Hasse diagrams) is a pure
 function of it, so it is immutable after construction and every derived
-quantity is exact integer arithmetic on its cells.
+quantity is exact integer arithmetic on its support masks.
 """
 from __future__ import annotations
 
@@ -76,31 +76,18 @@ def natural_ranks(names: Sequence[str]) -> tuple[int, ...]:
     return tuple(rank)
 
 
-# Maps byte 0 and ASCII "0" to ASCII "0", every other byte to ASCII "1": a run
-# of 0/1 cells, or of binary digits, becomes the digits int(..., 2) reads.
-_BINARY_DIGITS = bytes(48 if byte in (0, 48) else 49 for byte in range(256))
-# The inverse for digits: ASCII "0"/"1" become the bytes 0/1.
+# Maps the bytes 0/1 to the ASCII digits "0"/"1", and back.
+_CELL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def pack_bits(flags: Sequence[int]) -> int:
-    """The int whose bit i is set iff flags[i] (a 0/1 int or bool) is 1."""
-    return int(bytes(reversed(flags)).translate(_BINARY_DIGITS) or b"0", 2)
-
-
-def _read_columns(digits: bytes, width: int) -> tuple[int, ...]:
-    """The ``width`` columns of a row-major matrix of 0/1 bytes or ASCII
-    0/1 digits, each as the int whose bit i is row i's entry.  A column is
-    one strided slice read backwards from the last row (the most
-    significant digit), so no Python-level loop touches a cell."""
+def _read_columns(digits: str | bytes, width: int) -> tuple[int, ...]:
+    """The ``width`` columns of a row-major matrix of ASCII 0/1 digits,
+    each as the int whose bit i is row i's digit.  A column is one strided
+    slice read backwards from the last row (the most significant digit),
+    so no Python-level loop touches a cell."""
     last = len(digits) - width
-    columns = (digits[last + j :: -width] for j in range(width))
-    return tuple(int(column.translate(_BINARY_DIGITS) or b"0", 2) for column in columns)
-
-
-def column_masks(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
-    """``pack_bits`` of each of the ``width`` columns of a 0/1 matrix."""
-    return _read_columns(bytes(chain.from_iterable(rows)), width)
+    return tuple(int(digits[last + j :: -width] or "0", 2) for j in range(width))
 
 
 def transpose(masks: Iterable[int], width: int) -> tuple[int, ...]:
@@ -109,7 +96,7 @@ def transpose(masks: Iterable[int], width: int) -> tuple[int, ...]:
     ``masks[i]``.  Rows are written as binary digits, most significant
     first, so column j is the strided read at offset ``width - 1 - j``."""
     digits = "".join([format(mask, "b").zfill(width) for mask in masks])
-    return _read_columns(digits.encode("ascii"), width)[::-1]
+    return _read_columns(digits, width)[::-1]
 
 
 def check_masks(kind: str, masks: Iterable[object], width: int) -> None:
@@ -149,6 +136,36 @@ def _check_name(kind: str, position: int, name: str) -> None:
                 f"{kind} name {name!r} at position {position} contains "
                 f"forbidden character {ch!r}"
             )
+
+
+_STR = frozenset((str,))
+
+
+def _check_names(target_names: Sequence[str], model_names: Sequence[str]) -> None:
+    """Reject empty names, forbidden characters and duplicates, targets
+    first, each axis in order.  An axis of unique, non-empty ``str`` names
+    whose concatenation holds no forbidden character passes by tests that
+    run in C; only an axis that fails them is scanned name by name, to
+    name its first fault."""
+    for kind, axis, names in (
+        ("target", "columns", target_names),
+        ("model", "rows", model_names),
+    ):
+        if (
+            _STR.issuperset(map(type, names))
+            and "" not in names
+            and len(set(names)) == len(names)
+            and not any(map("".join(names).__contains__, _FORBIDDEN_CHARS))
+        ):
+            continue
+        seen: dict[str, int] = {}
+        for k, name in enumerate(names):
+            _check_name(kind, k, name)
+            if name in seen:
+                raise TableError(
+                    f"duplicate {kind} name {name!r} ({axis} {seen[name]} and {k})"
+                )
+            seen[name] = k
 
 
 _Partition = TypeVar("_Partition", bound="NamePartition")
@@ -277,27 +294,35 @@ ZERO_FLEXIBILITY = Flexibility(0)
 
 @dataclass(frozen=True)
 class JudgmentTable:
-    """Immutable models x targets matrix of 0/1 judgment outcomes.
+    """Immutable models x targets matrix of 0/1 judgment outcomes, stored
+    by column.
 
-    ``cells[i][j]`` is 1 iff model i judged target j correctly; it is the
-    row-wise view.  The column-wise view is derived once at construction:
-    ``support_masks[j]`` is an int whose bit i is ``cells[i][j]``, and
-    ``support_sizes[j]`` its popcount.  Safe for concurrent reads; all
-    accessors are pure.
+    ``support_masks[j]`` is an int whose bit i is 1 iff model i judged
+    target j correctly; ``support_sizes[j]`` is its popcount, derived at
+    construction.  The row-wise views are built on request: bit j of
+    ``row_masks[i]`` and ``cells[i][j]`` are that same judgment.  Every
+    table, also a hand-built one, is checked once, at construction: the
+    names as ``build_table`` checks them, then one mask per target, each
+    a mask over the models.  Safe for concurrent reads; all accessors are
+    pure.
     """
 
     model_names: tuple[str, ...]
     target_names: tuple[str, ...]
-    cells: tuple[tuple[int, ...], ...]
-    support_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    support_masks: tuple[int, ...]
     support_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _target_index: dict[str, int] = field(init=False, repr=False, compare=False)
     _model_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        masks = column_masks(self.cells, len(self.target_names))
-        object.__setattr__(self, "support_masks", masks)
-        object.__setattr__(self, "support_sizes", tuple(m.bit_count() for m in masks))
+        _check_names(self.target_names, self.model_names)
+        if len(self.support_masks) != len(self.target_names):
+            raise TableError(
+                f"{len(self.support_masks)} support masks for {len(self.target_names)} targets"
+            )
+        check_masks("support mask", self.support_masks, len(self.model_names))
+        sizes = tuple(mask.bit_count() for mask in self.support_masks)
+        object.__setattr__(self, "support_sizes", sizes)
         object.__setattr__(
             self, "_target_index", {name: j for j, name in enumerate(self.target_names)}
         )
@@ -313,6 +338,19 @@ class JudgmentTable:
     def target_count(self) -> int:
         return len(self.target_names)
 
+    @property
+    def row_masks(self) -> tuple[int, ...]:
+        """One int per model: bit j of ``row_masks[i]`` is bit i of
+        ``support_masks[j]``."""
+        return transpose(self.support_masks, self.model_count)
+
+    @property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        """The row masks as 0/1 tuples: ``cells[i][j]`` is bit j of
+        ``row_masks[i]``."""
+        u = self.target_count
+        return tuple(tuple(row >> j & 1 for j in range(u)) for row in self.row_masks)
+
     def _check_model_index(self, i: int) -> None:
         if not 0 <= i < self.model_count:
             raise IndexError(f"model index {i} out of range [0, {self.model_count})")
@@ -325,7 +363,7 @@ class JudgmentTable:
         """The stored judgment of model i on target j (0 or 1)."""
         self._check_model_index(i)
         self._check_target_index(j)
-        return self.cells[i][j]
+        return self.support_masks[j] >> i & 1
 
     def support(self, j: int) -> frozenset[int]:
         """Indices of the models that judged target j correctly."""
@@ -352,37 +390,6 @@ class JudgmentTable:
         return self._model_index[name]
 
 
-def _check_names(target_names: Sequence[str], model_names: Sequence[str]) -> None:
-    """Reject empty names, forbidden characters and duplicates, targets
-    first, each axis in order."""
-    for kind, axis, names in (
-        ("target", "columns", target_names),
-        ("model", "rows", model_names),
-    ):
-        seen: dict[str, int] = {}
-        for k, name in enumerate(names):
-            _check_name(kind, k, name)
-            if name in seen:
-                raise TableError(
-                    f"duplicate {kind} name {name!r} ({axis} {seen[name]} and {k})"
-                )
-            seen[name] = k
-
-
-def _freeze(
-    target_names: Sequence[str],
-    model_names: Sequence[str],
-    rows: Sequence[tuple[int, ...]],
-) -> JudgmentTable:
-    """The table of names already checked by ``_check_names`` and rows of
-    0/1 ints already checked against the target count."""
-    return JudgmentTable(
-        model_names=tuple(model_names),
-        target_names=tuple(target_names),
-        cells=tuple(rows),
-    )
-
-
 _BIT_TYPES = frozenset((int, bool))
 _BITS = frozenset((0, 1))
 
@@ -396,39 +403,44 @@ def build_table(
 
     Raises TableError with the offending row/column named when a name is
     duplicated or empty, a dimension is empty, the matrix is ragged, or a
-    cell is not 0/1.
+    cell is not 0/1.  Name faults are reported before the others.
 
-    A row whose cells are all exactly ``int`` or ``bool`` with values in
-    {0, 1} is accepted by two set tests; the type test is what rejects
-    ``1.0``, which equals 1.  Any other row goes through the per-cell
-    check, which accepts other ``int`` subclasses or names the bad cell.
-    ``bytes`` then reads every accepted cell as the int 0 or 1.
+    A matrix of one row per model and one cell per target, whose cells
+    are all exactly ``int`` or ``bool`` with values in {0, 1}, is accepted
+    by set tests on all its cells at once; the type test is what rejects
+    ``1.0``, which equals 1.  Any other matrix is scanned row by row, after
+    the names are checked, which accepts other ``int`` subclasses or names
+    the fault.  ``bytes`` then reads every cell as the byte 0 or 1, and the
+    columns are read from those bytes as digits, as ``parse_csv`` reads
+    them; the constructor checks the names.
     """
     if len(target_names) == 0:
         raise TableError("table has no targets (empty column dimension)")
     if len(model_names) == 0:
         raise TableError("table has no models (empty row dimension)")
-    _check_names(target_names, model_names)
-
     u = len(target_names)
-    if len(bits) != len(model_names):
-        raise TableError(
-            f"expected {len(model_names)} rows of cells, got {len(bits)}"
-        )
-    rows: list[tuple[int, ...]] = []
-    for i, raw_row in enumerate(bits):
-        row = tuple(raw_row)
-        if len(row) != u:
-            raise TableError(
-                f"row {i} (model {model_names[i]!r}) has {len(row)} cells, "
-                f"expected {u}"
-            )
-        if not (_BIT_TYPES.issuperset(map(type, row)) and _BITS.issuperset(row)):
+    rows = [tuple(row) for row in bits]
+    cells = list(chain.from_iterable(rows))
+    if not (
+        len(rows) == len(model_names)
+        and set(map(len, rows)) == {u}
+        and _BIT_TYPES.issuperset(map(type, cells))
+        and _BITS.issuperset(cells)
+    ):
+        _check_names(target_names, model_names)
+        if len(rows) != len(model_names):
+            raise TableError(f"expected {len(model_names)} rows of cells, got {len(rows)}")
+        for i, row in enumerate(rows):
+            if len(row) != u:
+                raise TableError(
+                    f"row {i} (model {model_names[i]!r}) has {len(row)} cells, "
+                    f"expected {u}"
+                )
             for j, cell in enumerate(row):
                 if not isinstance(cell, int) or cell not in (0, 1):
                     raise TableError(
                         f"cell at row {i} (model {model_names[i]!r}), column {j} "
                         f"(target {target_names[j]!r}) is {cell!r}, not 0 or 1"
                     )
-        rows.append(tuple(bytes(row)))
-    return _freeze(target_names, model_names, rows)
+    digits = bytes(cells).translate(_CELL_DIGITS)
+    return JudgmentTable(tuple(model_names), tuple(target_names), _read_columns(digits, u))

@@ -8,8 +8,9 @@ boolean matrix, knowledge states are frozensets of ground indices (the
 surmise relation intersects the states containing each target, concepts
 group targets by their family of states), the structure view sorts every
 state by natural keys of its member names each time it is printed, the
-CSV reader checks every cell while splitting and again while building
-the table, and the JSON outputs are ``json.dumps(..., indent=2)`` of a
+CSV reader checks every cell while splitting and again as a table, scans
+the names one by one and packs the support masks cell by cell, and the
+JSON outputs are ``json.dumps(..., indent=2)`` of a
 dict built from the report or diagram.  The package's earlier row-mask
 forms are kept as references for the faster code that replaced them:
 the order rows by one threshold test per ordered pair, the axiom check
@@ -36,9 +37,13 @@ from surmise.table import (
     JudgmentTable,
     TableError,
     bit_indices,
-    pack_bits,
     transpose,
 )
+
+
+def pack_bits(flags) -> int:
+    """The int whose bit i is set iff flags[i] (a 0/1 int or bool) is 1."""
+    return sum(1 << i for i, flag in enumerate(flags) if flag)
 
 
 def columns_of(rows: list[list[int]]) -> list[tuple[int, ...]]:
@@ -410,11 +415,59 @@ def reduction_reference(
     return new_ground, new_states
 
 
+def check_names_reference(target_names, model_names) -> None:
+    """Reject empty names, forbidden characters and duplicates by one scan
+    of each axis, targets first, with the messages of the package."""
+
+    def check_name(kind: str, position: int, name: str) -> None:
+        if not isinstance(name, str) or not name:
+            raise TableError(f"{kind} name at position {position} is empty")
+        for ch in ('"', ",", "\n", "\r", "\\"):
+            if ch in name:
+                raise TableError(
+                    f"{kind} name {name!r} at position {position} contains "
+                    f"forbidden character {ch!r}"
+                )
+
+    seen: dict[str, int] = {}
+    for j, name in enumerate(target_names):
+        check_name("target", j, name)
+        if name in seen:
+            raise TableError(
+                f"duplicate target name {name!r} (columns {seen[name]} and {j})"
+            )
+        seen[name] = j
+    seen = {}
+    for i, name in enumerate(model_names):
+        check_name("model", i, name)
+        if name in seen:
+            raise TableError(
+                f"duplicate model name {name!r} (rows {seen[name]} and {i})"
+            )
+        seen[name] = i
+
+
 def parse_csv_reference(data: bytes | str):
-    """A judgment table read from CSV by splitting every line and checking
-    every cell, then validating names, shape and cells once more as a
-    table; raises the same ``CsvError``/``TableError`` messages as
-    ``surmise.parse_csv``."""
+    """The judgment table of ``csv_rows_reference``, its support masks
+    packed by a loop over every cell."""
+    target_names, model_names, rows = csv_rows_reference(data)
+    masks = [0] * len(target_names)
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if cell:
+                masks[j] |= 1 << i
+    return JudgmentTable(
+        model_names=tuple(model_names),
+        target_names=tuple(target_names),
+        support_masks=tuple(masks),
+    )
+
+
+def csv_rows_reference(data: bytes | str):
+    """Target names, model names and 0/1 rows read from CSV by splitting
+    every line and checking every cell, then validating names, shape and
+    cells once more as a table; raises the same ``CsvError``/``TableError``
+    messages as ``surmise.parse_csv``."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -460,32 +513,7 @@ def parse_csv_reference(data: bytes | str):
     if not bits:
         raise CsvError("CSV has a header but no model rows")
 
-    def check_name(kind: str, position: int, name: str) -> None:
-        if not isinstance(name, str) or not name:
-            raise TableError(f"{kind} name at position {position} is empty")
-        for ch in ('"', ",", "\n", "\r", "\\"):
-            if ch in name:
-                raise TableError(
-                    f"{kind} name {name!r} at position {position} contains "
-                    f"forbidden character {ch!r}"
-                )
-
-    seen: dict[str, int] = {}
-    for j, name in enumerate(target_names):
-        check_name("target", j, name)
-        if name in seen:
-            raise TableError(
-                f"duplicate target name {name!r} (columns {seen[name]} and {j})"
-            )
-        seen[name] = j
-    seen = {}
-    for i, name in enumerate(model_names):
-        check_name("model", i, name)
-        if name in seen:
-            raise TableError(
-                f"duplicate model name {name!r} (rows {seen[name]} and {i})"
-            )
-        seen[name] = i
+    check_names_reference(target_names, model_names)
     rows: list[tuple[int, ...]] = []
     for i, raw_row in enumerate(bits):
         for j, cell in enumerate(raw_row):
@@ -495,11 +523,7 @@ def parse_csv_reference(data: bytes | str):
                     f"(target {target_names[j]!r}) is {cell!r}, not 0 or 1"
                 )
         rows.append(tuple(int(c) for c in raw_row))
-    return JudgmentTable(
-        model_names=tuple(model_names),
-        target_names=tuple(target_names),
-        cells=tuple(rows),
-    )
+    return target_names, model_names, rows
 
 
 def report_json_reference(report) -> str:

@@ -181,6 +181,19 @@ class TestSynth:
         )
         assert code == 3
 
+    def test_too_many_targets_refused_before_the_poset_is_drawn(self, capsys, monkeypatch):
+        import surmise.cli
+
+        def never(*args):
+            raise AssertionError("random_poset called")
+
+        monkeypatch.setattr(surmise.cli, "random_poset", never)
+        code, out, err = run(
+            capsys, "synth", "--targets", "21", "--models", "5", "--seed", "1"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: refusing to enumerate downsets of 21 elements (limit 20)\n"
+
     def test_bad_noise_is_constraint_violation(self, capsys):
         code, _, _ = run(
             capsys,

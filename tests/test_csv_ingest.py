@@ -1,11 +1,12 @@
 """Differential and property tests for the one-pass CSV reader.
 
-``parse_csv`` accepts each body line with one string test and scans the
-cells of a line only to name its fault; ``oracles.parse_csv_reference``
-splits and checks every cell and then validates the whole table again.
-On valid tables, on single faults and on pairs of faults both must give
-an equal table with equal support masks, or the same exception class
-with the same message.
+``parse_csv`` accepts the whole body with a few string tests and scans
+the lines only to name a fault; ``oracles.parse_csv_reference`` splits
+and checks every cell, validates the whole table again and packs the
+support masks cell by cell.  On valid tables, on single faults, on pairs
+of faults and on one-character edits both must give an equal table with
+equal support masks, or the same exception class with the same message;
+the row views of the table must be the reference's rows.
 """
 from __future__ import annotations
 
@@ -248,3 +249,43 @@ def test_emit_csv_round_trips(table):
     parsed = parse_csv(emit_csv(table))
     assert parsed == table
     assert parsed.support_masks == table.support_masks
+
+
+# Model names made of 0/1 digits look like cells to a reader that does
+# not stop at the first comma.
+MODEL_NAME = st.one_of(NAME, st.from_regex(r"[01]{1,4}", fullmatch=True))
+
+
+@st.composite
+def csv_tables(draw):
+    """The CSV bytes of a valid table, with 1 target or more, in LF or CRLF,
+    with or without a line end after the last row."""
+    u = draw(st.integers(1, 8))
+    v = draw(st.integers(1, 12))
+    targets = draw(st.lists(NAME, min_size=u, max_size=u, unique=True))
+    models = draw(st.lists(MODEL_NAME, min_size=v, max_size=v, unique=True))
+    rows = draw(st.lists(st.text(alphabet="01", min_size=u, max_size=u), min_size=v, max_size=v))
+    lines = ["model," + ",".join(targets)]
+    lines += [name + "," + ",".join(row) for name, row in zip(models, rows)]
+    return render(lines, draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_tables())
+def test_generated_tables_match_reference(data):
+    assert_same(data)
+    table = parse_csv(data)
+    _, _, rows = oracles.csv_rows_reference(data)
+    assert table.cells == tuple(rows)
+    assert table.row_masks == tuple(map(oracles.pack_bits, rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_tables(), st.data())
+def test_edited_tables_match_reference(data, draw):
+    """One character inserted, deleted or replaced anywhere."""
+    text = data.decode("utf-8")
+    at = draw.draw(st.integers(0, len(text)))
+    edit = draw.draw(st.sampled_from(["", "0", "1", ",", "\r", "\n", " ", "x", "²"]))
+    cut = draw.draw(st.integers(0, 1))
+    assert_same(text[:at] + edit + text[at + cut :])

@@ -116,6 +116,8 @@ def test_dot_and_synth_outputs_match_golden_bytes(golden, argv):
             "twelve_models.analyze-5-counts.txt",
             ["analyze", TWELVE, "--text", "--counts", "--flexibility", "5"],
         ),
+        ("twelve_models.structure-no-complete.txt", ["structure", TWELVE, "--no-complete"]),
+        ("twelve_models.counts-t6-t4.txt", ["counts", TWELVE, "--p", "t6", "--q", "t4"]),
     ],
 )
 def test_text_outputs_match_golden_bytes(golden, argv):

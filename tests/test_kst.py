@@ -321,3 +321,20 @@ def test_concepts_of_table_structure_are_equivalence_classes(fuzz_corpus, comple
         concepts = equally_informative(structure_from_table(table, complete))
         classes = equivalence_classes(table)
         assert set(concepts.blocks) == set(classes.blocks)
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda u: st.lists(
+            st.lists(st.integers(0, 1), min_size=u, max_size=u), min_size=1, max_size=12
+        )
+    ),
+    st.booleans(),
+)
+def test_structure_from_table_is_the_distinct_rows(rows, complete):
+    u = len(rows[0])
+    table = build_table([f"t{j}" for j in range(u)], [f"M{i}" for i in range(len(rows))], rows)
+    expected = {oracles.pack_bits(row) for row in set(map(tuple, rows))}
+    if complete:
+        expected |= {0, (1 << u) - 1}
+    assert structure_from_table(table, complete).states == expected

@@ -7,13 +7,16 @@ from surmise import (
     Flexibility,
     FlexibilityError,
     FlexibilityFormatError,
+    JudgmentTable,
     PairCounts,
     TableError,
     build_table,
     natural_key,
     natural_sorted,
 )
-from surmise.table import bit_indices, transpose
+from surmise.table import _check_names, bit_indices, transpose
+
+import oracles
 
 
 def small_tables(max_targets=5, max_models=6):
@@ -130,6 +133,100 @@ class TestBuildTable:
         assert str(raised.value) == (
             "target name 'a\\\\' at position 0 contains forbidden character '\\\\'"
         )
+
+
+class TestConstruction:
+    """A hand-built table is checked once, at construction, as parsed and
+    built ones are: names first, then one mask per target, each a mask
+    over the models."""
+
+    def test_masks_are_the_columns(self):
+        table = JudgmentTable(("a", "b", "c"), ("x", "y"), (0b101, 0b010))
+        assert table.row_masks == (0b01, 0b10, 0b01)
+        assert table.cells == ((1, 0), (0, 1), (1, 0))
+        assert [table.tab(i, j) for i in range(3) for j in range(2)] == [1, 0, 0, 1, 1, 0]
+        assert table.support_sizes == (2, 1)
+
+    def test_too_few_masks(self):
+        with pytest.raises(TableError) as raised:
+            JudgmentTable(("a", "b"), ("x", "y"), (1,))
+        assert str(raised.value) == "1 support masks for 2 targets"
+
+    def test_too_many_masks(self):
+        with pytest.raises(TableError) as raised:
+            JudgmentTable(("a", "b"), ("x", "y"), (1, 2, 3))
+        assert str(raised.value) == "3 support masks for 2 targets"
+
+    @pytest.mark.parametrize("mask", [4, 7, -1, 1 << 70])
+    def test_mask_beyond_the_models(self, mask):
+        with pytest.raises(ValueError) as raised:
+            JudgmentTable(("a", "b"), ("x", "y"), (1, mask))
+        assert str(raised.value) == f"support mask {mask} is not a mask over 2 elements"
+
+    @pytest.mark.parametrize("mask", [1.0, "1", None])
+    def test_mask_not_an_int(self, mask):
+        with pytest.raises(TypeError) as raised:
+            JudgmentTable(("a", "b"), ("x", "y"), (1, mask))
+        assert str(raised.value) == (
+            f"support mask {mask!r} is not an int: support masks are int masks"
+        )
+
+    def test_duplicate_target_names(self):
+        with pytest.raises(TableError) as raised:
+            JudgmentTable(("a", "b"), ("x", "x"), (1, 2))
+        assert str(raised.value) == "duplicate target name 'x' (columns 0 and 1)"
+
+    def test_bad_model_names(self):
+        with pytest.raises(TableError) as raised:
+            JudgmentTable(("a", ""), ("x",), (1,))
+        assert str(raised.value) == "model name at position 1 is empty"
+        with pytest.raises(TableError) as raised:
+            JudgmentTable(("a", 'b"'), ("x",), (1,))
+        assert str(raised.value) == (
+            "model name 'b\"' at position 1 contains forbidden character '\"'"
+        )
+
+    def test_name_fault_reported_before_mask_fault(self):
+        with pytest.raises(TableError, match="duplicate model name 'a'"):
+            JudgmentTable(("a", "a"), ("x",), (1, 2))
+
+    def test_build_table_checks_names_once_before_cells(self, monkeypatch):
+        import surmise.table
+
+        calls = []
+        check = surmise.table._check_names
+        monkeypatch.setattr(
+            surmise.table, "_check_names", lambda *names: calls.append(names) or check(*names)
+        )
+        build_table(["a", "b"], ["M1"], [[1, 0]])
+        assert len(calls) == 1
+        with pytest.raises(TableError, match="duplicate target"):
+            build_table(["a", "a"], ["M1", "M2"], [[1, 0]])
+
+
+NAMES = st.lists(
+    st.one_of(
+        st.sampled_from(["", "a", "b", "a\\", 'x"', "m,1", "t\r", "\n", "é"]),
+        st.text(alphabet='ab\r\n\\",', max_size=3),
+        st.none(),
+    ),
+    max_size=6,
+)
+
+
+@given(NAMES, NAMES)
+def test_check_names_matches_reference(target_names, model_names):
+    """The all-at-once acceptance of ``_check_names`` agrees with one
+    located scan of every name."""
+
+    def outcome(check):
+        try:
+            check(target_names, model_names)
+        except TableError as exc:
+            return str(exc)
+        return None
+
+    assert outcome(_check_names) == outcome(oracles.check_names_reference)
 
 
 class TestMasks:
