@@ -1,14 +1,13 @@
 """Covering edges of a partial order and the layered drawing behind them."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, repeat
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .order import OrderMatrix, check_natural_order, named_rows
-from .table import bit_indices, check_masks, natural_sorted, transpose
+from .table import Frozen, bit_indices, check_masks, natural_sorted, transpose
 
 __all__ = [
     "HasseDiagram",
@@ -18,8 +17,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(Frozen):
     """Covering edges of a partial order, plus a drawing layer per node.
 
     ``nodes`` are distinct and in natural order, so index order is
@@ -32,20 +30,22 @@ class HasseDiagram:
     from name pairs.
     """
 
-    nodes: tuple[str, ...]
-    members: Mapping[str, tuple[str, ...]]
-    covers: tuple[int, ...]
-    layers: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    _fields = ("nodes", "members", "covers")
 
-    def __post_init__(self) -> None:
-        check_natural_order("nodes", self.nodes)
-        if len(self.covers) != len(self.nodes):
-            raise ValueError(f"{len(self.covers)} covering rows for {len(self.nodes)} nodes")
-        check_masks("covering row", self.covers, len(self.nodes))
-        for node in self.nodes:
-            if node not in self.members:
+    def __init__(
+        self, nodes: tuple[str, ...], members: Mapping[str, tuple[str, ...]],
+        covers: tuple[int, ...],
+    ) -> None:
+        check_natural_order("nodes", nodes)
+        if len(covers) != len(nodes):
+            raise ValueError(f"{len(covers)} covering rows for {len(nodes)} nodes")
+        check_masks("covering row", covers, len(nodes))
+        for node in nodes:
+            if node not in members:
                 raise ValueError(f"node {node!r} has no entry in members")
-        object.__setattr__(self, "layers", _layers(self.nodes, self.covers))
+        self.__dict__.update(
+            nodes=nodes, members=members, covers=covers, layers=_layers(nodes, covers)
+        )
 
     @classmethod
     def from_edges(

@@ -17,7 +17,6 @@ the order matrix and of the Hasse diagram by one row walker
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -26,6 +25,7 @@ from .kst import KnowledgeStructure, _all_singletons, _reduction, equally_inform
 from .order import EquivalenceClasses, OrderMatrix, order_matrix
 from .table import (
     Flexibility,
+    Frozen,
     JudgmentTable,
     PairCounts,
     ZERO_FLEXIBILITY,
@@ -203,8 +203,7 @@ def emit_dot(diagram: HasseDiagram) -> str:
     return "".join(dot_chunks(diagram))
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Frozen):
     """Everything the pipeline derives from one table at one flexibility.
 
     ``order`` is the order matrix (its rows hold the strict ordered
@@ -215,11 +214,15 @@ class AnalysisReport:
     ``hasse`` and ``layers`` from ``diagram``.
     """
 
-    targets: tuple[str, ...]
-    flexibility: Flexibility
-    order: OrderMatrix
-    diagram: HasseDiagram
-    counts: tuple[tuple[str, str, PairCounts], ...] | None = None
+    _fields = ("targets", "flexibility", "order", "diagram", "counts")
+
+    def __init__(
+        self, targets: tuple[str, ...], flexibility: Flexibility, order: OrderMatrix,
+        diagram: HasseDiagram, counts: tuple[tuple[str, str, PairCounts], ...] | None = None,
+    ) -> None:
+        self.__dict__.update(
+            targets=targets, flexibility=flexibility, order=order, diagram=diagram, counts=counts
+        )
 
     @property
     def relation(self) -> tuple[tuple[str, str], ...]:

@@ -13,9 +13,8 @@ one fixed iteration of the family, contains it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .table import (
+    Frozen,
     JudgmentTable,
     NamePartition,
     bit_indices,
@@ -36,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KnowledgeStructure:
+class KnowledgeStructure(Frozen):
     """A family of distinct knowledge states over an ordered ground list.
 
     Each state is an int mask: bit j is set iff the state contains
@@ -49,24 +47,24 @@ class KnowledgeStructure:
     state costs no name comparison.
     """
 
-    ground: tuple[str, ...]
-    states: frozenset[int]
-    completed: bool = False
-    rank: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _fields = ("ground", "states", "completed")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, ground: tuple[str, ...], states: frozenset[int], completed: bool = False
+    ) -> None:
         index: dict[str, int] = {}
-        for j, name in enumerate(self.ground):
+        for j, name in enumerate(ground):
             if name in index:
                 raise ValueError(f"duplicate ground name {name!r}")
             index[name] = j
-        check_masks("state", self.states, len(self.ground))
-        if self.completed:
-            if 0 not in self.states or self.full_state not in self.states:
+        check_masks("state", states, len(ground))
+        if completed:
+            if 0 not in states or (1 << len(ground)) - 1 not in states:
                 raise ValueError("completed structure must contain {} and the full set")
-        object.__setattr__(self, "rank", natural_ranks(self.ground))
-        object.__setattr__(self, "_index", index)
+        self.__dict__.update(
+            ground=ground, states=states, completed=completed, rank=natural_ranks(ground),
+            _index=index,
+        )
 
     @property
     def full_state(self) -> int:
@@ -131,7 +129,6 @@ def surmise_from_structure(
     )
 
 
-@dataclass(frozen=True)
 class ConceptPartition(NamePartition):
     """Targets grouped by equal informativeness (identical state families).
 

@@ -9,7 +9,6 @@ and is a genuine partial order: reflexive, anti-symmetric, transitive.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, groupby, pairwise, repeat
 from operator import or_
@@ -17,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .table import (
     Flexibility,
+    Frozen,
     JudgmentTable,
     NamePartition,
     PairCounts,
@@ -105,7 +105,6 @@ def flexible_leq(counts: PairCounts, alpha: Flexibility) -> bool:
     return _edge_holds(counts.n2, counts.n3, alpha.basis_points)
 
 
-@dataclass(frozen=True)
 class EquivalenceClasses(NamePartition):
     """Partition of the targets by mutual order (= identical columns).
 
@@ -133,8 +132,7 @@ def equivalence_classes(table: JudgmentTable) -> EquivalenceClasses:
     return EquivalenceClasses.from_keys(table.target_names, table.support_masks)
 
 
-@dataclass(frozen=True)
-class OrderMatrix:
+class OrderMatrix(Frozen):
     """Boolean matrix of the prerequisite order over class representatives.
 
     ``reps`` are distinct and in natural order, so index order is natural
@@ -148,22 +146,21 @@ class OrderMatrix:
     each representative; hand-built matrices may omit it.
     """
 
-    reps: tuple[str, ...]
-    rows: tuple[int, ...]
-    classes: EquivalenceClasses | None = None
-    diagnostics: OrderDiagnostics = field(init=False, repr=False, compare=False)
-    covers: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _fields = ("reps", "rows", "classes")
 
-    def __post_init__(self) -> None:
-        check_natural_order("representatives", self.reps)
-        if len(self.rows) != len(self.reps):
-            raise ValueError(f"{len(self.rows)} rows for {len(self.reps)} representatives")
-        check_masks("row", self.rows, len(self.reps))
-        diagnostics, covers = _check_axioms(self.reps, self.rows)
-        object.__setattr__(self, "diagnostics", diagnostics)
-        object.__setattr__(self, "covers", covers)
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.reps)})
+    def __init__(
+        self, reps: tuple[str, ...], rows: tuple[int, ...],
+        classes: EquivalenceClasses | None = None,
+    ) -> None:
+        check_natural_order("representatives", reps)
+        if len(rows) != len(reps):
+            raise ValueError(f"{len(rows)} rows for {len(reps)} representatives")
+        check_masks("row", rows, len(reps))
+        diagnostics, covers = _check_axioms(reps, rows)
+        self.__dict__.update(
+            reps=reps, rows=rows, classes=classes, diagnostics=diagnostics, covers=covers,
+            _index={name: i for i, name in enumerate(reps)},
+        )
 
     @property
     def strict_rows(self) -> list[int]:
@@ -217,16 +214,26 @@ class OrderMatrix:
         return cls(reps=reps, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class OrderDiagnostics:
+class OrderDiagnostics(Frozen):
     """Pass/fail per order axiom, with a counterexample where one fails."""
 
-    reflexive: bool
-    antisymmetric: bool
-    transitive: bool
-    reflexivity_witness: str | None = None
-    antisymmetry_witness: tuple[str, str] | None = None
-    transitivity_witness: tuple[str, str, str] | None = None
+    _fields = (
+        "reflexive", "antisymmetric", "transitive",
+        "reflexivity_witness", "antisymmetry_witness", "transitivity_witness",
+    )
+
+    def __init__(
+        self, reflexive: bool, antisymmetric: bool, transitive: bool,
+        reflexivity_witness: str | None = None,
+        antisymmetry_witness: tuple[str, str] | None = None,
+        transitivity_witness: tuple[str, str, str] | None = None,
+    ) -> None:
+        self.__dict__.update(
+            reflexive=reflexive, antisymmetric=antisymmetric, transitive=transitive,
+            reflexivity_witness=reflexivity_witness,
+            antisymmetry_witness=antisymmetry_witness,
+            transitivity_witness=transitivity_witness,
+        )
 
     @property
     def ok(self) -> bool:

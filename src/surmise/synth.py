@@ -8,12 +8,11 @@ of its arguments (seed included).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .hasse import transitive_closure
 from .kst import KnowledgeStructure
 from .order import OrderMatrix
-from .table import JudgmentTable, bit_indices, build_table
+from .table import Frozen, JudgmentTable, bit_indices, build_table
 
 __all__ = [
     "MAX_POSET_ELEMENTS",
@@ -29,25 +28,24 @@ __all__ = [
 MAX_POSET_ELEMENTS = 20
 
 
-@dataclass(frozen=True)
-class PlantedPoset:
+class PlantedPoset(Frozen):
     """Ground-truth prerequisite edges: (lower, upper) means lower must be
     mastered before upper.  Edges must be acyclic and self-loop free."""
 
-    elements: tuple[str, ...]
-    covers: tuple[tuple[str, str], ...]
+    _fields = ("elements", "covers")
 
-    def __post_init__(self) -> None:
+    def __init__(self, elements: tuple[str, ...], covers: tuple[tuple[str, str], ...]) -> None:
         seen = set()
-        for name in self.elements:
+        for name in elements:
             if name in seen:
                 raise ValueError(f"duplicate element {name!r}")
             seen.add(name)
-        for lower, upper in self.covers:
+        for lower, upper in covers:
             if lower not in seen or upper not in seen:
                 raise ValueError(f"edge ({lower!r}, {upper!r}) mentions unknown element")
             if lower == upper:
                 raise ValueError(f"self-loop on {lower!r}")
+        self.__dict__.update(elements=elements, covers=covers)
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
@@ -66,18 +64,17 @@ class PlantedPoset:
         return preds
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    poset: PlantedPoset
-    model_count: int
-    noise: float = 0.0
-    seed: int = 0
+class SynthSpec(Frozen):
+    _fields = ("poset", "model_count", "noise", "seed")
 
-    def __post_init__(self) -> None:
-        if self.model_count < 1:
-            raise ValueError(f"model_count must be >= 1, got {self.model_count}")
-        if not 0.0 <= self.noise <= 1.0:
-            raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
+    def __init__(
+        self, poset: PlantedPoset, model_count: int, noise: float = 0.0, seed: int = 0
+    ) -> None:
+        if model_count < 1:
+            raise ValueError(f"model_count must be >= 1, got {model_count}")
+        if not 0.0 <= noise <= 1.0:
+            raise ValueError(f"noise must lie in [0, 1], got {noise}")
+        self.__dict__.update(poset=poset, model_count=model_count, noise=noise, seed=seed)
 
 
 def check_poset_size(size: int) -> None:

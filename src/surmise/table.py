@@ -8,7 +8,6 @@ quantity is exact integer arithmetic on its support masks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import chain, compress
 from typing import ClassVar, Hashable, Iterable, Sequence, TypeVar
 
@@ -168,11 +167,49 @@ def _check_names(target_names: Sequence[str], model_names: Sequence[str]) -> Non
             seen[name] = k
 
 
+class Frozen:
+    """Base of the package's immutable records.
+
+    ``_fields`` names, in order, the attributes that make up a record's
+    value: equality (only between instances of the same class), the hash
+    and ``repr`` read them and nothing else, so attributes derived at
+    construction are neither compared nor shown.  Each record's
+    ``__init__`` checks its arguments, then sets every attribute once
+    through ``self.__dict__``; assigning or deleting an attribute later
+    raises ``AttributeError``.  The records are written by hand, not
+    generated at import: generating their methods, and importing the
+    generator with the ``inspect`` and ``ast`` modules it needs, took
+    longer than a CLI run's work on a small table (README, "Start-up").
+    """
+
+    _fields: ClassVar[tuple[str, ...]] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({values})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
 _Partition = TypeVar("_Partition", bound="NamePartition")
 
 
-@dataclass(frozen=True)
-class NamePartition:
+class NamePartition(Frozen):
     """Unique names split into blocks, each natural-sorted and labeled by
     its member at position ``LABEL``; blocks are ordered by label.
 
@@ -182,13 +219,11 @@ class NamePartition:
     """
 
     LABEL: ClassVar[int]
+    _fields = ("blocks",)
 
-    blocks: tuple[tuple[str, ...], ...]
-    _block_of: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_block_of", {name: block for block in self.blocks for name in block}
+    def __init__(self, blocks: tuple[tuple[str, ...], ...]) -> None:
+        self.__dict__.update(
+            blocks=blocks, _block_of={name: block for block in blocks for name in block}
         )
 
     @classmethod
@@ -218,24 +253,22 @@ class NamePartition:
         return self._block_of[name]
 
 
-@dataclass(frozen=True)
-class PairCounts:
+class PairCounts(Frozen):
     """Model counts for the four response patterns on an ordered target
     pair (p, q): n1 = both correct, n2 = p only, n3 = q only, n4 = neither.
     """
 
-    n1: int
-    n2: int
-    n3: int
-    n4: int
+    _fields = ("n1", "n2", "n3", "n4")
+
+    def __init__(self, n1: int, n2: int, n3: int, n4: int) -> None:
+        self.__dict__.update(n1=n1, n2=n2, n3=n3, n4=n4)
 
     @property
     def total(self) -> int:
         return self.n1 + self.n2 + self.n3 + self.n4
 
 
-@dataclass(frozen=True)
-class Flexibility:
+class Flexibility(Frozen):
     """Tolerated share of counterexample models, stored in basis points.
 
     25.5% is stored as 2550.  Keeping the value integral lets every
@@ -244,18 +277,19 @@ class Flexibility:
     50% are rejected: the order's anti-symmetry depends on it.
     """
 
-    basis_points: int
+    _fields = ("basis_points",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.basis_points, int):
+    def __init__(self, basis_points: int) -> None:
+        if not isinstance(basis_points, int):
             raise FlexibilityError(
-                f"basis points must be an integer, got {self.basis_points!r}"
+                f"basis points must be an integer, got {basis_points!r}"
             )
-        if not 0 <= self.basis_points < 5000:
+        if not 0 <= basis_points < 5000:
             raise FlexibilityError(
                 f"flexibility must lie in [0%, 50%), got "
-                f"{self.basis_points / 100:g}%"
+                f"{basis_points / 100:g}%"
             )
+        self.__dict__.update(basis_points=basis_points)
 
     @classmethod
     def parse(cls, text: str) -> "Flexibility":
@@ -292,8 +326,7 @@ class Flexibility:
 ZERO_FLEXIBILITY = Flexibility(0)
 
 
-@dataclass(frozen=True)
-class JudgmentTable:
+class JudgmentTable(Frozen):
     """Immutable models x targets matrix of 0/1 judgment outcomes, stored
     by column.
 
@@ -303,31 +336,29 @@ class JudgmentTable:
     ``row_masks[i]`` and ``cells[i][j]`` are that same judgment.  Every
     table, also a hand-built one, is checked once, at construction: the
     names as ``build_table`` checks them, then one mask per target, each
-    a mask over the models.  Safe for concurrent reads; all accessors are
-    pure.
+    a mask over the models.  The three given sequences are stored as
+    tuples, so a table built from lists equals, and hashes like, the same
+    table from ``parse_csv``.  Safe for concurrent reads; all accessors
+    are pure.
     """
 
-    model_names: tuple[str, ...]
-    target_names: tuple[str, ...]
-    support_masks: tuple[int, ...]
-    support_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _target_index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _model_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _fields = ("model_names", "target_names", "support_masks")
 
-    def __post_init__(self) -> None:
-        _check_names(self.target_names, self.model_names)
-        if len(self.support_masks) != len(self.target_names):
+    def __init__(
+        self, model_names: Sequence[str], target_names: Sequence[str], support_masks: Sequence[int]
+    ) -> None:
+        _check_names(target_names, model_names)
+        if len(support_masks) != len(target_names):
             raise TableError(
-                f"{len(self.support_masks)} support masks for {len(self.target_names)} targets"
+                f"{len(support_masks)} support masks for {len(target_names)} targets"
             )
-        check_masks("support mask", self.support_masks, len(self.model_names))
-        sizes = tuple(mask.bit_count() for mask in self.support_masks)
-        object.__setattr__(self, "support_sizes", sizes)
-        object.__setattr__(
-            self, "_target_index", {name: j for j, name in enumerate(self.target_names)}
-        )
-        object.__setattr__(
-            self, "_model_index", {name: i for i, name in enumerate(self.model_names)}
+        check_masks("support mask", support_masks, len(model_names))
+        self.__dict__.update(
+            model_names=tuple(model_names), target_names=tuple(target_names),
+            support_masks=tuple(support_masks),
+            support_sizes=tuple(mask.bit_count() for mask in support_masks),
+            _target_index={name: j for j, name in enumerate(target_names)},
+            _model_index={name: i for i, name in enumerate(model_names)},
         )
 
     @property

@@ -13,6 +13,7 @@ from surmise import (
     build_table,
     natural_key,
     natural_sorted,
+    parse_csv,
 )
 from surmise.table import _check_names, bit_indices, transpose
 
@@ -146,6 +147,14 @@ class TestConstruction:
         assert table.cells == ((1, 0), (0, 1), (1, 0))
         assert [table.tab(i, j) for i in range(3) for j in range(2)] == [1, 0, 0, 1, 1, 0]
         assert table.support_sizes == (2, 1)
+
+    def test_list_arguments_are_stored_as_tuples(self):
+        table = JudgmentTable(["M1"], ["a"], [1])
+        assert (table.model_names, table.target_names, table.support_masks) == (
+            ("M1",), ("a",), (1,)
+        )
+        parsed = parse_csv(b"model,a\nM1,1\n")
+        assert table == parsed and hash(table) == hash(parsed)
 
     def test_too_few_masks(self):
         with pytest.raises(TableError) as raised:
