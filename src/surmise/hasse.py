@@ -33,9 +33,10 @@ class HasseDiagram(Frozen):
     _fields = ("nodes", "members", "covers")
 
     def __init__(
-        self, nodes: tuple[str, ...], members: Mapping[str, tuple[str, ...]],
-        covers: tuple[int, ...],
+        self, nodes: Sequence[str], members: Mapping[str, tuple[str, ...]],
+        covers: Sequence[int],
     ) -> None:
+        nodes, covers = tuple(nodes), tuple(covers)
         check_natural_order("nodes", nodes)
         if len(covers) != len(nodes):
             raise ValueError(f"{len(covers)} covering rows for {len(nodes)} nodes")
@@ -64,7 +65,7 @@ class HasseDiagram(Frozen):
             if lower not in index or upper not in index:
                 raise ValueError(f"edge ({lower!r}, {upper!r}) mentions an unknown node")
             covers[index[lower]] |= 1 << index[upper]
-        return cls(nodes=nodes, members=members, covers=tuple(covers))
+        return cls(nodes=nodes, members=members, covers=covers)
 
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:

@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .hasse import HasseDiagram, transitive_reduction
-from .kst import KnowledgeStructure, _all_singletons, _reduction, equally_informative
+from .kst import KnowledgeStructure, discriminative_reduction, equally_informative
 from .order import EquivalenceClasses, OrderMatrix, order_matrix
 from .table import (
     Flexibility,
@@ -386,8 +386,8 @@ def structure_chunks(structure: KnowledgeStructure) -> Iterator[str]:
         yield " ".join([f"K_{name}:", *map(texts.__getitem__, bit_indices(family))]) + "\n"
     partition = equally_informative(structure)
     concepts = " ".join("{" + ",".join(block) + "}" for block in partition.blocks)
-    discriminative = "true" if _all_singletons(partition) else "false"
-    reduced = _reduction(structure, partition)
+    discriminative = "true" if len(partition.blocks) == len(structure.ground) else "false"
+    reduced = discriminative_reduction(structure, partition)
     _, reduced_texts = _rendered_states(reduced)
     yield (
         f"concepts: {concepts}\ndiscriminative: {discriminative}\n"

@@ -2,9 +2,8 @@
 
 A knowledge state is the subset of targets some model handles correctly;
 a structure is a family of such states over a fixed ground list.  This
-module gives the classical machinery: the subfamily of states containing
-a target, the surmise relation, equally-informative targets, and the
-discriminative reduction.
+module gives the classical machinery: the surmise relation,
+equally-informative targets, and the discriminative reduction.
 
 A state is an int mask whose bit j says whether it contains ``ground[j]``.
 The derivations work on the transposed state matrix (``table.transpose``):
@@ -13,25 +12,17 @@ one fixed iteration of the family, contains it.
 """
 from __future__ import annotations
 
-from .table import (
-    Frozen,
-    JudgmentTable,
-    NamePartition,
-    bit_indices,
-    check_masks,
-    natural_ranks,
-    transpose,
-)
+from typing import Iterable, Sequence
+
+from .table import Frozen, JudgmentTable, NamePartition, check_masks, natural_ranks, transpose
 
 __all__ = [
     "KnowledgeStructure",
     "ConceptPartition",
     "structure_from_table",
-    "states_containing",
     "surmise_from_structure",
     "equally_informative",
     "discriminative_reduction",
-    "is_discriminative",
 ]
 
 
@@ -50,8 +41,9 @@ class KnowledgeStructure(Frozen):
     _fields = ("ground", "states", "completed")
 
     def __init__(
-        self, ground: tuple[str, ...], states: frozenset[int], completed: bool = False
+        self, ground: Sequence[str], states: Iterable[int], completed: bool = False
     ) -> None:
+        ground, states = tuple(ground), frozenset(states)
         index: dict[str, int] = {}
         for j, name in enumerate(ground):
             if name in index:
@@ -66,19 +58,10 @@ class KnowledgeStructure(Frozen):
             _index=index,
         )
 
-    @property
-    def full_state(self) -> int:
-        return (1 << len(self.ground)) - 1
-
     def index_of(self, name: str) -> int:
         if name not in self._index:
             raise ValueError(f"unknown target {name!r}")
         return self._index[name]
-
-    def names_of(self, state: int) -> tuple[str, ...]:
-        """The member names of a state in natural order."""
-        members = sorted(bit_indices(state), key=self.rank.__getitem__)
-        return tuple(self.ground[j] for j in members)
 
 
 def structure_from_table(table: JudgmentTable, complete: bool = True) -> KnowledgeStructure:
@@ -90,22 +73,7 @@ def structure_from_table(table: JudgmentTable, complete: bool = True) -> Knowled
     states = set(table.row_masks)
     if complete:
         states |= {0, (1 << table.target_count) - 1}
-    return KnowledgeStructure(
-        ground=table.target_names,
-        states=frozenset(states),
-        completed=complete,
-    )
-
-
-def states_containing(structure: KnowledgeStructure, target: str) -> frozenset[int]:
-    """The subfamily of states that include the given target.
-
-    >>> s = KnowledgeStructure(("a", "b"), frozenset({0b00, 0b11}))
-    >>> states_containing(s, "a") == frozenset({0b11})
-    True
-    """
-    bit = 1 << structure.index_of(target)
-    return frozenset(state for state in structure.states if state & bit)
+    return KnowledgeStructure(ground=table.target_names, states=states, completed=complete)
 
 
 def surmise_from_structure(
@@ -139,9 +107,6 @@ class ConceptPartition(NamePartition):
 
     LABEL = 0
 
-    def representative_of(self, name: str) -> str:
-        return self.block_of(name)[0]
-
 
 def equally_informative(structure: KnowledgeStructure) -> ConceptPartition:
     """Partition the ground into blocks whose members lie in exactly the
@@ -151,36 +116,29 @@ def equally_informative(structure: KnowledgeStructure) -> ConceptPartition:
     return ConceptPartition.from_keys(structure.ground, columns)
 
 
-def is_discriminative(structure: KnowledgeStructure) -> bool:
-    """True iff no two distinct targets are equally informative."""
-    return _all_singletons(equally_informative(structure))
-
-
-def discriminative_reduction(structure: KnowledgeStructure) -> KnowledgeStructure:
-    """Quotient the structure by equal informativeness.
-
-    The new ground lists one representative per concept (in original
-    ground order); each state maps to the set of concepts it meets.  The
-    result is always discriminative.
-    """
-    return _reduction(structure, equally_informative(structure))
-
-
-def _all_singletons(partition: ConceptPartition) -> bool:
-    return all(len(block) == 1 for block in partition.blocks)
-
-
-def _reduction(
+def discriminative_reduction(
     structure: KnowledgeStructure, partition: ConceptPartition
 ) -> KnowledgeStructure:
-    """``discriminative_reduction`` given the structure's own partition: a
-    state meets a concept iff it contains the concept's representative, so
-    the reduced states are the transpose of the representatives' columns."""
+    """Quotient the structure by equal informativeness, given its concept
+    partition (``equally_informative(structure)``, which the caller
+    usually needs as well; it is taken as given, not checked).
+
+    The new ground lists one representative per concept (in original
+    ground order); each state maps to the set of concepts it meets.  A
+    state meets a concept iff it contains the concept's representative,
+    so the reduced states are the transpose of the representatives'
+    columns.  The result is always discriminative.
+
+    >>> s = KnowledgeStructure(("a", "b", "c"), frozenset({0b000, 0b011, 0b111}))
+    >>> reduced = discriminative_reduction(s, equally_informative(s))
+    >>> reduced.ground, sorted(reduced.states)
+    (('a', 'c'), [0, 1, 3])
+    """
     new_ground = tuple(sorted(partition.representatives, key=structure.index_of))
     columns = transpose(structure.states, len(structure.ground))
     kept = [columns[structure.index_of(name)] for name in new_ground]
     return KnowledgeStructure(
         ground=new_ground,
-        states=frozenset(transpose(kept, len(structure.states))),
+        states=transpose(kept, len(structure.states)),
         completed=structure.completed,
     )

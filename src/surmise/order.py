@@ -19,7 +19,6 @@ from .table import (
     Frozen,
     JudgmentTable,
     NamePartition,
-    PairCounts,
     ZERO_FLEXIBILITY,
     bit_indices,
     check_masks,
@@ -33,7 +32,6 @@ __all__ = [
     "EquivalenceClasses",
     "OrderMatrix",
     "OrderDiagnostics",
-    "flexible_leq",
     "equivalence_classes",
     "order_matrix",
     "verify_partial_order",
@@ -94,17 +92,6 @@ def _q_only_limits(models: int, basis_points: int) -> list[int]:
     return [basis_points * d // scale for d in range(models + 1)]
 
 
-def flexible_leq(counts: PairCounts, alpha: Flexibility) -> bool:
-    """Threshold test for p -> q given the pair's response counts.
-
-    Holds when no model splits on the pair (n2 + n3 = 0, which covers
-    p == q and identical columns), or when the share of q-only models
-    among the splitters is at most alpha.  The comparison is the exact
-    cross-multiplication 10000*n3 <= bp*(n2+n3).
-    """
-    return _edge_holds(counts.n2, counts.n3, alpha.basis_points)
-
-
 class EquivalenceClasses(NamePartition):
     """Partition of the targets by mutual order (= identical columns).
 
@@ -149,31 +136,23 @@ class OrderMatrix(Frozen):
     _fields = ("reps", "rows", "classes")
 
     def __init__(
-        self, reps: tuple[str, ...], rows: tuple[int, ...],
+        self, reps: Sequence[str], rows: Sequence[int],
         classes: EquivalenceClasses | None = None,
     ) -> None:
+        reps, rows = tuple(reps), tuple(rows)
         check_natural_order("representatives", reps)
         if len(rows) != len(reps):
             raise ValueError(f"{len(rows)} rows for {len(reps)} representatives")
         check_masks("row", rows, len(reps))
         diagnostics, covers = _check_axioms(reps, rows)
         self.__dict__.update(
-            reps=reps, rows=rows, classes=classes, diagnostics=diagnostics, covers=covers,
-            _index={name: i for i, name in enumerate(reps)},
+            reps=reps, rows=rows, classes=classes, diagnostics=diagnostics, covers=covers
         )
 
     @property
     def strict_rows(self) -> list[int]:
         """``rows`` with the diagonal bit cleared."""
         return [row & ~(1 << i) for i, row in enumerate(self.rows)]
-
-    def index_of(self, name: str) -> int:
-        if name not in self._index:
-            raise ValueError(f"unknown representative {name!r}")
-        return self._index[name]
-
-    def holds(self, p: str, q: str) -> bool:
-        return bool(self.rows[self.index_of(p)] >> self.index_of(q) & 1)
 
     def successors(self) -> Iterator[tuple[str, list[str]]]:
         """(p, [q, ...]) for each row of ``strict_rows``, in index order: p's
@@ -211,7 +190,7 @@ class OrderMatrix(Frozen):
                 raise ValueError(
                     f"pair {(p, q)!r} names an unknown element {exc.args[0]!r}"
                 ) from None
-        return cls(reps=reps, rows=tuple(rows))
+        return cls(reps=reps, rows=rows)
 
 
 class OrderDiagnostics(Frozen):
@@ -350,7 +329,7 @@ def order_matrix(
             ]
             rows[p] |= sum(hits)  # distinct bits, so the sum is their OR
         below.extend((masks[q], sizes[q], 1 << q) for q in group)
-    matrix = OrderMatrix(reps=reps, rows=tuple(rows), classes=classes)
+    matrix = OrderMatrix(reps=reps, rows=rows, classes=classes)
     if not matrix.diagnostics.ok:
         raise OrderAxiomError(
             f"order axioms violated on {len(reps)} representatives: "

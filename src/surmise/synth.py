@@ -8,6 +8,7 @@ of its arguments (seed included).
 from __future__ import annotations
 
 import random
+from typing import Iterable, Sequence
 
 from .hasse import transitive_closure
 from .kst import KnowledgeStructure
@@ -34,7 +35,9 @@ class PlantedPoset(Frozen):
 
     _fields = ("elements", "covers")
 
-    def __init__(self, elements: tuple[str, ...], covers: tuple[tuple[str, str], ...]) -> None:
+    def __init__(self, elements: Sequence[str], covers: Iterable[tuple[str, str]]) -> None:
+        elements = tuple(elements)
+        covers = tuple((lower, upper) for lower, upper in covers)
         seen = set()
         for name in elements:
             if name in seen:
@@ -114,9 +117,7 @@ def all_downsets(poset: PlantedPoset) -> KnowledgeStructure:
             walk(position + 1, current | 1 << element)
 
     walk(0, 0)
-    return KnowledgeStructure(
-        ground=poset.elements, states=frozenset(states), completed=True
-    )
+    return KnowledgeStructure(ground=poset.elements, states=states, completed=True)
 
 
 def sample_models(spec: SynthSpec) -> JudgmentTable:
@@ -152,7 +153,7 @@ def random_poset(n: int, density: float, seed: int) -> PlantedPoset:
             if rng.random() < density:
                 sampled[i] |= 1 << j
     reach = transitive_closure(sampled)
-    order = OrderMatrix(elements, tuple(row | 1 << i for i, row in enumerate(reach)))
+    order = OrderMatrix(elements, [row | 1 << i for i, row in enumerate(reach)])
     covers = tuple(
         (elements[i], elements[j])
         for i, above in enumerate(order.covers)

@@ -176,7 +176,11 @@ class Frozen:
     construction are neither compared nor shown.  Each record's
     ``__init__`` checks its arguments, then sets every attribute once
     through ``self.__dict__``; assigning or deleting an attribute later
-    raises ``AttributeError``.  The records are written by hand, not
+    raises ``AttributeError``.  ``JudgmentTable``, ``OrderMatrix``,
+    ``HasseDiagram``, ``KnowledgeStructure`` and ``PlantedPoset`` store
+    their sequence arguments as tuples (a family of states as a
+    frozenset), so one built from lists equals, and hashes like, the same
+    record built by the pipeline.  The records are written by hand, not
     generated at import: generating their methods, and importing the
     generator with the ``inspect`` and ``ast`` modules it needs, took
     longer than a CLI run's work on a small table (README, "Start-up").
@@ -247,11 +251,6 @@ class NamePartition(Frozen):
     def representatives(self) -> tuple[str, ...]:
         return tuple(block[self.LABEL] for block in self.blocks)
 
-    def block_of(self, name: str) -> tuple[str, ...]:
-        if name not in self._block_of:
-            raise ValueError(f"unknown target {name!r}")
-        return self._block_of[name]
-
 
 class PairCounts(Frozen):
     """Model counts for the four response patterns on an ordered target
@@ -262,10 +261,6 @@ class PairCounts(Frozen):
 
     def __init__(self, n1: int, n2: int, n3: int, n4: int) -> None:
         self.__dict__.update(n1=n1, n2=n2, n3=n3, n4=n4)
-
-    @property
-    def total(self) -> int:
-        return self.n1 + self.n2 + self.n3 + self.n4
 
 
 class Flexibility(Frozen):
@@ -332,14 +327,11 @@ class JudgmentTable(Frozen):
 
     ``support_masks[j]`` is an int whose bit i is 1 iff model i judged
     target j correctly; ``support_sizes[j]`` is its popcount, derived at
-    construction.  The row-wise views are built on request: bit j of
-    ``row_masks[i]`` and ``cells[i][j]`` are that same judgment.  Every
-    table, also a hand-built one, is checked once, at construction: the
-    names as ``build_table`` checks them, then one mask per target, each
-    a mask over the models.  The three given sequences are stored as
-    tuples, so a table built from lists equals, and hashes like, the same
-    table from ``parse_csv``.  Safe for concurrent reads; all accessors
-    are pure.
+    construction.  The row-wise view is built on request: bit j of
+    ``row_masks[i]`` is that same judgment.  Every table, also a
+    hand-built one, is checked once, at construction: the names as
+    ``build_table`` checks them, then one mask per target, each a mask
+    over the models.  Safe for concurrent reads; all accessors are pure.
     """
 
     _fields = ("model_names", "target_names", "support_masks")
@@ -358,7 +350,6 @@ class JudgmentTable(Frozen):
             support_masks=tuple(support_masks),
             support_sizes=tuple(mask.bit_count() for mask in support_masks),
             _target_index={name: j for j, name in enumerate(target_names)},
-            _model_index={name: i for i, name in enumerate(model_names)},
         )
 
     @property
@@ -375,36 +366,11 @@ class JudgmentTable(Frozen):
         ``support_masks[j]``."""
         return transpose(self.support_masks, self.model_count)
 
-    @property
-    def cells(self) -> tuple[tuple[int, ...], ...]:
-        """The row masks as 0/1 tuples: ``cells[i][j]`` is bit j of
-        ``row_masks[i]``."""
-        u = self.target_count
-        return tuple(tuple(row >> j & 1 for j in range(u)) for row in self.row_masks)
-
-    def _check_model_index(self, i: int) -> None:
-        if not 0 <= i < self.model_count:
-            raise IndexError(f"model index {i} out of range [0, {self.model_count})")
-
-    def _check_target_index(self, j: int) -> None:
-        if not 0 <= j < self.target_count:
-            raise IndexError(f"target index {j} out of range [0, {self.target_count})")
-
-    def tab(self, i: int, j: int) -> int:
-        """The stored judgment of model i on target j (0 or 1)."""
-        self._check_model_index(i)
-        self._check_target_index(j)
-        return self.support_masks[j] >> i & 1
-
-    def support(self, j: int) -> frozenset[int]:
-        """Indices of the models that judged target j correctly."""
-        self._check_target_index(j)
-        return frozenset(bit_indices(self.support_masks[j]))
-
     def pair_counts(self, p: int, q: int) -> PairCounts:
         """Count models by their (p, q) response pattern; p == q is allowed."""
-        self._check_target_index(p)
-        self._check_target_index(q)
+        for j in (p, q):
+            if not 0 <= j < self.target_count:
+                raise IndexError(f"target index {j} out of range [0, {self.target_count})")
         n1 = (self.support_masks[p] & self.support_masks[q]).bit_count()
         n2 = self.support_sizes[p] - n1
         n3 = self.support_sizes[q] - n1
@@ -414,11 +380,6 @@ class JudgmentTable(Frozen):
         if name not in self._target_index:
             raise ValueError(f"unknown target name {name!r}")
         return self._target_index[name]
-
-    def model_index(self, name: str) -> int:
-        if name not in self._model_index:
-            raise ValueError(f"unknown model name {name!r}")
-        return self._model_index[name]
 
 
 _BIT_TYPES = frozenset((int, bool))

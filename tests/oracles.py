@@ -2,7 +2,8 @@
 the package's own algorithms: supports are read straight off raw rows,
 the threshold uses exact fractions instead of cross-multiplication,
 closures use BFS reachability or Warshall's loop over a list of
-boolean lists, the covering extraction tests edge removal against
+boolean lists, a table's cells are one bit test each on its support
+masks, the covering extraction tests edge removal against
 reachability, the order axioms are checked by nested loops over a
 boolean matrix, knowledge states are frozensets of ground indices (the
 surmise relation intersects the states containing each target, concepts
@@ -44,6 +45,20 @@ from surmise.table import (
 def pack_bits(flags) -> int:
     """The int whose bit i is set iff flags[i] (a 0/1 int or bool) is 1."""
     return sum(1 << i for i, flag in enumerate(flags) if flag)
+
+
+def cells_of(table: JudgmentTable) -> tuple[tuple[int, ...], ...]:
+    """The table's 0/1 cells, one row per model: ``cells[i][j]`` is bit i
+    of ``support_masks[j]``, read by one bit test per cell."""
+    return tuple(
+        tuple(mask >> i & 1 for mask in table.support_masks) for i in range(table.model_count)
+    )
+
+
+def order_holds(matrix, p: str, q: str) -> bool:
+    """Whether the order matrix relates representative p to q: bit q of
+    row p, both found by a scan of ``reps``."""
+    return bool(matrix.rows[matrix.reps.index(p)] >> matrix.reps.index(q) & 1)
 
 
 def columns_of(rows: list[list[int]]) -> list[tuple[int, ...]]:

@@ -81,7 +81,7 @@ class TestParseCsv:
         table = parse_csv(b"model,t0,t1\nM1,1,0\n")
         assert table.target_names == ("t0", "t1")
         assert table.model_names == ("M1",)
-        assert table.cells == ((1, 0),)
+        assert table.support_masks == (1, 0)
 
     def test_twelve_models(self):
         table = parse_csv(TWELVE_MODELS_PATH.read_bytes())
@@ -91,15 +91,15 @@ class TestParseCsv:
     def test_crlf_equals_lf(self):
         lf = parse_csv(b"model,a\nM1,1\nM2,0\n")
         crlf = parse_csv(b"model,a\r\nM1,1\r\nM2,0\r\n")
-        assert lf.cells == crlf.cells
+        assert lf == crlf
 
     def test_missing_trailing_newline_ok(self):
         table = parse_csv(b"model,a\nM1,1")
-        assert table.cells == ((1,),)
+        assert table.support_masks == (1,)
 
     def test_accepts_str(self):
         table = parse_csv("model,a\nM1,1\n")
-        assert table.cells == ((1,),)
+        assert table.support_masks == (1,)
 
     def test_bad_cell_names_location(self):
         with pytest.raises(CsvError, match=r"line 2, column 2.*'t1'.*'2'"):
@@ -138,7 +138,7 @@ class TestParseCsv:
     def test_utf8_bom_lands_in_ignored_header_cell(self):
         table = parse_csv(b"\xef\xbb\xbfmodel,a,b\r\nM1,1,0\r\n")
         assert table.target_names == ("a", "b")
-        assert table.cells == ((1, 0),)
+        assert table.support_masks == (1, 0)
 
     def test_whitespace_cell_rejected(self):
         with pytest.raises(CsvError, match="' 1'"):
@@ -150,7 +150,7 @@ class TestEmitCsv:
         poset = random_poset(5, 0.5, seed=17)
         table = sample_models(SynthSpec(poset=poset, model_count=8, seed=17))
         again = parse_csv(emit_csv(table))
-        assert again.cells == table.cells
+        assert again.support_masks == table.support_masks
         assert again.target_names == table.target_names
         assert again.model_names == table.model_names
 

@@ -10,9 +10,8 @@ from surmise import (
     discriminative_reduction,
     equally_informative,
     equivalence_classes,
-    is_discriminative,
-    states_containing,
     structure_from_table,
+    structure_report,
     surmise_from_structure,
 )
 
@@ -39,16 +38,31 @@ WORKED_SURMISE = {
 }
 
 
-def names_to_state(names):
-    return sum(1 << GROUND.index(n) for n in names)
-
-
 def make_structure(ground, state_names, completed=False):
     index = {name: j for j, name in enumerate(ground)}
     states = frozenset(
         sum(1 << index[n] for n in names) for names in state_names
     )
     return KnowledgeStructure(ground=tuple(ground), states=states, completed=completed)
+
+
+def reduce_(structure):
+    """The discriminative reduction, given the structure's own concepts."""
+    return discriminative_reduction(structure, equally_informative(structure))
+
+
+def report_line(structure, label):
+    """The line of the structure report that starts with ``label``, such
+    as "K_d:" (the states that contain d) or "discriminative:"."""
+    return next(
+        line for line in structure_report(structure).splitlines()
+        if line.split(" ")[0] == label
+    )
+
+
+def is_discriminative(structure):
+    """The report's flag: no two distinct targets are equally informative."""
+    return report_line(structure, "discriminative:") == "discriminative: true"
 
 
 @pytest.fixture()
@@ -78,7 +92,7 @@ class TestStructureFromTable:
         structure = structure_from_table(twelve_models, complete=True)
         assert len(structure.states) == 14
         assert 0 in structure.states
-        assert structure.full_state in structure.states
+        assert (1 << len(structure.ground)) - 1 in structure.states
         assert structure.completed
 
     def test_twelve_models_rows_are_distinct(self, twelve_models):
@@ -115,27 +129,27 @@ class TestStructureFromTable:
 
 
 class TestStatesContaining:
+    """The subfamily of states that contain a target, as the structure
+    report's ``K_<target>`` line lists it."""
+
     def test_worked_d(self, worked):
-        got = states_containing(worked, "d")
-        assert got == frozenset(
-            {names_to_state({"a", "b", "c", "d"}), names_to_state(GROUND)}
-        )
+        assert report_line(worked, "K_d:") == "K_d: {a,b,c,d} {a,b,c,d,e}"
 
     def test_worked_b_has_five_states(self, worked):
-        got = states_containing(worked, "b")
-        expected = frozenset(
-            names_to_state(s) for s in WORKED_STATES if "b" in s
+        assert report_line(worked, "K_b:") == (
+            "K_b: {b,c} {a,b,c} {a,b,c,d} {a,b,c,e} {a,b,c,d,e}"
         )
-        assert got == expected
-        assert len(got) == 5
 
     def test_target_in_no_state(self):
         structure = make_structure(("a", "b"), [frozenset({"a"})])
-        assert states_containing(structure, "b") == frozenset()
+        assert report_line(structure, "K_b:") == "K_b:"
 
     def test_unknown_target(self, worked):
-        with pytest.raises(ValueError, match="unknown target"):
-            states_containing(worked, "z")
+        # One family per ground target, in ground order, and none else.
+        lines = structure_report(worked).splitlines()
+        labels = [line.split(" ")[0] for line in lines if line.startswith("K_")]
+        assert labels == [f"K_{name}:" for name in GROUND]
+        assert "K_z:" not in labels
 
 
 class TestSurmise:
@@ -191,7 +205,7 @@ def test_mask_derivations_match_set_references(structure):
     assert [list(block) for block in equally_informative(structure).blocks] == (
         oracles.concept_blocks_reference(ground, sets)
     )
-    reduced = discriminative_reduction(structure)
+    reduced = reduce_(structure)
     new_ground, new_states = oracles.reduction_reference(ground, sets)
     assert reduced.ground == new_ground
     assert reduced.states == oracles.state_masks(new_states)
@@ -215,15 +229,16 @@ class TestEquallyInformative:
         assert partition.blocks == (("a",), ("b",))
 
     def test_representative_of(self, worked):
+        # A concept is written by its first member, in natural order.
         partition = equally_informative(worked)
-        assert partition.representative_of("c") == "b"
-        with pytest.raises(ValueError):
-            partition.representative_of("zz")
+        concept_of = dict(zip(partition.representatives, partition.blocks))
+        assert concept_of["b"] == ("b", "c")
+        assert "c" not in concept_of and "zz" not in concept_of
 
 
 class TestDiscriminativeReduction:
     def test_worked_reduction(self, worked):
-        reduced = discriminative_reduction(worked)
+        reduced = reduce_(worked)
         assert reduced.ground == ("a", "b", "d", "e")
         index = {name: j for j, name in enumerate(reduced.ground)}
 
@@ -245,25 +260,25 @@ class TestDiscriminativeReduction:
         structure = make_structure(
             ("a", "b"), [frozenset(), frozenset({"a"}), frozenset({"a", "b"})]
         )
-        reduced = discriminative_reduction(structure)
+        reduced = reduce_(structure)
         assert reduced.ground == structure.ground
         assert len(reduced.states) == len(structure.states)
 
     def test_two_target_collapse(self):
         structure = make_structure(("a", "b"), [frozenset(), frozenset({"a", "b"})])
-        reduced = discriminative_reduction(structure)
+        reduced = reduce_(structure)
         assert reduced.ground == ("a",)
         assert reduced.states == frozenset({0b0, 0b1})
 
     @given(structures())
     def test_reduction_is_discriminative(self, structure):
-        assert is_discriminative(discriminative_reduction(structure))
+        assert is_discriminative(reduce_(structure))
 
     @given(structures())
     def test_reduction_preserves_state_count(self, structure):
         # Distinct states can merge only when they differ solely inside
         # blocks, which equal informativeness forbids.
-        reduced = discriminative_reduction(structure)
+        reduced = reduce_(structure)
         assert len(reduced.states) == len(structure.states)
 
 
@@ -272,7 +287,7 @@ class TestIsDiscriminative:
         assert not is_discriminative(worked)
 
     def test_worked_reduction_is(self, worked):
-        assert is_discriminative(discriminative_reduction(worked))
+        assert is_discriminative(reduce_(worked))
 
     def test_single_target(self):
         structure = make_structure(("a",), [frozenset({"a"})])
@@ -288,7 +303,7 @@ def test_surmise_agrees_with_support_containment_sample(fuzz_corpus):
         names = table.target_names
         for p in range(table.target_count):
             for q in range(table.target_count):
-                expected = table.support(q) <= table.support(p)
+                expected = not table.support_masks[q] & ~table.support_masks[p]
                 assert ((names[p], names[q]) in relation) == expected
 
 
@@ -299,7 +314,7 @@ def test_antisymmetry_on_discriminative_structures():
         ground = tuple(f"q{j}" for j in range(size))
         masks = {rng.randrange(2**size) for _ in range(rng.randint(1, 10))}
         structure = KnowledgeStructure(ground=ground, states=frozenset(masks))
-        reduced = discriminative_reduction(structure)
+        reduced = reduce_(structure)
         relation = surmise_from_structure(reduced)
         for p, q in relation:
             if (q, p) in relation:

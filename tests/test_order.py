@@ -8,11 +8,9 @@ from surmise import (
     Flexibility,
     OrderAxiomError,
     OrderMatrix,
-    PairCounts,
     analyze,
     build_table,
     equivalence_classes,
-    flexible_leq,
     order_matrix,
     transitive_closure,
     transitive_reduction,
@@ -42,33 +40,33 @@ TWELVE_MODELS_RELATION_0 = {
 
 
 class TestFlexibleLeq:
+    """The threshold test for p -> q, ``_edge_holds(n2, n3, bp)``, on the
+    pair's p-only (n2) and q-only (n3) model counts."""
+
     def test_zero_counterexamples_always_hold(self):
-        assert flexible_leq(PairCounts(3, 5, 0, 2), ALPHA_0)
+        assert _edge_holds(5, 0, ALPHA_0.basis_points)
 
     def test_boundary_holds_at_exact_threshold(self):
         # one counterexample among five splitters is exactly 20%
-        assert flexible_leq(PairCounts(6, 4, 1, 1), ALPHA_20)
+        assert _edge_holds(4, 1, ALPHA_20.basis_points)
 
     def test_boundary_fails_just_below(self):
-        assert not flexible_leq(PairCounts(6, 4, 1, 1), Flexibility(1999))
+        assert not _edge_holds(4, 1, 1999)
 
     def test_no_splitters_holds_both_ways(self):
-        counts = PairCounts(4, 0, 0, 2)
-        assert flexible_leq(counts, ALPHA_0)
-        assert flexible_leq(PairCounts(4, 0, 0, 2), ALPHA_0)
+        assert _edge_holds(0, 0, ALPHA_0.basis_points)
+        assert _edge_holds(0, 0, 4999)
 
     @given(
         st.integers(0, 40),
         st.integers(0, 40),
-        st.integers(0, 40),
         st.integers(0, 4999),
     )
-    def test_matches_fraction_arithmetic(self, n1, n2, n3, bp):
-        counts = PairCounts(n1, n2, n3, 0)
+    def test_matches_fraction_arithmetic(self, n2, n3, bp):
         expected = (
             n2 + n3 == 0 or Fraction(n3, n2 + n3) * 100 <= Fraction(bp, 100)
         )
-        assert flexible_leq(counts, Flexibility(bp)) == expected
+        assert _edge_holds(n2, n3, bp) == expected
 
 
 class TestEquivalenceClasses:
@@ -94,15 +92,17 @@ class TestEquivalenceClasses:
             classes.members_of("t0")
 
     def test_block_of(self, twelve_models):
+        # members_of looks the label up among all members: a name in no
+        # block fails as a member that labels none does.
         classes = equivalence_classes(twelve_models)
-        assert classes.block_of("t0") == classes.block_of("t1") == ("t0", "t1")
-        with pytest.raises(ValueError, match="unknown target 'x'"):
-            classes.block_of("x")
+        assert classes.members_of("t2") == ("t2",)
+        with pytest.raises(ValueError, match="no class labeled 'x'"):
+            classes.members_of("x")
 
     def test_blocks_match_identical_columns_oracle(self, fuzz_corpus):
         tables = list(fuzz_corpus[:40])
         for table in tables:
-            rows = [list(row) for row in table.cells]
+            rows = [list(row) for row in oracles.cells_of(table)]
             expected = {
                 frozenset(table.target_names[j] for j in block)
                 for block in oracles.identical_column_blocks(rows)
@@ -114,12 +114,12 @@ class TestEquivalenceClasses:
 class TestOrderMatrix:
     def test_twelve_models_t6_below_t5(self, twelve_models):
         matrix = order_matrix(twelve_models, ALPHA_0)
-        assert matrix.holds("t6", "t5")
-        assert not matrix.holds("t5", "t6")
+        assert oracles.order_holds(matrix, "t6", "t5")
+        assert not oracles.order_holds(matrix, "t5", "t6")
 
     def test_twelve_models_t1_below_everything(self, twelve_models):
         matrix = order_matrix(twelve_models, ALPHA_0)
-        assert all(matrix.holds("t1", rep) for rep in matrix.reps)
+        assert all(oracles.order_holds(matrix, "t1", rep) for rep in matrix.reps)
 
     def test_twelve_models_full_relation(self, twelve_models):
         assert set(order_matrix(twelve_models, ALPHA_0).pairs()) == TWELVE_MODELS_RELATION_0
@@ -132,12 +132,6 @@ class TestOrderMatrix:
         got = set(order_matrix(twelve_models, Flexibility(1999)).pairs())
         assert ("t6", "t4") not in got
         assert got == TWELVE_MODELS_RELATION_0 | {("t4", "t8")}
-
-    def test_index_of(self, twelve_models):
-        matrix = order_matrix(twelve_models, ALPHA_0)
-        assert matrix.index_of("t1") == 0
-        with pytest.raises(ValueError, match="unknown representative 't0'"):
-            matrix.index_of("t0")
 
     def test_single_target(self):
         table = build_table(["only"], ["M1"], [[0]])
@@ -335,7 +329,7 @@ class TestSizeOrderKernel:
         matrix = order_matrix(table, alpha)
         assert matrix.rows == oracles.pairwise_order_rows(table, alpha)
 
-        cells = [list(row) for row in table.cells]
+        cells = [list(row) for row in oracles.cells_of(table)]
         relation = oracles.threshold_relation(cells, Fraction(bp, 100))
         names = table.target_names
         rep_of = {
@@ -343,7 +337,7 @@ class TestSizeOrderKernel:
         }
         for p, name_p in enumerate(names):
             for q, name_q in enumerate(names):
-                assert matrix.holds(rep_of[name_p], rep_of[name_q]) == (
+                assert oracles.order_holds(matrix, rep_of[name_p], rep_of[name_q]) == (
                     (p, q) in relation
                 ), (name_p, name_q)
 

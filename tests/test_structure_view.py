@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from surmise import (
+    ConceptPartition,
     KnowledgeStructure,
     build_table,
+    discriminative_reduction,
     equally_informative,
     structure_from_table,
     structure_report,
@@ -105,7 +107,8 @@ def test_ranks_follow_natural_order_and_stay_out_of_equality():
     structure = KnowledgeStructure(ground=ODD_NAMES, states=frozenset({0b111}))
     by_rank = sorted(ODD_NAMES, key=lambda n: structure.rank[ODD_NAMES.index(n)])
     assert by_rank == sorted(ODD_NAMES, key=oracles.natural_name_key)
-    assert structure.names_of(0b111) == ("t01", "t2", "t10")
+    members = sorted(ODD_NAMES[:3], key=lambda n: structure.rank[ODD_NAMES.index(n)])
+    assert members == ["t01", "t2", "t10"]
     twin = KnowledgeStructure(ground=ODD_NAMES, states=frozenset({0b100 | 0b010 | 0b001}))
     assert twin == structure and hash(twin) == hash(structure)
     assert "rank" not in repr(structure) and "_index" not in repr(structure)
@@ -115,8 +118,9 @@ def test_lookups_reject_unknown_names_alike():
     structure = KnowledgeStructure(ground=ODD_NAMES, states=frozenset({0}))
     partition = equally_informative(structure)
     assert structure.index_of("b9c30") == 5
-    assert partition.block_of("t2") == tuple(sorted(ODD_NAMES, key=oracles.natural_name_key))
-    assert partition.representative_of("t2") == "a"
-    for lookup in (structure.index_of, partition.block_of, partition.representative_of):
+    assert partition.blocks == (tuple(sorted(ODD_NAMES, key=oracles.natural_name_key)),)
+    assert partition.representatives == ("a",)
+    foreign = ConceptPartition((("t3",),))
+    for lookup in (structure.index_of, lambda _: discriminative_reduction(structure, foreign)):
         with pytest.raises(ValueError, match=r"^unknown target 't3'$"):
             lookup("t3")
