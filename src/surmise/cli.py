@@ -52,8 +52,7 @@ def _read_table(path: str):
 def _cmd_analyze(args: argparse.Namespace) -> Iterable[str]:
     alpha = Flexibility.parse(args.flexibility)  # checked before the file is read
     table = _read_table(args.csv)
-    report = analyze(table, alpha, include_counts=args.counts)
-    return report_chunks(report, "json" if args.json else "text")
+    return report_chunks(analyze(table, alpha, args.counts), "json" if args.json else "text")
 
 
 def _cmd_hasse(args: argparse.Namespace) -> Iterable[str]:
@@ -65,8 +64,8 @@ def _cmd_hasse(args: argparse.Namespace) -> Iterable[str]:
 
 def _cmd_counts(args: argparse.Namespace) -> Iterable[str]:
     table = _read_table(args.csv)
-    counts = table.pair_counts(table.target_index(args.p), table.target_index(args.q))
-    return [f"n1={counts.n1} n2={counts.n2} n3={counts.n3} n4={counts.n4}\n"]
+    n1, n2, n3, n4 = table.pair_counts(table.target_index(args.p), table.target_index(args.q))
+    return [f"n1={n1} n2={n2} n3={n3} n4={n4}\n"]
 
 
 def _cmd_structure(args: argparse.Namespace) -> Iterable[str]:

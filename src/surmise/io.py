@@ -11,8 +11,10 @@ section is one chunk, except the sections that can grow quadratically:
 the pair lists (relation and covering edges) are one chunk per row, all
 pairs with the same first element, read straight from the row masks of
 the order matrix and of the Hasse diagram by one row walker
-(``OrderMatrix.successors``, ``HasseDiagram.successors``), and each
-``K_<name>`` line is its own chunk.
+(``OrderMatrix.successors``, ``HasseDiagram.successors``); the counts
+are one chunk per row of ``JudgmentTable.count_rows``; and each
+``K_<name>`` line is its own chunk.  Every JSON array is laid out by one
+writer, ``_array_chunks``.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from .table import (
     Flexibility,
     Frozen,
     JudgmentTable,
-    PairCounts,
     ZERO_FLEXIBILITY,
     _read_columns,
     bit_indices,
@@ -142,13 +143,22 @@ def emit_csv(table: JudgmentTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _array_chunks(runs: Iterable[str], depth: int) -> Iterator[str]:
+    """A JSON array at nesting ``depth``, laid out as ``json.dumps(...,
+    indent=2)`` lays it out ("[]" when empty, else one element per line,
+    indented two spaces per level), one chunk per run.  A run is one or
+    more rendered elements, joined by the separator: "," and a line break
+    with the indent of depth + 1."""
+    separator = ",\n" + "  " * (depth + 1)
+    opener = "[" + separator[1:]
+    for run in runs:
+        yield opener + run
+        opener = separator
+    yield "[]" if opener[0] == "[" else "\n" + "  " * depth + "]"
+
+
 def _array(elements: Iterable[str], depth: int) -> str:
-    """A JSON array of rendered elements at nesting ``depth``, laid out as
-    ``json.dumps(..., indent=2)`` lays it out: "[]" when empty, else one
-    element per line, indented two spaces per level."""
-    inner = "\n" + "  " * (depth + 1)
-    body = ("," + inner).join(elements)
-    return f"[{inner}{body}\n{'  ' * depth}]" if body else "[]"
+    return "".join(_array_chunks(elements, depth))
 
 
 class _JsonNames(dict):
@@ -166,15 +176,15 @@ class _JsonNames(dict):
     def pairs(self, rows: Iterable[tuple[str, Sequence[str]]]) -> Iterator[str]:
         """The array of [p, q] pairs at depth 1, from rows (p, [q, ...]):
         one chunk per non-empty row, which quotes p once."""
-        opener = "[\n    "
+        return _array_chunks(self._pair_runs(rows), 1)
+
+    def _pair_runs(self, rows: Iterable[tuple[str, Sequence[str]]]) -> Iterator[str]:
         for p, successors in rows:
             if successors:
                 head = f"[\n      {self[p]},\n      "
-                yield opener + head + ("\n    ],\n    " + head).join(
+                yield head + ("\n    ],\n    " + head).join(
                     map(self.__getitem__, successors)
-                )
-                opener = "\n    ],\n    "
-        yield "[]" if opener == "[\n    " else "\n    ]\n  ]"
+                ) + "\n    ]"
 
     def blocks(self, key: str, blocks: Iterable[tuple[str, Sequence[str]]]) -> str:
         return _array((f'{{\n      "{key}": {self[label]},\n      "members": '
@@ -206,22 +216,25 @@ def emit_dot(diagram: HasseDiagram) -> str:
 class AnalysisReport(Frozen):
     """Everything the pipeline derives from one table at one flexibility.
 
-    ``order`` is the order matrix (its rows hold the strict ordered
-    pairs) and ``diagram`` its Hasse diagram (its rows hold the covering
-    subset of those pairs, and it carries the drawing layers); all names
-    are class representatives.  ``counts`` is optional per-pair response
-    counts.  ``relation`` and ``classes`` are read from ``order``,
-    ``hasse`` and ``layers`` from ``diagram``.
+    ``order`` is the order matrix of ``table`` (its rows hold the strict
+    ordered pairs) and ``diagram`` its Hasse diagram (its rows hold the
+    covering subset of those pairs, and it carries the drawing layers);
+    all names are class representatives.  With ``include_counts`` the
+    writers add the response counts of every ordered pair of
+    representatives, read from the table one row at a time
+    (``JudgmentTable.count_rows``).  ``relation`` and ``classes`` are read
+    from ``order``, ``hasse`` and ``layers`` from ``diagram``.
     """
 
-    _fields = ("targets", "flexibility", "order", "diagram", "counts")
+    _fields = ("table", "flexibility", "order", "diagram", "include_counts")
 
     def __init__(
-        self, targets: tuple[str, ...], flexibility: Flexibility, order: OrderMatrix,
-        diagram: HasseDiagram, counts: tuple[tuple[str, str, PairCounts], ...] | None = None,
+        self, table: JudgmentTable, flexibility: Flexibility, order: OrderMatrix,
+        diagram: HasseDiagram, include_counts: bool = False,
     ) -> None:
         self.__dict__.update(
-            targets=targets, flexibility=flexibility, order=order, diagram=diagram, counts=counts
+            table=table, flexibility=flexibility, order=order, diagram=diagram,
+            include_counts=include_counts,
         )
 
     @property
@@ -245,35 +258,17 @@ class AnalysisReport(Frozen):
 
 
 def analyze(
-    table: JudgmentTable,
-    alpha: Flexibility = ZERO_FLEXIBILITY,
-    include_counts: bool = False,
+    table: JudgmentTable, alpha: Flexibility = ZERO_FLEXIBILITY, include_counts: bool = False
 ) -> AnalysisReport:
     """Run the full pipeline: classes, order, covering edges, layers."""
     matrix = order_matrix(table, alpha)
-    diagram = transitive_reduction(matrix)
-    counts = None
-    if include_counts:
-        column = {rep: table.target_index(rep) for rep in matrix.reps}
-        counts = tuple(
-            (p, q, table.pair_counts(column[p], column[q]))
-            for p in matrix.reps
-            for q in matrix.reps
-            if p != q
-        )
-    return AnalysisReport(
-        targets=table.target_names,
-        flexibility=alpha,
-        order=matrix,
-        diagram=diagram,
-        counts=counts,
-    )
+    return AnalysisReport(table, alpha, matrix, transitive_reduction(matrix), include_counts)
 
 
 def _report_json(report: AnalysisReport) -> Iterator[str]:
     names = _JsonNames()
     yield (
-        f'{{\n  "targets": {names.array(report.targets, 1)},\n  "flexibility": {{'
+        f'{{\n  "targets": {names.array(report.table.target_names, 1)},\n  "flexibility": {{'
         f'\n    "percent": {json.dumps(report.flexibility.percent_text)},'
         f'\n    "basis_points": {report.flexibility.basis_points}\n  }},\n  "classes": '
     )
@@ -283,20 +278,24 @@ def _report_json(report: AnalysisReport) -> Iterator[str]:
     yield ',\n  "hasse": '
     yield from names.pairs(report.diagram.successors())
     yield ',\n  "layers": ' + _array((names.array(group, 2) for group in report.layers), 1)
-    if report.counts is not None:
-        yield ',\n  "counts": ' + _array((
-            f'{{\n      "p": {names[p]},\n      "q": {names[q]},\n      "n1": {c.n1},\n      '
-            f'"n2": {c.n2},\n      "n3": {c.n3},\n      "n4": {c.n4}\n    }}'
-            for p, q, c in report.counts), 1)
+    if report.include_counts:
+        yield ',\n  "counts": '
+        rows = report.table.count_rows(report.order.reps)
+        yield from _array_chunks((",\n    ".join([
+            f'{{\n      "p": {names[p]},\n      "q": {names[q]},\n      "n1": {n1},\n      '
+            f'"n2": {n2},\n      "n3": {n3},\n      "n4": {n4}\n    }}'
+            for q, n1, n2, n3, n4 in row
+        ]) for p, row in rows if row), 1)
     yield "\n}\n"
 
 
 def _text_pairs(
-    key: str, count: int, rows: Iterable[tuple[str, Sequence[str]]]
+    key: str, masks: Iterable[int], rows: Iterable[tuple[str, Sequence[str]]]
 ) -> Iterator[str]:
     """A "key (count):" section of "p -> q" lines, from rows (p, [q, ...]):
-    one chunk per non-empty row."""
-    yield f"{key} ({count}):\n"
+    one chunk per non-empty row.  ``masks`` are the row masks the rows
+    are read from; the count is their total popcount."""
+    yield f"{key} ({sum(mask.bit_count() for mask in masks)}):\n"
     for p, successors in rows:
         if successors:
             prefix = f"  {p} -> "
@@ -305,21 +304,21 @@ def _text_pairs(
 
 def _report_text(report: AnalysisReport) -> Iterator[str]:
     yield (
-        f"targets: {' '.join(report.targets)}\nflexibility: {report.flexibility.percent_text}% "
+        f"targets: {' '.join(report.table.target_names)}\n"
+        f"flexibility: {report.flexibility.percent_text}% "
         f"({report.flexibility.basis_points} basis points)\nclasses:\n"
     )
     yield "".join([f"  {block[-1]}: {' '.join(block)}\n" for block in report.classes.blocks])
-    relation_count = sum(row.bit_count() for row in report.order.strict_rows)
-    yield from _text_pairs("relation", relation_count, report.order.successors())
-    edge_count = sum(row.bit_count() for row in report.diagram.covers)
-    yield from _text_pairs("hasse", edge_count, report.diagram.successors())
+    yield from _text_pairs("relation", report.order.strict_rows, report.order.successors())
+    yield from _text_pairs("hasse", report.diagram.covers, report.diagram.successors())
     yield "layers:\n" + "".join(
         [f"  {level}: {' '.join(group)}\n" for level, group in enumerate(report.layers)]
     )
-    if report.counts is not None:
-        yield "counts:\n" + "".join(
-            [f"  {p},{q}: n1={c.n1} n2={c.n2} n3={c.n3} n4={c.n4}\n" for p, q, c in report.counts]
-        )
+    if report.include_counts:
+        yield "counts:\n"
+        for p, row in report.table.count_rows(report.order.reps):
+            yield "".join([f"  {p},{q}: n1={n1} n2={n2} n3={n3} n4={n4}\n"
+                           for q, n1, n2, n3, n4 in row])
 
 
 def report_chunks(report: AnalysisReport, fmt: str = "json") -> Iterator[str]:

@@ -219,22 +219,13 @@ class OrderDiagnostics(Frozen):
         return self.reflexive and self.antisymmetric and self.transitive
 
     def summary(self) -> str:
-        parts = []
-        if self.reflexive:
-            parts.append("reflexivity: pass")
-        else:
-            parts.append(f"reflexivity: FAIL at {self.reflexivity_witness!r}")
-        if self.antisymmetric:
-            parts.append("anti-symmetry: pass")
-        else:
-            p, q = self.antisymmetry_witness  # type: ignore[misc]
-            parts.append(f"anti-symmetry: FAIL at ({p!r}, {q!r})")
-        if self.transitive:
-            parts.append("transitivity: pass")
-        else:
-            p, q, r = self.transitivity_witness  # type: ignore[misc]
-            parts.append(f"transitivity: FAIL at ({p!r}, {q!r}, {r!r})")
-        return "; ".join(parts)
+        checks = (
+            ("reflexivity", self.reflexive, self.reflexivity_witness),
+            ("anti-symmetry", self.antisymmetric, self.antisymmetry_witness),
+            ("transitivity", self.transitive, self.transitivity_witness),
+        )
+        return "; ".join(f"{axiom}: pass" if ok else f"{axiom}: FAIL at {witness!r}"
+                         for axiom, ok, witness in checks)
 
 
 def _check_axioms(

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import re
 from itertools import chain, compress
-from typing import ClassVar, Hashable, Iterable, Sequence, TypeVar
+from typing import ClassVar, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 __all__ = [
     "TableError",
     "FlexibilityError",
     "FlexibilityFormatError",
-    "PairCounts",
     "Flexibility",
     "ZERO_FLEXIBILITY",
     "JudgmentTable",
@@ -252,17 +251,6 @@ class NamePartition(Frozen):
         return tuple(block[self.LABEL] for block in self.blocks)
 
 
-class PairCounts(Frozen):
-    """Model counts for the four response patterns on an ordered target
-    pair (p, q): n1 = both correct, n2 = p only, n3 = q only, n4 = neither.
-    """
-
-    _fields = ("n1", "n2", "n3", "n4")
-
-    def __init__(self, n1: int, n2: int, n3: int, n4: int) -> None:
-        self.__dict__.update(n1=n1, n2=n2, n3=n3, n4=n4)
-
-
 class Flexibility(Frozen):
     """Tolerated share of counterexample models, stored in basis points.
 
@@ -366,15 +354,33 @@ class JudgmentTable(Frozen):
         ``support_masks[j]``."""
         return transpose(self.support_masks, self.model_count)
 
-    def pair_counts(self, p: int, q: int) -> PairCounts:
-        """Count models by their (p, q) response pattern; p == q is allowed."""
+    def pair_counts(self, p: int, q: int) -> tuple[int, int, int, int]:
+        """Count models by their response pattern on the targets at indices
+        p and q (p == q is allowed): ``(n1, n2, n3, n4)``, with n1 = both
+        correct, n2 = p only, n3 = q only, n4 = neither."""
         for j in (p, q):
             if not 0 <= j < self.target_count:
                 raise IndexError(f"target index {j} out of range [0, {self.target_count})")
         n1 = (self.support_masks[p] & self.support_masks[q]).bit_count()
         n2 = self.support_sizes[p] - n1
         n3 = self.support_sizes[q] - n1
-        return PairCounts(n1, n2, n3, self.model_count - n1 - n2 - n3)
+        return n1, n2, n3, self.model_count - n1 - n2 - n3
+
+    def count_rows(
+        self, names: Sequence[str]
+    ) -> Iterator[tuple[str, list[tuple[str, int, int, int, int]]]]:
+        """The ``pair_counts`` of the ordered pairs of distinct targets of
+        ``names``, as rows: for each p in order, ``(p, [(q, n1, n2, n3, n4),
+        ...])`` over the other q in order.  A generator: each row is built
+        when it is reached, so the pairs are never all held at once."""
+        columns = [(name, self.support_masks[j], self.support_sizes[j])
+                   for name, j in zip(names, map(self.target_index, names))]
+        for p, mask_p, size_p in columns:
+            rest = self.model_count - size_p
+            yield p, [
+                (q, n1 := (mask_p & mask).bit_count(), size_p - n1, size - n1, rest - size + n1)
+                for q, mask, size in columns if q != p
+            ]
 
     def target_index(self, name: str) -> int:
         if name not in self._target_index:

@@ -541,10 +541,29 @@ def csv_rows_reference(data: bytes | str):
     return target_names, model_names, rows
 
 
+def counts_reference(report) -> list[tuple[str, str, int, int, int, int]]:
+    """(p, q, n1, n2, n3, n4) for every ordered pair of distinct
+    representatives of the report, in natural order: the models with
+    each (p, q) response pattern (both correct, p only, q only, neither),
+    counted cell by cell from ``cells_of`` of the report's table."""
+    names = report.table.target_names
+    cells = cells_of(report.table)
+    counts = []
+    for p in report.order.reps:
+        for q in report.order.reps:
+            if p != q:
+                j, k = names.index(p), names.index(q)
+                patterns = [(row[j], row[k]) for row in cells]
+                n1, n2, n3, n4 = map(patterns.count, ((1, 1), (1, 0), (0, 1), (0, 0)))
+                counts.append((p, q, n1, n2, n3, n4))
+    return counts
+
+
 def report_json_reference(report) -> str:
-    """The ``analyze --json`` text of an ``AnalysisReport``."""
+    """The ``analyze --json`` text of an ``AnalysisReport``; the counts
+    come from ``counts_reference``."""
     obj: dict = {
-        "targets": list(report.targets),
+        "targets": list(report.table.target_names),
         "flexibility": {
             "percent": report.flexibility.percent_text,
             "basis_points": report.flexibility.basis_points,
@@ -557,10 +576,10 @@ def report_json_reference(report) -> str:
         "hasse": [list(pair) for pair in report.hasse],
         "layers": [list(group) for group in report.layers],
     }
-    if report.counts is not None:
+    if report.include_counts:
         obj["counts"] = [
-            {"p": p, "q": q, "n1": c.n1, "n2": c.n2, "n3": c.n3, "n4": c.n4}
-            for p, q, c in report.counts
+            {"p": p, "q": q, "n1": n1, "n2": n2, "n3": n3, "n4": n4}
+            for p, q, n1, n2, n3, n4 in counts_reference(report)
         ]
     return json.dumps(obj, indent=2) + "\n"
 
@@ -592,10 +611,11 @@ def pairs_text_reference(key: str, pairs) -> str:
 
 
 def report_text_reference(report) -> str:
-    """The ``analyze --text`` text of an ``AnalysisReport``."""
+    """The ``analyze --text`` text of an ``AnalysisReport``; the counts
+    come from ``counts_reference``."""
     flexibility = report.flexibility
     lines = [
-        f"targets: {' '.join(report.targets)}",
+        f"targets: {' '.join(report.table.target_names)}",
         f"flexibility: {flexibility.percent_text}% ({flexibility.basis_points} basis points)",
         "classes:",
         *(f"  {block[-1]}: {' '.join(block)}" for block in report.classes.blocks),
@@ -606,9 +626,10 @@ def report_text_reference(report) -> str:
     text += "layers:\n" + "".join(
         f"  {level}: {' '.join(group)}\n" for level, group in enumerate(report.layers)
     )
-    if report.counts is not None:
+    if report.include_counts:
         text += "counts:\n" + "".join(
-            f"  {p},{q}: n1={c.n1} n2={c.n2} n3={c.n3} n4={c.n4}\n" for p, q, c in report.counts
+            f"  {p},{q}: n1={n1} n2={n2} n3={n3} n4={n4}\n"
+            for p, q, n1, n2, n3, n4 in counts_reference(report)
         )
     return text
 

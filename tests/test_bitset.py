@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from surmise import (
     Flexibility,
     OrderMatrix,
-    PairCounts,
     build_table,
     natural_key,
     order_matrix,
@@ -74,9 +73,7 @@ def test_kernel_matches_oracles_on_seeded_tables():
                 n1 = sum(1 for row in rows if row[p] and row[q])
                 n2 = sum(1 for row in rows if row[p] and not row[q])
                 n3 = sum(1 for row in rows if not row[p] and row[q])
-                assert table.pair_counts(p, q) == PairCounts(
-                    n1, n2, n3, len(rows) - n1 - n2 - n3
-                )
+                assert table.pair_counts(p, q) == (n1, n2, n3, len(rows) - n1 - n2 - n3)
 
         for percent in DIFFERENTIAL_ALPHAS:
             matrix = order_matrix(table, Flexibility.parse(percent))

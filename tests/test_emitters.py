@@ -16,6 +16,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -199,7 +200,7 @@ def assert_pair_sections_match_oracles(diagram: HasseDiagram) -> None:
     assert "".join(_JsonNames().pairs(diagram.successors())) == (
         oracles.pairs_json_reference(edges)
     )
-    assert "".join(_text_pairs("hasse", len(edges), diagram.successors())) == (
+    assert "".join(_text_pairs("hasse", diagram.covers, diagram.successors())) == (
         oracles.pairs_text_reference("hasse", edges)
     )
     assert emit_dot(diagram) == oracles.dot_reference(diagram)
@@ -216,7 +217,7 @@ def test_row_writers_match_per_pair_oracles(matrix):
     assert "".join(_JsonNames().pairs(matrix.successors())) == (
         oracles.pairs_json_reference(relation)
     )
-    assert "".join(_text_pairs("relation", len(relation), matrix.successors())) == (
+    assert "".join(_text_pairs("relation", matrix.strict_rows, matrix.successors())) == (
         oracles.pairs_text_reference("relation", relation)
     )
     assert_pair_sections_match_oracles(transitive_reduction(matrix))
@@ -261,7 +262,8 @@ def test_pair_sections_stream_one_chunk_per_row():
     heads = [re.findall(r'\[\n      "(t\d+)",\n', chunk) for chunk in section]
     assert [set(found) for found in heads[:-1]] == [{f"t{i}"} for i in range(u - 1)]
     assert [len(found) for found in heads[:-1]] == list(range(u - 1, 0, -1))
-    assert section[-1] == "\n    ]\n  ]"
+    assert all(chunk.endswith("\n    ]") for chunk in section[:-1])
+    assert section[-1] == "\n  ]"
     assert "".join(section) == oracles.pairs_json_reference(report.relation)
 
     chunks = list(report_chunks(report, "text"))
@@ -269,6 +271,27 @@ def test_pair_sections_stream_one_chunk_per_row():
                      chunks.index(f"hasse ({u - 1}):\n")]
     assert [set(re.findall(r"^  (t\d+) -> ", chunk, re.M)) for chunk in section] == [
         {f"t{i}"} for i in range(u - 1)
+    ]
+
+
+def test_counts_stream_one_chunk_per_row():
+    # 40 targets in a chain, each its own class: 40 rows of 39 counts.
+    u = 40
+    rows = [[1 if j < i else 0 for j in range(u)] for i in range(u + 1)]
+    table = build_table([f"t{j}" for j in range(u)], [f"M{i}" for i in range(u + 1)], rows)
+    report = analyze(table, include_counts=True)
+
+    chunks = list(report_chunks(report, "json"))
+    section = chunks[chunks.index(',\n  "counts": ') + 1:-1]
+    assert [Counter(re.findall(r'"p": "(t\d+)"', chunk)) for chunk in section[:-1]] == [
+        {f"t{i}": u - 1} for i in range(u)
+    ]
+    assert section[-1] == "\n  ]" and chunks[-1] == "\n}\n"
+
+    chunks = list(report_chunks(report, "text"))
+    section = chunks[chunks.index("counts:\n") + 1:]
+    assert [Counter(re.findall(r"^  (t\d+),", chunk, re.M)) for chunk in section] == [
+        {f"t{i}": u - 1} for i in range(u)
     ]
 
 

@@ -1,4 +1,7 @@
+import gc
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -237,6 +240,34 @@ class TestReports:
     def test_flexibility_echoed_as_text(self, twelve_models):
         obj = json.loads(emit_report(analyze(twelve_models, Flexibility(1999)), "json"))
         assert obj["flexibility"] == {"percent": "19.99", "basis_points": 1999}
+
+
+    def test_counts_retain_no_memory_per_pair(self):
+        # The counts are written from the table one row at a time, so a
+        # report with them holds what one without them holds.  A record
+        # per ordered pair of the ~300 classes here would be c(c-1) ~ 90k
+        # objects, megabytes; the bound is a few kB, some ints per class.
+        rng = random.Random(5)
+        u, v = 300, 400
+        rows = [[rng.getrandbits(1) for _ in range(u)] for _ in range(v)]
+        table = build_table([f"t{j}" for j in range(u)], [f"m{i}" for i in range(v)], rows)
+        alpha = Flexibility(1000)
+        analyze(table, alpha, True)  # first-call allocations, outside the measure
+
+        def retained(include_counts):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                report = analyze(table, alpha, include_counts)
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0], report
+            finally:
+                tracemalloc.stop()
+
+        without_counts, _ = retained(False)
+        with_counts, report = retained(True)
+        assert len(report.order.reps) >= 250
+        assert with_counts - without_counts < 16 * 1024
 
 
 class TestHasseJson:

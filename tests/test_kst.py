@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from surmise import (
+    ConceptPartition,
     KnowledgeStructure,
     build_table,
     discriminative_reduction,
@@ -280,6 +281,35 @@ class TestDiscriminativeReduction:
         # blocks, which equal informativeness forbids.
         reduced = reduce_(structure)
         assert len(reduced.states) == len(structure.states)
+
+
+class TestReductionChecksThePartition:
+    """``discriminative_reduction`` takes the concept partition as given
+    and checks it against the columns it reads anyway.  Here a and b are
+    one concept, c another: the states are {}, {a, b} and {a, b, c}."""
+
+    STRUCTURE = KnowledgeStructure(("a", "b", "c"), {0, 0b011, 0b111})
+
+    def reduce_by(self, *blocks):
+        return discriminative_reduction(self.STRUCTURE, ConceptPartition(blocks))
+
+    def test_a_name_in_no_block(self):
+        with pytest.raises(ValueError, match="no partition block holds 'b'"):
+            self.reduce_by(("a",))
+
+    def test_a_name_in_two_blocks(self):
+        with pytest.raises(ValueError, match="partition blocks 0 and 1 both hold 'a'"):
+            self.reduce_by(("a", "b"), ("a", "c"))
+        with pytest.raises(ValueError, match="partition blocks 0 and 0 both hold 'a'"):
+            self.reduce_by(("a", "a", "b"), ("c",))
+
+    def test_unequal_columns_within_a_block(self):
+        with pytest.raises(ValueError, match="partition block 0 is not the concept of 'c'"):
+            self.reduce_by(("a", "b", "c"))
+
+    def test_equal_columns_across_blocks(self):
+        with pytest.raises(ValueError, match="partition block 1 is not the concept of 'b'"):
+            self.reduce_by(("a",), ("b",), ("c",))
 
 
 class TestIsDiscriminative:

@@ -20,6 +20,7 @@ DELETED_FUNCTIONS = (
     "is_discriminative",
     "_all_singletons",
     "_reduction",
+    "PairCounts",  # a record: the counts are plain tuples and row walks now
 )
 
 DELETED_MEMBERS = [
@@ -28,13 +29,13 @@ DELETED_MEMBERS = [
     (table.JudgmentTable, "cells"),
     (table.JudgmentTable, "model_index"),
     (table.JudgmentTable, "_check_model_index"),
-    (table.PairCounts, "total"),
     (table.NamePartition, "block_of"),
     (order.OrderMatrix, "holds"),
     (order.OrderMatrix, "index_of"),
     (kst.KnowledgeStructure, "names_of"),
     (kst.KnowledgeStructure, "full_state"),
     (kst.ConceptPartition, "representative_of"),
+    (io.AnalysisReport, "counts"),
 ]
 
 

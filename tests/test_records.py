@@ -19,7 +19,6 @@ from surmise import (
     KnowledgeStructure,
     OrderDiagnostics,
     OrderMatrix,
-    PairCounts,
     PlantedPoset,
     SynthSpec,
     analyze,
@@ -39,7 +38,7 @@ def _table():
 def _report(counts):
     table = _table()
     report = analyze(table, Flexibility(0), include_counts=counts)
-    return (report.targets, report.flexibility, report.order, report.diagram, report.counts)
+    return (report.table, report.flexibility, report.order, report.diagram, report.include_counts)
 
 
 # For each record: the arguments of one instance and of an instance that
@@ -48,7 +47,6 @@ ARGUMENTS = {
     NamePartition: lambda: (BLOCKS,),
     EquivalenceClasses: lambda: (BLOCKS,),
     ConceptPartition: lambda: (BLOCKS,),
-    PairCounts: lambda: (1, 2, 3, 4),
     Flexibility: lambda: (1000,),
     JudgmentTable: lambda: TABLE,
     OrderMatrix: lambda: (("a", "b"), (0b11, 0b10), EquivalenceClasses((("a",), ("b",)))),
@@ -64,7 +62,6 @@ CHANGED = {
     NamePartition: lambda: ((("t0",), ("t1", "t2")),),
     EquivalenceClasses: lambda: ((("t0",), ("t1", "t2")),),
     ConceptPartition: lambda: ((("t0",), ("t1", "t2")),),
-    PairCounts: lambda: (1, 2, 4, 3),
     Flexibility: lambda: (1001,),
     JudgmentTable: lambda: (TABLE[0], TABLE[1], (0b111, 0b011, 0b010)),
     OrderMatrix: lambda: (("a", "b"), (0b11, 0b10)),
@@ -199,7 +196,6 @@ def test_partitions_of_different_kinds_are_unequal():
 
 
 def test_exact_reprs():
-    assert repr(PairCounts(1, 2, 3, 4)) == "PairCounts(n1=1, n2=2, n3=3, n4=4)"
     assert repr(Flexibility(2550)) == "Flexibility(basis_points=2550)"
     assert repr(EquivalenceClasses((("t1",),))) == "EquivalenceClasses(blocks=(('t1',),))"
 
@@ -236,5 +232,5 @@ class TestDefaults:
 
     def test_analysis_report_counts(self):
         report = AnalysisReport(*_report(True)[:4])
-        assert report.counts is None
+        assert report.include_counts is False
         assert report == analyze(_table(), Flexibility(0))

@@ -8,7 +8,6 @@ from surmise import (
     FlexibilityError,
     FlexibilityFormatError,
     JudgmentTable,
-    PairCounts,
     TableError,
     build_table,
     natural_key,
@@ -293,16 +292,16 @@ class TestSupport:
 
 class TestPairCounts:
     def test_twelve_models_t5_t6(self, twelve_models):
-        assert twelve_models.pair_counts(5, 6) == PairCounts(9, 0, 1, 2)
+        assert twelve_models.pair_counts(5, 6) == (9, 0, 1, 2)
 
     def test_twelve_models_t6_t4(self, twelve_models):
-        assert twelve_models.pair_counts(6, 4) == PairCounts(6, 4, 1, 1)
+        assert twelve_models.pair_counts(6, 4) == (6, 4, 1, 1)
 
     def test_diagonal(self, twelve_models):
         for j in range(twelve_models.target_count):
-            counts = twelve_models.pair_counts(j, j)
-            assert counts.n2 == 0 and counts.n3 == 0
-            assert counts.n1 == len(bit_indices(twelve_models.support_masks[j]))
+            n1, n2, n3, _ = twelve_models.pair_counts(j, j)
+            assert n2 == 0 and n3 == 0
+            assert n1 == len(bit_indices(twelve_models.support_masks[j]))
 
     def test_out_of_range(self, twelve_models):
         with pytest.raises(IndexError):
@@ -312,25 +311,37 @@ class TestPairCounts:
     def test_counts_sum_to_model_count(self, table):
         for p in range(table.target_count):
             for q in range(table.target_count):
-                counts = table.pair_counts(p, q)
-                assert counts.n1 + counts.n2 + counts.n3 + counts.n4 == table.model_count
+                assert sum(table.pair_counts(p, q)) == table.model_count
 
     @given(small_tables())
     def test_swapping_pair_swaps_n2_n3(self, table):
         for p in range(table.target_count):
             for q in range(table.target_count):
-                forward = table.pair_counts(p, q)
-                backward = table.pair_counts(q, p)
-                assert (forward.n1, forward.n4) == (backward.n1, backward.n4)
-                assert (forward.n2, forward.n3) == (backward.n3, backward.n2)
+                n1, n2, n3, n4 = table.pair_counts(p, q)
+                assert table.pair_counts(q, p) == (n1, n3, n2, n4)
+
+    @given(small_tables(), st.randoms(use_true_random=False))
+    def test_count_rows_are_the_pair_counts_of_distinct_names(self, table, rng):
+        names = list(table.target_names)
+        rng.shuffle(names)
+        names = names[: rng.randint(0, len(names))]
+        index = {name: j for j, name in enumerate(table.target_names)}
+        assert list(table.count_rows(names)) == [
+            (p, [(q, *table.pair_counts(index[p], index[q])) for q in names if q != p])
+            for p in names
+        ]
+
+    def test_count_rows_reject_an_unknown_name(self, twelve_models):
+        with pytest.raises(ValueError, match="unknown target name 'x'"):
+            next(twelve_models.count_rows(["t1", "x"]))
 
     @given(small_tables())
     def test_support_cardinality_is_n1_plus_n2(self, table):
         cells = oracles.cells_of(table)
         for p in range(table.target_count):
             for q in range(table.target_count):
-                counts = table.pair_counts(p, q)
-                assert sum(row[p] for row in cells) == counts.n1 + counts.n2
+                n1, n2, _, _ = table.pair_counts(p, q)
+                assert sum(row[p] for row in cells) == n1 + n2
 
 
 @given(st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=3), min_size=2, max_size=4))
