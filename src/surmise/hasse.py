@@ -13,7 +13,6 @@ __all__ = [
     "HasseDiagram",
     "transitive_reduction",
     "assign_layers",
-    "transitive_closure",
 ]
 
 
@@ -24,7 +23,9 @@ class HasseDiagram(Frozen):
     natural order, as in ``OrderMatrix``.  Bit j of ``covers[i]`` is the
     edge (nodes[i], nodes[j]): nodes[i] is a prerequisite of nodes[j] with
     nothing strictly between, and is drawn below it.  ``members`` maps a
-    node to the equally-informative targets it stands for.  Every diagram,
+    node to the equally-informative targets it stands for; the diagram
+    keeps its own copy, so a later change to the caller's mapping does
+    not reach it.  Every diagram,
     also a hand-built one, is checked once, at construction, which also
     computes ``layers`` and so rejects a cycle; ``from_edges`` builds one
     from name pairs.
@@ -36,7 +37,7 @@ class HasseDiagram(Frozen):
         self, nodes: Sequence[str], members: Mapping[str, tuple[str, ...]],
         covers: Sequence[int],
     ) -> None:
-        nodes, covers = tuple(nodes), tuple(covers)
+        nodes, members, covers = tuple(nodes), dict(members), tuple(covers)
         check_natural_order("nodes", nodes)
         if len(covers) != len(nodes):
             raise ValueError(f"{len(covers)} covering rows for {len(nodes)} nodes")
@@ -113,6 +114,12 @@ def _layers(nodes: Sequence[str], covers: Sequence[int]) -> dict[str, int]:
     return {nodes[i]: level for level, group in enumerate(groups) for i in group}
 
 
+def check_partial_order(matrix: OrderMatrix) -> None:
+    """Raise ``ValueError`` unless the matrix's ``diagnostics`` pass."""
+    if not matrix.diagnostics.ok:
+        raise ValueError(f"not a partial order: {matrix.diagnostics.summary()}")
+
+
 def transitive_reduction(matrix: OrderMatrix) -> HasseDiagram:
     """Strip every implied edge, leaving the unique covering relation.
 
@@ -122,8 +129,7 @@ def transitive_reduction(matrix: OrderMatrix) -> HasseDiagram:
     the result is the original matrix.  The covering rows were found by
     the same pass that checked the axioms (``OrderMatrix.covers``).
     """
-    if not matrix.diagnostics.ok:
-        raise ValueError(f"not a partial order: {matrix.diagnostics.summary()}")
+    check_partial_order(matrix)
     return HasseDiagram(nodes=matrix.reps, members=matrix.member_map(), covers=matrix.covers)
 
 
@@ -136,18 +142,3 @@ def assign_layers(diagram: HasseDiagram) -> dict[str, int]:
     """
     return _layers(diagram.nodes, diagram.covers)
 
-
-def transitive_closure(rows: Sequence[int]) -> tuple[int, ...]:
-    """Smallest transitive superset of a relation given as row masks (bit j
-    of ``rows[i]``: i relates to j), by Warshall's algorithm on rows: for
-    each k, every row holding k gains row k."""
-    size = len(rows)
-    if any(row >> size for row in rows):
-        raise ValueError(f"relation matrix is not square: a bit at or beyond {size}")
-    closed = list(rows)
-    for k in range(size):
-        bit, row_k = 1 << k, closed[k]
-        for i, row in enumerate(closed):
-            if row & bit:
-                closed[i] = row | row_k
-    return tuple(closed)

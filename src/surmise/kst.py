@@ -125,8 +125,9 @@ def discriminative_reduction(
 
     The partition is checked, in O(u) column comparisons, on the columns
     of the state matrix that the quotient reads: every ground name lies in
-    exactly one block, the columns within a block are equal and those of
-    different blocks differ.  Else ``ValueError`` names the first fault.
+    a block (in one at most, as every ``NamePartition`` checks), the
+    columns within a block are equal and those of different blocks
+    differ.  Else ``ValueError`` names the first fault.
 
     The new ground lists one representative per concept (in original
     ground order); each state maps to the set of concepts it meets.  A
@@ -140,18 +141,15 @@ def discriminative_reduction(
     (('a', 'c'), [0, 1, 3])
     """
     columns = transpose(structure.states, len(structure.ground))
-    block_of: dict[str, int] = {}
     concept_of: dict[int, int] = {}  # a column -> the block whose column it is
     for k, block in enumerate(partition.blocks):
         head = columns[structure.index_of(block[0])]
         for name in block:
-            if name in block_of:
-                raise ValueError(f"partition blocks {block_of[name]} and {k} both hold {name!r}")
-            block_of[name] = k
             column = columns[structure.index_of(name)]
             if column != head or concept_of.setdefault(column, k) != k:
                 raise ValueError(f"partition block {k} is not the concept of {name!r}")
-    missing = [name for name in structure.ground if name not in block_of]
+    held = {name for block in partition.blocks for name in block}
+    missing = [name for name in structure.ground if name not in held]
     if missing:
         raise ValueError(f"no partition block holds {missing[0]!r}")
     new_ground = tuple(sorted(partition.representatives, key=structure.index_of))

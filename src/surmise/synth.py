@@ -2,22 +2,24 @@
 
 These exist so hierarchy recovery can be tested end to end: plant a
 poset, sample models whose correct sets are downsets of it, and check the
-mined order against the planted one.  Everything here is a pure function
-of its arguments (seed included).
+mined order against the planted one.  A planted poset is an
+``OrderMatrix``, the record the mined order is, so recovery is a
+comparison of rows.  Everything here is a pure function of its arguments
+(seed included).
 """
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import or_
 
-from .hasse import transitive_closure
+from .hasse import check_partial_order
 from .kst import KnowledgeStructure
 from .order import OrderMatrix
-from .table import Frozen, JudgmentTable, bit_indices, build_table
+from .table import Frozen, JudgmentTable, bit_indices, transpose
 
 __all__ = [
     "MAX_POSET_ELEMENTS",
-    "PlantedPoset",
     "SynthSpec",
     "all_downsets",
     "sample_models",
@@ -29,49 +31,11 @@ __all__ = [
 MAX_POSET_ELEMENTS = 20
 
 
-class PlantedPoset(Frozen):
-    """Ground-truth prerequisite edges: (lower, upper) means lower must be
-    mastered before upper.  Edges must be acyclic and self-loop free."""
-
-    _fields = ("elements", "covers")
-
-    def __init__(self, elements: Sequence[str], covers: Iterable[tuple[str, str]]) -> None:
-        elements = tuple(elements)
-        covers = tuple((lower, upper) for lower, upper in covers)
-        seen = set()
-        for name in elements:
-            if name in seen:
-                raise ValueError(f"duplicate element {name!r}")
-            seen.add(name)
-        for lower, upper in covers:
-            if lower not in seen or upper not in seen:
-                raise ValueError(f"edge ({lower!r}, {upper!r}) mentions unknown element")
-            if lower == upper:
-                raise ValueError(f"self-loop on {lower!r}")
-        self.__dict__.update(elements=elements, covers=covers)
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        # i lies on a cycle iff the closure relates i to itself, either way round.
-        closed = transitive_closure(self.predecessor_masks())
-        for i, row in enumerate(closed):
-            if row >> i & 1:
-                raise ValueError(f"cycle through {self.elements[i]!r}")
-
-    def predecessor_masks(self) -> list[int]:
-        """Bit i of entry j: elements[i] is a direct prerequisite of elements[j]."""
-        index = {name: i for i, name in enumerate(self.elements)}
-        preds = [0] * len(self.elements)
-        for lower, upper in self.covers:
-            preds[index[upper]] |= 1 << index[lower]
-        return preds
-
-
 class SynthSpec(Frozen):
     _fields = ("poset", "model_count", "noise", "seed")
 
     def __init__(
-        self, poset: PlantedPoset, model_count: int, noise: float = 0.0, seed: int = 0
+        self, poset: OrderMatrix, model_count: int, noise: float = 0.0, seed: int = 0
     ) -> None:
         if model_count < 1:
             raise ValueError(f"model_count must be >= 1, got {model_count}")
@@ -89,74 +53,60 @@ def check_poset_size(size: int) -> None:
         )
 
 
-def all_downsets(poset: PlantedPoset) -> KnowledgeStructure:
+def all_downsets(poset: OrderMatrix) -> KnowledgeStructure:
     """Every subset closed under prerequisites, as a knowledge structure.
 
     The empty and full sets are always downsets, so the result is
-    complete.  Enumeration walks the elements in topological order and
-    branches on include/exclude, visiting each downset exactly once.
+    complete.  ``below[j]`` is the mask of j's prerequisites; the matrix
+    is transitive, so a prerequisite of j has fewer of them than j, and
+    adding the elements by prerequisite count adds each after all of its
+    own.  Each element doubles the family into the downsets without it
+    and those with it: ``s | 1 << j`` for each s already holding every
+    prerequisite of j.
     """
-    size = len(poset.elements)
+    check_partial_order(poset)
+    size = len(poset.reps)
     check_poset_size(size)
-    preds = poset.predecessor_masks()
-
-    # An element has strictly more ancestors than each of its prerequisites
-    # (the poset is acyclic), so ordering by ancestor count is topological.
-    ancestors = transitive_closure(preds)
-    topo = sorted(range(size), key=lambda i: ancestors[i].bit_count())
-
-    states: list[int] = []
-
-    def walk(position: int, current: int) -> None:
-        if position == size:
-            states.append(current)
-            return
-        element = topo[position]
-        walk(position + 1, current)
-        if not preds[element] & ~current:
-            walk(position + 1, current | 1 << element)
-
-    walk(0, 0)
-    return KnowledgeStructure(ground=poset.elements, states=states, completed=True)
+    below = transpose(poset.strict_rows, size)
+    states = [0]
+    for j in sorted(range(size), key=lambda j: below[j].bit_count()):
+        states += [state | 1 << j for state in states if not below[j] & ~state]
+    return KnowledgeStructure(ground=poset.reps, states=states, completed=True)
 
 
 def sample_models(spec: SynthSpec) -> JudgmentTable:
     """Sample each model row uniformly from the poset's downsets, then
     flip cells independently with the configured noise probability."""
+    ground = spec.poset.reps
     structure = all_downsets(spec.poset)
     downsets = sorted(structure.states, key=lambda s: (s.bit_count(), bit_indices(s)))
     rng = random.Random(spec.seed)
-    size = len(spec.poset.elements)
-    rows: list[list[int]] = []
+    rows = []
     for _ in range(spec.model_count):
-        chosen = downsets[rng.randrange(len(downsets))]
-        row = [chosen >> j & 1 for j in range(size)]
+        row = downsets[rng.randrange(len(downsets))]
         if spec.noise > 0.0:
-            row = [bit ^ (rng.random() < spec.noise) for bit in row]
+            row ^= sum(1 << j for j in range(len(ground)) if rng.random() < spec.noise)
         rows.append(row)
     model_names = [f"M{i + 1}" for i in range(spec.model_count)]
-    return build_table(list(spec.poset.elements), model_names, rows)
+    return JudgmentTable(model_names, ground, transpose(rows, len(ground)))
 
 
-def random_poset(n: int, density: float, seed: int) -> PlantedPoset:
-    """Random DAG on t0..t{n-1} with edges only from lower to higher
-    index, transitively reduced to its covering edges."""
+def random_poset(n: int, density: float, seed: int) -> OrderMatrix:
+    """Random order on t0..t{n-1}: each pair (i, j) with i < j is drawn as
+    an edge with probability ``density``, and the order is the
+    reflexive-transitive closure of the drawn edges.
+
+    Edges rise in index, so the closure is one sweep from the top:
+    ``up[i]`` is i plus the rows of the elements i has an edge to, each
+    complete when it is read.
+    """
     if n < 1:
         raise ValueError(f"element count must be >= 1, got {n}")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = random.Random(seed)
-    elements = tuple(f"t{k}" for k in range(n))
-    sampled = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                sampled[i] |= 1 << j
-    reach = transitive_closure(sampled)
-    order = OrderMatrix(elements, [row | 1 << i for i, row in enumerate(reach)])
-    covers = tuple(
-        (elements[i], elements[j])
-        for i, above in enumerate(order.covers)
-        for j in bit_indices(above)
-    )
-    return PlantedPoset(elements=elements, covers=covers)
+    sampled = [sum(1 << j for j in range(i + 1, n) if rng.random() < density) for i in range(n)]
+    up = [0] * n
+    for i in reversed(range(n)):
+        up[i] = reduce(or_, map(up.__getitem__, bit_indices(sampled[i])), 1 << i)
+    return OrderMatrix(tuple(f"t{k}" for k in range(n)), up)

@@ -176,10 +176,10 @@ class Frozen:
     ``__init__`` checks its arguments, then sets every attribute once
     through ``self.__dict__``; assigning or deleting an attribute later
     raises ``AttributeError``.  ``JudgmentTable``, ``OrderMatrix``,
-    ``HasseDiagram``, ``KnowledgeStructure`` and ``PlantedPoset`` store
-    their sequence arguments as tuples (a family of states as a
-    frozenset), so one built from lists equals, and hashes like, the same
-    record built by the pipeline.  The records are written by hand, not
+    ``HasseDiagram`` and ``KnowledgeStructure`` store their sequence
+    arguments as tuples (a family of states as a frozenset), so one built
+    from lists equals, and hashes like, the same record built by the
+    pipeline.  The records are written by hand, not
     generated at import: generating their methods, and importing the
     generator with the ``inspect`` and ``ast`` modules it needs, took
     longer than a CLI run's work on a small table (README, "Start-up").
@@ -216,7 +216,10 @@ class NamePartition(Frozen):
     """Unique names split into blocks, each natural-sorted and labeled by
     its member at position ``LABEL``; blocks are ordered by label.
 
-    The two partitions of the pipeline differ only in ``LABEL``: classes
+    Every partition is checked at construction: a block that is empty,
+    or a name held twice (in one block or in two), raises ``ValueError``
+    naming the block.  The two partitions of the pipeline differ only in
+    ``LABEL``: classes
     of identical columns (``order.EquivalenceClasses``) are labeled by
     their last member, concepts (``kst.ConceptPartition``) by their first.
     """
@@ -225,9 +228,18 @@ class NamePartition(Frozen):
     _fields = ("blocks",)
 
     def __init__(self, blocks: tuple[tuple[str, ...], ...]) -> None:
-        self.__dict__.update(
-            blocks=blocks, _block_of={name: block for block in blocks for name in block}
-        )
+        block_of = {name: block for block in blocks for name in block}
+        if len(block_of) != sum(map(len, blocks)) or not all(blocks):
+            # Only a failing partition is scanned, to name its first fault.
+            seen: dict[str, int] = {}
+            for k, block in enumerate(blocks):
+                if not block:
+                    raise ValueError(f"partition block {k} is empty")
+                for name in block:
+                    if name in seen:
+                        raise ValueError(f"partition blocks {seen[name]} and {k} both hold {name!r}")
+                    seen[name] = k
+        self.__dict__.update(blocks=blocks, _block_of=block_of)
 
     @classmethod
     def from_keys(

@@ -2,7 +2,8 @@
 the package's own algorithms: supports are read straight off raw rows,
 the threshold uses exact fractions instead of cross-multiplication,
 closures use BFS reachability or Warshall's loop over a list of
-boolean lists, a table's cells are one bit test each on its support
+boolean lists, the downsets of an order are every subset filtered pair
+by pair, a table's cells are one bit test each on its support
 masks, the covering extraction tests edge removal against
 reachability, the order axioms are checked by nested loops over a
 boolean matrix, knowledge states are frozensets of ground indices (the
@@ -317,6 +318,20 @@ def transitive_closure_reference(
                     if row_k[j]:
                         row_i[j] = True
     return tuple(tuple(row) for row in grid)
+
+
+def downsets_reference(rows) -> frozenset[int]:
+    """Every subset of the n elements of an order given as row masks (bit
+    j of ``rows[i]``: i is a prerequisite of j) that holds, with each
+    member, each of its prerequisites: all 2^n subsets filtered pair by
+    pair."""
+    size = len(rows)
+    pairs = [(i, j) for i in range(size) for j in range(size) if rows[i] >> j & 1]
+    return frozenset(
+        subset
+        for subset in range(1 << size)
+        if all(subset >> i & 1 for i, j in pairs if subset >> j & 1)
+    )
 
 
 def state_sets(masks) -> frozenset[frozenset[int]]:

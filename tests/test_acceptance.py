@@ -16,7 +16,7 @@ from time import perf_counter
 
 from surmise import (
     Flexibility,
-    PlantedPoset,
+    OrderMatrix,
     all_downsets,
     analyze,
     emit_dot,
@@ -231,11 +231,11 @@ def _all_labeled_strict_orders(n: int) -> set[frozenset[tuple[int, int]]]:
     return labeled
 
 
-def _check_recovery(poset: PlantedPoset) -> None:
+def _check_recovery(poset: OrderMatrix) -> None:
+    assert poset.diagnostics.ok
     structure = all_downsets(poset)
     got = surmise_from_structure(structure)
-    strict = oracles.closure_pairs(set(poset.covers), poset.elements)
-    assert got == frozenset(strict)
+    assert got == frozenset(poset.pairs()) | {(rep, rep) for rep in poset.reps}
 
 
 def test_criterion_6_birkhoff_recovery():
@@ -247,12 +247,8 @@ def test_criterion_6_birkhoff_recovery():
             assert len(labeled) == expected_counts[n]
             elements = tuple(f"x{k}" for k in range(n))
             for strict in labeled:
-                covers = tuple(
-                    (elements[a], elements[b])
-                    for a, b in strict
-                    if not any((a, c) in strict and (c, b) in strict for c in range(n))
-                )
-                _check_recovery(PlantedPoset(elements=elements, covers=covers))
+                pairs = {(elements[a], elements[b]) for a, b in strict}
+                _check_recovery(OrderMatrix.from_pairs(elements, pairs))
         rng = random.Random(606)
         for _ in range(50):
             _check_recovery(random_poset(6, rng.uniform(0.0, 0.9), seed=rng.randrange(2**32)))

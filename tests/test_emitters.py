@@ -100,6 +100,11 @@ def test_json_outputs_match_golden_bytes(golden, argv):
             "synth-12x40-seed7.csv",
             ["synth", "--targets", "12", "--models", "40", "--seed", "7", "--noise", "0.1"],
         ),
+        (
+            "synth-20x300-seed3.csv",
+            ["synth", "--targets", "20", "--models", "300", "--seed", "3",
+             "--density", "0.3", "--noise", "0.2"],
+        ),
     ],
 )
 def test_dot_and_synth_outputs_match_golden_bytes(golden, argv):

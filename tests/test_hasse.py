@@ -9,7 +9,6 @@ from surmise import (
     emit_dot,
     hasse_json,
     order_matrix,
-    transitive_closure,
     transitive_reduction,
 )
 
@@ -181,33 +180,21 @@ class TestConstructionChecks:
         with pytest.raises(ValueError, match="covering row -1 is not a mask"):
             HasseDiagram(nodes=("a", "b"), members=SINGLETONS, covers=(-1, 0))
 
+    def test_members_are_copied(self):
+        # A diagram holds its own members: the caller's dict may change
+        # after construction without changing the diagram.
+        members = {"a": ("a",), "b": ("b", "c")}
+        diagram = HasseDiagram(("a", "b"), members, (0b10, 0))
+        twin = HasseDiagram(("a", "b"), {"a": ("a",), "b": ("b", "c")}, (0b10, 0))
+        dot = emit_dot(diagram)
+        del members["b"]
+        members["a"] = ("z",)
+        assert emit_dot(diagram) == dot == emit_dot(twin)
+        assert diagram == twin
+        assert diagram.members == {"a": ("a",), "b": ("b", "c")}
+
 
 class TestTransitiveClosure:
-    def test_adds_composed_pair(self):
-        got = transitive_closure([0b010, 0b100, 0b000])
-        assert got == (0b110, 0b100, 0b000)
-
-    def test_transitive_input_is_fixpoint(self):
-        matrix = [0b111, 0b110, 0b100]
-        once = transitive_closure(matrix)
-        assert transitive_closure(once) == once
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            transitive_closure([0b01, 0b100])
-
-    @given(st.integers(0, 9).flatmap(
-        lambda n: st.lists(
-            st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n
-        )
-    ))
-    def test_matches_warshall_on_boolean_grid(self, grid):
-        rows = [sum(1 << j for j, cell in enumerate(row) if cell) for row in grid]
-        expected = oracles.transitive_closure_reference(grid)
-        assert transitive_closure(rows) == tuple(
-            sum(1 << j for j, cell in enumerate(row) if cell) for row in expected
-        )
-
     def test_twelve_models_hasse_closure_recovers_order(self, twelve_models):
         # Duality on the worked table: the covering edges plus the
         # diagonal close back to the full order matrix.
@@ -218,7 +205,9 @@ class TestTransitiveClosure:
         seed = [1 << i for i in range(size)]
         for lower, upper in diagram.edges:
             seed[index[lower]] |= 1 << index[upper]
-        assert transitive_closure(seed) == matrix.rows
+        grid = [[row >> j & 1 for j in range(size)] for row in seed]
+        closed = oracles.transitive_closure_reference(grid)
+        assert tuple(map(oracles.pack_bits, closed)) == matrix.rows
 
 
 def test_duality_and_minimality_sample(fuzz_corpus):

@@ -285,7 +285,8 @@ class TestDiscriminativeReduction:
 
 class TestReductionChecksThePartition:
     """``discriminative_reduction`` takes the concept partition as given
-    and checks it against the columns it reads anyway.  Here a and b are
+    and checks it against the columns it reads anyway; a name held twice
+    is rejected earlier, by the partition itself.  Here a and b are
     one concept, c another: the states are {}, {a, b} and {a, b, c}."""
 
     STRUCTURE = KnowledgeStructure(("a", "b", "c"), {0, 0b011, 0b111})
@@ -298,10 +299,11 @@ class TestReductionChecksThePartition:
             self.reduce_by(("a",))
 
     def test_a_name_in_two_blocks(self):
+        # Caught when the partition is built, before any reduction reads it.
         with pytest.raises(ValueError, match="partition blocks 0 and 1 both hold 'a'"):
-            self.reduce_by(("a", "b"), ("a", "c"))
+            ConceptPartition((("a", "b"), ("a", "c")))
         with pytest.raises(ValueError, match="partition blocks 0 and 0 both hold 'a'"):
-            self.reduce_by(("a", "a", "b"), ("c",))
+            ConceptPartition((("a", "a", "b"), ("c",)))
 
     def test_unequal_columns_within_a_block(self):
         with pytest.raises(ValueError, match="partition block 0 is not the concept of 'c'"):

@@ -21,6 +21,9 @@ DELETED_FUNCTIONS = (
     "_all_singletons",
     "_reduction",
     "PairCounts",  # a record: the counts are plain tuples and row walks now
+    "PlantedPoset",  # a planted poset is an OrderMatrix
+    "transitive_closure",
+    "predecessor_masks",
 )
 
 DELETED_MEMBERS = [
@@ -32,6 +35,7 @@ DELETED_MEMBERS = [
     (table.NamePartition, "block_of"),
     (order.OrderMatrix, "holds"),
     (order.OrderMatrix, "index_of"),
+    (order.OrderMatrix, "predecessor_masks"),
     (kst.KnowledgeStructure, "names_of"),
     (kst.KnowledgeStructure, "full_state"),
     (kst.ConceptPartition, "representative_of"),

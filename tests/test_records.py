@@ -19,7 +19,6 @@ from surmise import (
     KnowledgeStructure,
     OrderDiagnostics,
     OrderMatrix,
-    PlantedPoset,
     SynthSpec,
     analyze,
     order_matrix,
@@ -27,7 +26,7 @@ from surmise import (
 from surmise.table import Frozen, NamePartition
 
 BLOCKS = (("t0", "t1"), ("t2",))
-POSET = (("a", "b", "c"), (("a", "b"), ("a", "c")))
+POSET = (("a", "b", "c"), (0b111, 0b010, 0b100))
 TABLE = (("M1", "M2", "M3"), ("a", "b", "c"), (0b111, 0b011, 0b001))
 
 
@@ -53,8 +52,7 @@ ARGUMENTS = {
     OrderDiagnostics: lambda: (True, False, False, None, ("a", "b"), ("a", "b", "c")),
     HasseDiagram: lambda: (("a", "b"), {"a": ("a",), "b": ("b",)}, (0b10, 0)),
     KnowledgeStructure: lambda: (("a", "b"), frozenset({0, 0b01, 0b11}), True),
-    PlantedPoset: lambda: POSET,
-    SynthSpec: lambda: (PlantedPoset(*POSET), 5, 0.25, 3),
+    SynthSpec: lambda: (OrderMatrix(*POSET), 5, 0.25, 3),
     AnalysisReport: lambda: _report(True),
 }
 
@@ -68,8 +66,7 @@ CHANGED = {
     OrderDiagnostics: lambda: (True, False, False, None, ("a", "c"), ("a", "b", "c")),
     HasseDiagram: lambda: (("a", "b"), {"a": ("a",), "b": ("b", "c")}, (0b10, 0)),
     KnowledgeStructure: lambda: (("a", "b"), frozenset({0, 0b10, 0b11}), True),
-    PlantedPoset: lambda: (POSET[0], (("a", "b"),)),
-    SynthSpec: lambda: (PlantedPoset(*POSET), 5, 0.25, 4),
+    SynthSpec: lambda: (OrderMatrix(*POSET), 5, 0.25, 4),
     AnalysisReport: lambda: _report(False),
 }
 
@@ -174,7 +171,6 @@ LIST_BUILT = {
     OrderMatrix: lambda: (["a", "b"], [0b11, 0b10], EquivalenceClasses((("a",), ("b",)))),
     HasseDiagram: lambda: (["a", "b"], {"a": ("a",), "b": ("b",)}, [0b10, 0]),
     KnowledgeStructure: lambda: (["a", "b"], {0, 0b01, 0b11}, True),
-    PlantedPoset: lambda: (list(POSET[0]), [list(pair) for pair in POSET[1]]),
 }
 
 
@@ -226,9 +222,9 @@ class TestDefaults:
         assert structure == KnowledgeStructure(("a", "b"), frozenset({0b01}), completed=False)
 
     def test_synth_spec_noise_and_seed(self):
-        spec = SynthSpec(PlantedPoset(*POSET), 5)
+        spec = SynthSpec(OrderMatrix(*POSET), 5)
         assert (spec.noise, spec.seed) == (0.0, 0)
-        assert spec == SynthSpec(poset=PlantedPoset(*POSET), model_count=5, noise=0.0, seed=0)
+        assert spec == SynthSpec(poset=OrderMatrix(*POSET), model_count=5, noise=0.0, seed=0)
 
     def test_analysis_report_counts(self):
         report = AnalysisReport(*_report(True)[:4])

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings
 
 from surmise import (
-    PlantedPoset,
+    OrderMatrix,
     SynthSpec,
     all_downsets,
     order_matrix,
@@ -9,47 +10,64 @@ from surmise import (
     sample_models,
     structure_from_table,
     surmise_from_structure,
+    transitive_reduction,
 )
 
 import oracles
+from test_order import partial_orders
+
+
+def planted(elements, covers=()):
+    """The order on ``elements`` that the (lower, upper) pairs generate."""
+    return OrderMatrix.from_pairs(elements, oracles.closure_pairs(set(covers), elements))
 
 
 def chain(*names):
-    return PlantedPoset(
-        elements=tuple(names),
-        covers=tuple(zip(names, names[1:])),
-    )
+    return planted(names, zip(names, names[1:]))
+
+
+def relation(poset):
+    """The poset's pairs, the reflexive ones included."""
+    return set(poset.pairs()) | {(rep, rep) for rep in poset.reps}
 
 
 class TestPlantedPoset:
-    def test_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            PlantedPoset(elements=("a",), covers=(("a", "a"),))
+    """A planted poset is an ``OrderMatrix``: its construction rejects bad
+    names, and a matrix that is not a partial order is rejected by what
+    reads it, with the message ``transitive_reduction`` gives."""
+
+    CYCLE = (("a", "b", "c"), (("a", "b"), ("b", "c"), ("c", "a")))
 
     def test_rejects_cycle(self):
-        with pytest.raises(ValueError, match="cycle"):
-            PlantedPoset(
-                elements=("a", "b", "c"),
-                covers=(("a", "b"), ("b", "c"), ("c", "a")),
-            )
+        cycle = OrderMatrix.from_pairs(*self.CYCLE)
+        with pytest.raises(ValueError, match="^not a partial order: "):
+            all_downsets(cycle)
+        with pytest.raises(ValueError, match="^not a partial order: "):
+            sample_models(SynthSpec(poset=cycle, model_count=3))
 
-    def test_cycle_named_by_its_first_element(self):
-        with pytest.raises(ValueError, match=r"^cycle through 'a'$"):
-            PlantedPoset(elements=("a", "b", "c"), covers=(("c", "a"), ("a", "c"), ("a", "b")))
-        # "a" only feeds the cycle between "c" and "b", which lies above it.
-        with pytest.raises(ValueError, match=r"^cycle through 'b'$"):
-            PlantedPoset(
-                elements=("a", "b", "c", "d"),
-                covers=(("a", "c"), ("c", "b"), ("b", "c"), ("d", "a")),
-            )
+    def test_cycle_named_by_the_diagnostics_summary(self):
+        cycle = OrderMatrix.from_pairs(("a", "b", "c"), (("c", "a"), ("a", "c"), ("a", "b")))
+        expected = (
+            "not a partial order: reflexivity: pass; anti-symmetry: FAIL at ('a', 'c'); "
+            "transitivity: FAIL at ('c', 'a', 'b')"
+        )
+        for reader in (all_downsets, transitive_reduction):
+            with pytest.raises(ValueError) as raised:
+                reader(cycle)
+            assert str(raised.value) == expected
+
+    def test_self_loop_is_a_reflexive_pair(self):
+        looped = OrderMatrix.from_pairs(("a",), (("a", "a"),))
+        assert looped == OrderMatrix.from_pairs(("a",), ())
+        assert all_downsets(looped).states == frozenset({0b0, 0b1})
 
     def test_rejects_unknown_endpoint(self):
-        with pytest.raises(ValueError, match="unknown element"):
-            PlantedPoset(elements=("a",), covers=(("a", "b"),))
+        with pytest.raises(ValueError, match="unknown element 'b'"):
+            OrderMatrix.from_pairs(("a",), (("a", "b"),))
 
     def test_rejects_duplicate_element(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            PlantedPoset(elements=("a", "a"), covers=())
+        with pytest.raises(ValueError, match="distinct and natural-sorted: 'a' before 'a'"):
+            OrderMatrix.from_pairs(("a", "a"), ())
 
 
 class TestAllDownsets:
@@ -59,34 +77,39 @@ class TestAllDownsets:
         assert structure.completed
 
     def test_antichain_of_two(self):
-        poset = PlantedPoset(elements=("x", "y"), covers=())
-        structure = all_downsets(poset)
+        structure = all_downsets(planted(("x", "y")))
         assert len(structure.states) == 4
 
     def test_single_element(self):
-        structure = all_downsets(PlantedPoset(elements=("x",), covers=()))
+        structure = all_downsets(planted(("x",)))
         assert structure.states == frozenset({0b0, 0b1})
 
     def test_size_guard(self):
-        big = PlantedPoset(elements=tuple(f"e{k}" for k in range(21)), covers=())
+        big = planted(tuple(f"e{k}" for k in range(21)))
         with pytest.raises(ValueError, match="refusing"):
             all_downsets(big)
 
     def test_every_state_is_downward_closed(self):
         poset = random_poset(6, 0.5, seed=99)
-        preds = poset.predecessor_masks()
         for state in all_downsets(poset).states:
-            for j in range(len(preds)):
-                if state >> j & 1:
-                    assert preds[j] & ~state == 0
+            for lower, upper in poset.pairs():
+                if state >> poset.reps.index(upper) & 1:
+                    assert state >> poset.reps.index(lower) & 1
 
     def test_diamond_counts(self):
         # a below b and c, d above both: 6 downsets
-        poset = PlantedPoset(
-            elements=("a", "b", "c", "d"),
-            covers=(("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")),
-        )
+        poset = planted(("a", "b", "c", "d"), (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")))
         assert len(all_downsets(poset).states) == 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(partial_orders())
+    def test_matches_subset_filter_reference(self, rows):
+        # The orders are shuffled, so index order is rarely a linear
+        # extension of them.
+        poset = OrderMatrix(tuple(f"e{k}" for k in range(len(rows))), rows)
+        structure = all_downsets(poset)
+        assert structure.ground == poset.reps
+        assert structure.states == oracles.downsets_reference(rows)
 
 
 class TestSampleModels:
@@ -112,15 +135,20 @@ class TestSampleModels:
         poset = chain("a", "b", "c")
         spec = SynthSpec(poset=poset, model_count=60, seed=11)
         table = sample_models(spec)
-        sampled_states = {
-            sum(bit << j for j, bit in enumerate(row)) for row in oracles.cells_of(table)
-        }
+        sampled_states = {oracles.pack_bits(row) for row in oracles.cells_of(table)}
         assert sampled_states == all_downsets(poset).states
-        relation = surmise_from_structure(structure_from_table(table))
-        expected = oracles.closure_pairs(set(poset.covers), poset.elements)
-        assert relation == frozenset(expected)
+        assert surmise_from_structure(structure_from_table(table)) == frozenset(relation(poset))
         matrix = order_matrix(table)
         assert set(matrix.pairs()) == {("a", "b"), ("a", "c"), ("b", "c")}
+
+    def test_recovery_is_a_comparison_of_rows(self):
+        # Noise-free, with every downset sampled, the mined order is the
+        # planted record itself.
+        poset = random_poset(6, 0.5, seed=99)
+        table = sample_models(SynthSpec(poset=poset, model_count=400, seed=2))
+        assert set(structure_from_table(table, complete=False).states) == all_downsets(poset).states
+        matrix = order_matrix(table)
+        assert (matrix.reps, matrix.rows) == (poset.reps, poset.rows)
 
     def test_spec_validation(self):
         poset = chain("a", "b")
@@ -130,7 +158,7 @@ class TestSampleModels:
             SynthSpec(poset=poset, model_count=1, noise=1.5)
 
     def test_noise_flips_cells(self):
-        poset = PlantedPoset(elements=("a", "b"), covers=())
+        poset = planted(("a", "b"))
         clean = sample_models(SynthSpec(poset=poset, model_count=30, seed=4))
         noisy = sample_models(
             SynthSpec(poset=poset, model_count=30, noise=0.5, seed=4)
@@ -141,11 +169,12 @@ class TestSampleModels:
 class TestRandomPoset:
     def test_density_zero_is_antichain(self):
         poset = random_poset(5, 0.0, seed=1)
-        assert poset.covers == ()
+        assert poset.pairs() == ()
+        assert transitive_reduction(poset).edges == ()
 
     def test_density_one_is_successor_chain(self):
         poset = random_poset(5, 1.0, seed=1)
-        assert poset.covers == (
+        assert transitive_reduction(poset).edges == (
             ("t0", "t1"), ("t1", "t2"), ("t2", "t3"), ("t3", "t4"),
         )
 
@@ -161,13 +190,14 @@ class TestRandomPoset:
     def test_covers_in_index_order(self):
         for seed in range(10):
             poset = random_poset(12, 0.4, seed=seed)
-            index = {name: k for k, name in enumerate(poset.elements)}
-            keys = [(index[a], index[b]) for a, b in poset.covers]
+            index = {name: k for k, name in enumerate(poset.reps)}
+            keys = [(index[a], index[b]) for a, b in transitive_reduction(poset).edges]
             assert keys == sorted(keys)
+            assert all(a < b for a, b in keys)
 
     def test_covers_are_reduced(self):
         for seed in range(10):
             poset = random_poset(6, 0.7, seed=seed)
-            strict = oracles.closure_pairs(set(poset.covers), poset.elements)
-            strict = {(a, b) for a, b in strict if a != b}
-            assert set(poset.covers) == oracles.covering_pairs(strict)
+            edges = set(transitive_reduction(poset).edges)
+            assert oracles.closure_pairs(edges, poset.reps) == relation(poset)
+            assert edges == oracles.covering_pairs(set(poset.pairs()))

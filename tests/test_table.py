@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from surmise import (
+    ConceptPartition,
+    EquivalenceClasses,
     Flexibility,
     FlexibilityError,
     FlexibilityFormatError,
@@ -366,6 +368,37 @@ class TestNaturalOrder:
 
     def test_key_orders_t0_before_t1(self):
         assert natural_key("t0") < natural_key("t1")
+
+
+@pytest.mark.parametrize("cls", [EquivalenceClasses, ConceptPartition], ids=lambda c: c.__name__)
+class TestPartitionChecks:
+    """Every partition is checked at construction: no empty block, and
+    each name in one block, once."""
+
+    def test_empty_block(self, cls):
+        with pytest.raises(ValueError, match="^partition block 0 is empty$"):
+            cls(((),))
+        with pytest.raises(ValueError, match="^partition block 1 is empty$"):
+            cls((("a",), (), ("b",)))
+
+    def test_name_twice_within_a_block(self, cls):
+        with pytest.raises(ValueError, match=r"^partition blocks 0 and 0 both hold 'a'$"):
+            cls((("a", "a", "b"), ("c",)))
+
+    def test_name_in_two_blocks(self, cls):
+        with pytest.raises(ValueError, match=r"^partition blocks 0 and 2 both hold 'b'$"):
+            cls((("a", "b"), ("c",), ("b", "d")))
+
+    def test_a_partition_passes(self, cls):
+        partition = cls((("a", "b"), ("c",)))
+        assert partition.representatives == (("b", "c") if cls.LABEL == -1 else ("a", "c"))
+        assert cls(()).representatives == ()
+
+    @given(st.lists(st.integers(0, 3), max_size=12))
+    def test_from_keys_passes(self, cls, keys):
+        names = [f"t{j}" for j in range(len(keys))]
+        partition = cls.from_keys(names, keys)
+        assert sorted(name for block in partition.blocks for name in block) == sorted(names)
 
 
 class TestFlexibility:
