@@ -11,27 +11,31 @@ section is one chunk, except the sections that can grow quadratically:
 the pair lists (relation and covering edges) are one chunk per row, all
 pairs with the same first element, read straight from the row masks of
 the order matrix and of the Hasse diagram by one row walker
-(``OrderMatrix.successors``, ``HasseDiagram.successors``); the counts
-are one chunk per row of ``JudgmentTable.count_rows``; and each
-``K_<name>`` line is its own chunk.  Every JSON array is laid out by one
-writer, ``_array_chunks``.
+(``order.named_rows``); the counts are one chunk per row of
+``JudgmentTable.count_rows``; and each ``K_<name>`` line is its own
+chunk.  A row's names are picked from a list by ``compress`` on the
+row's ``table.bit_flags``, never through a list of bit indices: the
+text and DOT writers pick plain names, the JSON writers the quoted
+names, each node quoted once per document.  Every JSON array is laid
+out by one writer, ``_array_chunks``.
 """
 from __future__ import annotations
 
 import json
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .hasse import HasseDiagram, transitive_reduction
 from .kst import KnowledgeStructure, discriminative_reduction, equally_informative
-from .order import EquivalenceClasses, OrderMatrix, order_matrix
+from .order import EquivalenceClasses, OrderMatrix, named_rows, order_matrix
 from .table import (
     Flexibility,
     Frozen,
     JudgmentTable,
     ZERO_FLEXIBILITY,
     _read_columns,
-    bit_indices,
+    bit_flags,
     natural_sorted,
     transpose,
 )
@@ -161,6 +165,15 @@ def _array(elements: Iterable[str], depth: int) -> str:
     return "".join(_array_chunks(elements, depth))
 
 
+def _pair_runs(rows: Iterable[tuple[str, Sequence[str]]]) -> Iterator[str]:
+    """The rendered [p, q] pairs of each non-empty row (p, [q, ...]) of
+    JSON string literals, as one run per row."""
+    for p, successors in rows:
+        if successors:
+            head = f"[\n      {p},\n      "
+            yield head + ("\n    ],\n    " + head).join(successors) + "\n    ]"
+
+
 class _JsonNames(dict):
     """Name -> JSON string literal, quoted by ``json.dumps`` on first use,
     and the arrays of names both JSON outputs are made of.  One per
@@ -173,18 +186,15 @@ class _JsonNames(dict):
     def array(self, names: Iterable[str], depth: int) -> str:
         return _array(map(self.__getitem__, names), depth)
 
-    def pairs(self, rows: Iterable[tuple[str, Sequence[str]]]) -> Iterator[str]:
-        """The array of [p, q] pairs at depth 1, from rows (p, [q, ...]):
-        one chunk per non-empty row, which quotes p once."""
-        return _array_chunks(self._pair_runs(rows), 1)
-
-    def _pair_runs(self, rows: Iterable[tuple[str, Sequence[str]]]) -> Iterator[str]:
-        for p, successors in rows:
-            if successors:
-                head = f"[\n      {self[p]},\n      "
-                yield head + ("\n    ],\n    " + head).join(
-                    map(self.__getitem__, successors)
-                ) + "\n    ]"
+    def pairs(self, nodes: Sequence[str], masks: Iterable[int]) -> Iterator[str]:
+        """The array of [p, q] pairs at depth 1, from row masks over
+        ``nodes`` (bit j of ``masks[i]`` is the pair (nodes[i], nodes[j])):
+        one chunk per non-empty row.  Each node is quoted once, into a
+        list parallel to ``nodes``, and the rows are read from that list
+        by the row walker (``order.named_rows``), so no pair costs a
+        lookup."""
+        quoted = list(map(self.__getitem__, nodes))
+        return _array_chunks(_pair_runs(named_rows(quoted, masks)), 1)
 
     def blocks(self, key: str, blocks: Iterable[tuple[str, Sequence[str]]]) -> str:
         return _array((f'{{\n      "{key}": {self[label]},\n      "members": '
@@ -274,9 +284,9 @@ def _report_json(report: AnalysisReport) -> Iterator[str]:
     )
     yield names.blocks("representative", ((b[-1], b) for b in report.classes.blocks))
     yield ',\n  "relation": '
-    yield from names.pairs(report.order.successors())
+    yield from names.pairs(report.order.reps, report.order.strict_rows)
     yield ',\n  "hasse": '
-    yield from names.pairs(report.diagram.successors())
+    yield from names.pairs(report.diagram.nodes, report.diagram.covers)
     yield ',\n  "layers": ' + _array((names.array(group, 2) for group in report.layers), 1)
     if report.include_counts:
         yield ',\n  "counts": '
@@ -342,7 +352,7 @@ def hasse_json_chunks(diagram: HasseDiagram) -> Iterator[str]:
     names = _JsonNames()
     yield '{\n  "nodes": ' + names.blocks("name", ((n, diagram.members[n]) for n in diagram.nodes))
     yield ',\n  "edges": '
-    yield from names.pairs(diagram.successors())
+    yield from names.pairs(diagram.nodes, diagram.covers)
     layers = _array((names.array(group, 2) for group in diagram.layer_groups()), 1)
     yield ',\n  "layers": ' + layers + "\n}\n"
 
@@ -359,7 +369,7 @@ def _rendered_states(structure: KnowledgeStructure) -> tuple[list[int], list[str
     rank = structure.rank
     keyed = []
     for state in structure.states:
-        ranks = sorted([rank[j] for j in bit_indices(state)])
+        ranks = sorted(compress(rank, bit_flags(state)))
         keyed.append((len(ranks), ranks, state))
     keyed.sort()
     by_rank = natural_sorted(structure.ground)
@@ -382,7 +392,7 @@ def structure_chunks(structure: KnowledgeStructure) -> Iterator[str]:
     yield "".join([f"  {text}\n" for text in texts])
     families = transpose(states, len(structure.ground))
     for name, family in zip(structure.ground, families):
-        yield " ".join([f"K_{name}:", *map(texts.__getitem__, bit_indices(family))]) + "\n"
+        yield " ".join([f"K_{name}:", *compress(texts, bit_flags(family))]) + "\n"
     partition = equally_informative(structure)
     concepts = " ".join("{" + ",".join(block) + "}" for block in partition.blocks)
     discriminative = "true" if len(partition.blocks) == len(structure.ground) else "false"

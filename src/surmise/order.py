@@ -9,9 +9,7 @@ and is a genuine partial order: reflexive, anti-symmetric, transitive.
 """
 from __future__ import annotations
 
-from functools import reduce
-from itertools import chain, groupby, pairwise, repeat
-from operator import or_
+from itertools import chain, compress, groupby, pairwise, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .table import (
@@ -20,10 +18,12 @@ from .table import (
     JudgmentTable,
     NamePartition,
     ZERO_FLEXIBILITY,
+    bit_flags,
     bit_indices,
     check_masks,
     natural_key,
     natural_sorted,
+    or_selected,
     transpose,
 )
 
@@ -51,12 +51,13 @@ def check_natural_order(kind: str, names: Sequence[str]) -> None:
                              f"{first[-1]!r} before {second[-1]!r}")
 
 
-def named_rows(names: Sequence[str], masks: Iterable[int]) -> Iterator[tuple[str, list[str]]]:
-    """(names[i], [names[j] for each set bit j of masks[i]]) for each row i,
-    in index order.  The names of one row are built only when that row is
-    reached."""
-    for name, mask in zip(names, masks):
-        yield name, list(map(names.__getitem__, bit_indices(mask)))
+def named_rows(items: Sequence[str], masks: Iterable[int]) -> Iterator[tuple[str, list[str]]]:
+    """(items[i], [items[j] for each set bit j of masks[i]]) for each row i,
+    in index order; each mask is a mask over the items.  A row's items
+    are picked by ``compress`` on its ``bit_flags``, with no index list,
+    and only when that row is reached."""
+    for item, mask in zip(items, masks):
+        yield item, list(compress(items, bit_flags(mask)))
 
 
 def _edge_holds(n2: int, n3: int, basis_points: int) -> bool:
@@ -236,12 +237,13 @@ def _check_axioms(
 
     Each witness is the first failure in the scan order i, then j, then
     k.  Works on row and column bitmasks: anti-symmetry is one AND per
-    node.  For each row i, ``implied`` is the OR of the strict rows of
-    everything strictly above i, one OR per relation pair.  Some (i, j)
-    breaks transitivity (``up[j] & ~up[i]`` non-zero) iff ``implied`` has
-    a bit outside ``up[i]``: j's own bit is in ``up[i]``.  In a partial
+    node.  ``implied[i]`` is the OR of the strict rows of everything
+    strictly above i, for every row at once (``table.or_selected``, by
+    Four Russians: (256 + c)·⌈c/8⌉ ORs for c nodes).  Some (i, j) breaks
+    transitivity (``up[j] & ~up[i]`` non-zero) iff ``implied[i]`` has a
+    bit outside ``up[i]``: j's own bit is in ``up[i]``.  In a partial
     order, j covers i iff no k above i lies below j, so the covers of i
-    are its strict row less ``implied`` (Aho, Garey & Ullman 1972).
+    are its strict row less ``implied[i]`` (Aho, Garey & Ullman 1972).
     """
     size = len(reps)
     down = transpose(up, size)
@@ -258,16 +260,18 @@ def _check_axioms(
             antisymmetry_witness = (reps[i], reps[i + 1 + bit_indices(mutual)[0]])
             break
 
+    # Free the columns before the OR tables are built, so the pass holds
+    # at most about four rows per node at once (up, strict, two of implied).
+    del down
+    implied = or_selected(strict, strict)
     transitivity_witness = None
-    covers = []
-    for i, above in enumerate(strict):
-        implied = reduce(or_, map(strict.__getitem__, bit_indices(above)), 0)
-        if implied & ~up[i] and transitivity_witness is None:
-            # Only the first failing row pays for the witness search.
-            j = next(j for j in bit_indices(up[i]) if up[j] & ~up[i])
-            k = bit_indices(up[j] & ~up[i])[0]
-            transitivity_witness = (reps[i], reps[j], reps[k])
-        covers.append(above & ~implied)
+    # Only the first failing row pays for the witness search.
+    i = next((i for i in range(size) if implied[i] & ~up[i]), None)
+    if i is not None:
+        j = next(j for j in bit_indices(up[i]) if up[j] & ~up[i])
+        k = bit_indices(up[j] & ~up[i])[0]
+        transitivity_witness = (reps[i], reps[j], reps[k])
+    covers = [row & ~implied_row for row, implied_row in zip(strict, implied)]
 
     diagnostics = OrderDiagnostics(
         reflexive=reflexivity_witness is None,

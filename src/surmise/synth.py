@@ -79,7 +79,14 @@ def sample_models(spec: SynthSpec) -> JudgmentTable:
     flip cells independently with the configured noise probability."""
     ground = spec.poset.reps
     structure = all_downsets(spec.poset)
-    downsets = sorted(structure.states, key=lambda s: (s.bit_count(), bit_indices(s)))
+    # By size, then by the ascending lists of member indices.  For equal
+    # sizes that list order is the descending order of the mask with its
+    # len(ground) bits reversed, an int key that builds no list.
+    n = len(ground)
+    downsets = sorted(
+        structure.states,
+        key=lambda s: (s.bit_count(), -int(format(s, "b").zfill(n)[::-1], 2)),
+    )
     rng = random.Random(spec.seed)
     rows = []
     for _ in range(spec.model_count):

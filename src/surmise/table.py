@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain, compress
+from operator import or_
 from typing import ClassVar, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 __all__ = [
@@ -97,6 +98,30 @@ def transpose(masks: Iterable[int], width: int) -> tuple[int, ...]:
     return _read_columns(digits, width)[::-1]
 
 
+def or_selected(rows: Sequence[int], selectors: Sequence[int]) -> list[int]:
+    """Entry i is the OR of ``rows[j]`` over the set bits j of
+    ``selectors[i]`` (0 where none is set); every selector is a mask over
+    the rows, below ``1 << len(rows)``.
+
+    Method of Four Russians (Arlazarov, Dinic, Kronrod & Faradzev 1970):
+    for each block of 8 rows, a table holds the ORs of all 256 subsets of
+    the block, each one OR of an earlier entry, and every selector's byte
+    for that block picks its entry.  The selectors are packed into bytes
+    once; a block's bytes are one strided slice, so each block costs 256
+    + len(selectors) ORs, none of them in a Python-level loop per bit.
+    Only one block's table is alive at a time.
+    """
+    width = (len(rows) + 7) // 8
+    data = b"".join([selector.to_bytes(width, "little") for selector in selectors])
+    out = [0] * len(selectors)
+    for k in range(width):
+        table = [0]
+        for row in rows[8 * k : 8 * k + 8]:
+            table += [entry | row for entry in table]
+        out = list(map(or_, out, map(table.__getitem__, data[k::width])))
+    return out
+
+
 def check_masks(kind: str, masks: Iterable[object], width: int) -> None:
     """Raise unless every mask is an int in [0, 1 << width), a subset of a
     list of ``width`` elements; ``kind`` names a mask in the error."""
@@ -107,15 +132,22 @@ def check_masks(kind: str, masks: Iterable[object], width: int) -> None:
             raise ValueError(f"{kind} {mask} is not a mask over {width} elements")
 
 
-def bit_indices(mask: int) -> list[int]:
-    """Positions of the set bits of a non-negative int, ascending.
+def bit_flags(mask: int) -> bytes:
+    """Byte i is bit i of a non-negative int, as the byte 0 or 1, up to
+    its highest set bit (one byte 0 for the mask 0).
 
-    Reads the binary digits once, as the 0/1 bytes ``compress`` selects
-    by, so the cost is linear in the mask's length (peeling bits off the
-    int would copy it once per bit).
+    ``compress(items, bit_flags(mask))`` yields the items at the set bits,
+    ascending, with no index list.  The binary digits are read once, so
+    the cost is linear in the mask's length (peeling bits off the int
+    would copy it once per bit).
     """
-    digits = bin(mask)[:1:-1].encode("ascii").translate(_DIGIT_VALUES)
-    return list(compress(range(len(digits)), digits))
+    return bin(mask)[:1:-1].encode("ascii").translate(_DIGIT_VALUES)
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, ascending."""
+    flags = bit_flags(mask)
+    return list(compress(range(len(flags)), flags))
 
 
 # Names feed unescaped into CSV and DOT output, so the alphabet is

@@ -19,7 +19,10 @@ the order rows by one threshold test per ordered pair, the axiom check
 by one test per relation pair, the covering rows by their own loop, and
 the layers by Kahn's algorithm over name-keyed predecessor and successor
 sets built from the edge pairs, and the pair sections of the JSON, text
-and DOT outputs by one rendered element per (p, q) pair.
+and DOT outputs by one rendered element per (p, q) pair.  The fused
+axiom and covering pass is kept as it was before the rows a mask selects
+were ORed by Four Russians (one ``reduce`` over a list of bit indices
+per row), and so is the row walker that named a row through such a list.
 """
 from __future__ import annotations
 
@@ -27,6 +30,8 @@ import json
 import re
 from collections import deque
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from surmise.io import CsvError
 from surmise.order import (
@@ -257,6 +262,60 @@ def check_axioms_reference(names, up) -> OrderDiagnostics:
         antisymmetry_witness=antisymmetry_witness,
         transitivity_witness=transitivity_witness,
     )
+
+
+def or_selected_reference(rows, selectors) -> list[int]:
+    """Entry i is the OR of the rows at the set bits of selectors[i], one
+    OR per set bit."""
+    return [reduce(or_, map(rows.__getitem__, bit_indices(s)), 0) for s in selectors]
+
+
+def check_axioms_loop_reference(reps, up) -> tuple[OrderDiagnostics, tuple[int, ...]]:
+    """The fused axiom and covering pass as one loop per row: ``implied``
+    is a ``reduce`` over the strict rows at the row's bit indices, and
+    the first row with a bit of ``implied`` outside ``up[i]`` gives the
+    transitivity witness."""
+    size = len(reps)
+    down = transpose(up, size)
+    strict = [row & ~(1 << i) for i, row in enumerate(up)]
+
+    reflexivity_witness = next(
+        (reps[i] for i in range(size) if not up[i] >> i & 1), None
+    )
+
+    antisymmetry_witness = None
+    for i in range(size):
+        mutual = (up[i] & down[i]) >> (i + 1)
+        if mutual:
+            antisymmetry_witness = (reps[i], reps[i + 1 + bit_indices(mutual)[0]])
+            break
+
+    transitivity_witness = None
+    covers = []
+    for i, above in enumerate(strict):
+        implied = reduce(or_, map(strict.__getitem__, bit_indices(above)), 0)
+        if implied & ~up[i] and transitivity_witness is None:
+            j = next(j for j in bit_indices(up[i]) if up[j] & ~up[i])
+            k = bit_indices(up[j] & ~up[i])[0]
+            transitivity_witness = (reps[i], reps[j], reps[k])
+        covers.append(above & ~implied)
+
+    diagnostics = OrderDiagnostics(
+        reflexive=reflexivity_witness is None,
+        antisymmetric=antisymmetry_witness is None,
+        transitive=transitivity_witness is None,
+        reflexivity_witness=reflexivity_witness,
+        antisymmetry_witness=antisymmetry_witness,
+        transitivity_witness=transitivity_witness,
+    )
+    return diagnostics, tuple(covers)
+
+
+def named_rows_reference(names, masks):
+    """(names[i], [names[j] for each set bit j of masks[i]]) per row, the
+    names looked up through the row's list of bit indices."""
+    for name, mask in zip(names, masks):
+        yield name, list(map(names.__getitem__, bit_indices(mask)))
 
 
 def covering_masks_reference(strict_up) -> list[int]:

@@ -50,6 +50,7 @@ from conftest import DATA_DIR, FUZZ_ALPHAS, TWELVE_MODELS_PATH, WORKED_EXAMPLE_P
 from test_order import partial_orders
 
 TWELVE = str(TWELVE_MODELS_PATH)
+SYNTH_20 = str(DATA_DIR / "synth-20x300-seed3.csv")
 ALPHA = Flexibility(1000)
 # Legal names that JSON escapes or that look like numbers: tab, DEL and
 # other C0 controls, non-ASCII BMP letters, astral code points (written
@@ -84,6 +85,11 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
             ["analyze", TWELVE, "--json", "--flexibility", "19.99"],
         ),
         ("twelve_models.hasse.json", ["hasse", TWELVE, "--json"]),
+        # 20 classes: two full blocks of 8 in the covering pass, and one of 4.
+        (
+            "synth-20x300-seed3.analyze-30.json",
+            ["analyze", SYNTH_20, "--json", "--flexibility", "30"],
+        ),
     ],
 )
 def test_json_outputs_match_golden_bytes(golden, argv):
@@ -105,6 +111,7 @@ def test_json_outputs_match_golden_bytes(golden, argv):
             ["synth", "--targets", "20", "--models", "300", "--seed", "3",
              "--density", "0.3", "--noise", "0.2"],
         ),
+        ("synth-20x300-seed3.hasse-30.dot", ["hasse", SYNTH_20, "--flexibility", "30"]),
     ],
 )
 def test_dot_and_synth_outputs_match_golden_bytes(golden, argv):
@@ -202,7 +209,7 @@ def named_orders(draw):
 
 def assert_pair_sections_match_oracles(diagram: HasseDiagram) -> None:
     edges = diagram.edges
-    assert "".join(_JsonNames().pairs(diagram.successors())) == (
+    assert "".join(_JsonNames().pairs(diagram.nodes, diagram.covers)) == (
         oracles.pairs_json_reference(edges)
     )
     assert "".join(_text_pairs("hasse", diagram.covers, diagram.successors())) == (
@@ -219,7 +226,7 @@ def assert_pair_sections_match_oracles(diagram: HasseDiagram) -> None:
 @example(OrderMatrix(reps=("7", "a\tb", "é"), rows=(0b001, 0b010, 0b100)))
 def test_row_writers_match_per_pair_oracles(matrix):
     relation = matrix.pairs()
-    assert "".join(_JsonNames().pairs(matrix.successors())) == (
+    assert "".join(_JsonNames().pairs(matrix.reps, matrix.strict_rows)) == (
         oracles.pairs_json_reference(relation)
     )
     assert "".join(_text_pairs("relation", matrix.strict_rows, matrix.successors())) == (

@@ -15,7 +15,7 @@ from surmise import (
     transitive_reduction,
     verify_partial_order,
 )
-from surmise.order import _check_axioms, _edge_holds, _q_only_limits
+from surmise.order import _check_axioms, _edge_holds, _q_only_limits, named_rows
 from surmise.table import bit_indices
 
 import oracles
@@ -342,11 +342,19 @@ class TestSizeOrderKernel:
 
 
 @st.composite
-def partial_orders(draw):
-    """Row masks of a random partial order on 0-9 nodes, reflexive, with
-    the nodes shuffled so the order is not the index order."""
-    size = draw(st.integers(0, 9))
-    upward = [draw(st.integers(0, (1 << size) - 1)) >> (i + 1) << (i + 1) for i in range(size)]
+def partial_orders(draw, max_size=9, thinning=0):
+    """Row masks of a random partial order on 0-``max_size`` nodes,
+    reflexive, with the nodes shuffled so the order is not the index
+    order.  Each drawn upward row is ANDed with up to ``thinning`` more
+    random masks, so orders on many nodes need not close into a chain."""
+    size = draw(st.integers(0, max_size))
+    masks = st.integers(0, (1 << size) - 1)
+    upward = []
+    for i in range(size):
+        row = draw(masks)
+        for _ in range(draw(st.integers(0, thinning)) if thinning else 0):
+            row &= draw(masks)
+        upward.append(row >> (i + 1) << (i + 1))
     place = draw(st.permutations(range(size)))
     rows = [0] * size
     grid = [[row >> j & 1 for j in range(size)] for row in upward]
@@ -356,14 +364,14 @@ def partial_orders(draw):
 
 
 @st.composite
-def relations(draw):
+def relations(draw, max_size=8, thinning=0):
     """Hand-built relations: arbitrary row masks (mostly non-reflexive,
     cyclic and intransitive), or a partial order with a few bits flipped."""
     if draw(st.booleans()):
-        size = draw(st.integers(0, 8))
+        size = draw(st.integers(0, max_size))
         rows = draw(st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size))
         return tuple(rows)
-    rows = list(draw(partial_orders()))
+    rows = list(draw(partial_orders(max_size + 1, thinning)))
     if rows:
         for _ in range(draw(st.integers(1, 3))):
             i = draw(st.integers(0, len(rows) - 1))
@@ -393,3 +401,23 @@ class TestFusedAxiomCheck:
         matrix = OrderMatrix(reps=node_names(len(rows)), rows=rows)
         assert matrix.diagnostics.ok
         assert list(matrix.covers) == oracles.covering_masks_reference(matrix.strict_rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(relations(max_size=40, thinning=3), partial_orders(40, thinning=3)))
+    @example(tuple(1 << i for i in range(17)))  # an antichain: three blocks of 8
+    @example(tuple((1 << 17) - (1 << i) for i in range(17)))  # a chain
+    @example(tuple((1 << 17) - (1 << i) for i in range(16)) + (1 << 15,))  # a 2-cycle at 15, 16
+    def test_pass_matches_the_loop_it_replaced(self, rows):
+        # Up to 41 nodes, so the covers cross the 8-row blocks of the OR
+        # tables, and a last block of 1-7 rows is read; on corrupted
+        # relations too, where every witness and the covers must agree.
+        names = node_names(len(rows))
+        assert _check_axioms(names, rows) == oracles.check_axioms_loop_reference(names, rows)
+
+
+@given(st.integers(0, 40).flatmap(
+    lambda size: st.lists(st.integers(0, 2**size - 1), min_size=size, max_size=size)
+))
+def test_named_rows_match_the_index_list_walker(masks):
+    names = node_names(len(masks))
+    assert list(named_rows(names, masks)) == list(oracles.named_rows_reference(names, masks))

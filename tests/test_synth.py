@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from surmise import (
     OrderMatrix,
@@ -14,6 +16,7 @@ from surmise import (
 )
 
 import oracles
+from surmise.table import bit_indices
 from test_order import partial_orders
 
 
@@ -149,6 +152,20 @@ class TestSampleModels:
         assert set(structure_from_table(table, complete=False).states) == all_downsets(poset).states
         matrix = order_matrix(table)
         assert (matrix.reps, matrix.rows) == (poset.reps, poset.rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(partial_orders(), st.integers(0, 2**32))
+    def test_draws_from_downsets_sorted_by_size_then_members(self, rows, seed):
+        # The downsets are sorted by size, then by their ascending lists of
+        # member indices, and each noise-free row is one draw from them.
+        poset = OrderMatrix(tuple(f"e{k}" for k in range(len(rows))), rows)
+        downsets = sorted(
+            oracles.downsets_reference(rows), key=lambda s: (s.bit_count(), bit_indices(s))
+        )
+        rng = random.Random(seed)
+        expected = tuple(downsets[rng.randrange(len(downsets))] for _ in range(30))
+        table = sample_models(SynthSpec(poset=poset, model_count=30, seed=seed))
+        assert table.row_masks == expected
 
     def test_spec_validation(self):
         poset = chain("a", "b")

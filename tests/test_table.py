@@ -1,7 +1,9 @@
 import enum
+import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from surmise import (
     ConceptPartition,
@@ -16,7 +18,7 @@ from surmise import (
     natural_sorted,
     parse_csv,
 )
-from surmise.table import _check_names, bit_indices, transpose
+from surmise.table import _check_names, bit_flags, bit_indices, or_selected, transpose
 
 import oracles
 
@@ -242,6 +244,48 @@ class TestMasks:
     @given(st.integers(0, 2**1100))
     def test_bit_indices_matches_bit_scan(self, mask):
         assert bit_indices(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    @given(st.integers(0, 2**1100))
+    def test_bit_flags_are_the_bits_up_to_the_highest(self, mask):
+        assert bit_flags(mask) == bytes(mask >> i & 1 for i in range(max(mask.bit_length(), 1)))
+
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda count: st.tuples(
+                st.lists(st.integers(0, 2**70), min_size=count, max_size=count),
+                st.lists(
+                    st.one_of(st.just(0), st.integers(0, 2**count - 1)), max_size=50
+                ),
+            )
+        )
+    )
+    @example(([], []))
+    @example(([], [0, 0]))
+    @example(([5] * 9, [0, 2**8, 2**9 - 1]))
+    def test_or_selected_matches_one_or_per_bit(self, args):
+        # 0-40 rows: a last block of 1-7 rows, or none, and selectors of 0.
+        rows, selectors = args
+        assert or_selected(rows, selectors) == oracles.or_selected_reference(rows, selectors)
+
+    @given(st.integers(0, 40).flatmap(
+        lambda count: st.lists(st.integers(0, 2**count - 1), min_size=count, max_size=count)
+    ))
+    def test_or_selected_with_the_rows_as_selectors(self, rows):
+        assert or_selected(rows, rows) == oracles.or_selected_reference(rows, rows)
+
+    def test_or_selected_holds_one_table_at_a_time(self):
+        # 2000 rows of 2000 bits, selected by themselves: 250 tables of
+        # 256 entries, about 64 KB each.  Holding them all at once peaked
+        # near 20 MB; one at a time, near 2 MB.
+        rng = random.Random(19)
+        rows = [rng.getrandbits(2000) for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            or_selected(rows, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @given(st.integers(0, 12).flatmap(
         lambda width: st.tuples(
