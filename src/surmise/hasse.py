@@ -4,10 +4,10 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain, repeat
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
-from .order import OrderMatrix, check_natural_order, named_rows
-from .table import Frozen, bit_indices, check_masks, natural_sorted, transpose
+from .order import OrderMatrix, named_rows
+from .table import Frozen, bit_indices, transpose
 
 __all__ = [
     "HasseDiagram",
@@ -17,56 +17,31 @@ __all__ = [
 
 
 class HasseDiagram(Frozen):
-    """Covering edges of a partial order, plus a drawing layer per node.
+    """Covering edges of a verified partial order, plus a drawing layer per
+    node.
 
-    ``nodes`` are distinct and in natural order, so index order is
-    natural order, as in ``OrderMatrix``.  Bit j of ``covers[i]`` is the
-    edge (nodes[i], nodes[j]): nodes[i] is a prerequisite of nodes[j] with
-    nothing strictly between, and is drawn below it.  ``members`` maps a
-    node to the equally-informative targets it stands for; the diagram
-    keeps its own copy, so a later change to the caller's mapping does
-    not reach it.  Every diagram,
-    also a hand-built one, is checked once, at construction, which also
-    computes ``layers`` and so rejects a cycle; ``from_edges`` builds one
-    from name pairs.
+    A view of ``order``, its one field: construction raises
+    ``ValueError`` unless ``order.diagnostics`` pass, and checks nothing
+    else, because the order checked its representatives and rows once,
+    when it was built.  The other attributes are read from the order:
+    ``nodes`` are its ``reps`` (distinct and in natural order, so index
+    order is natural order); bit j of ``covers[i]`` is the edge (nodes[i],
+    nodes[j]), from ``order.covers``: nodes[i] is a prerequisite of
+    nodes[j] with nothing strictly between, and is drawn below it;
+    ``members`` maps a node to the equally-informative targets it stands
+    for (``order.member_map()``); ``layers`` gives each node's drawing
+    layer.
     """
 
-    _fields = ("nodes", "members", "covers")
+    _fields = ("order",)
 
-    def __init__(
-        self, nodes: Sequence[str], members: Mapping[str, tuple[str, ...]],
-        covers: Sequence[int],
-    ) -> None:
-        nodes, members, covers = tuple(nodes), dict(members), tuple(covers)
-        check_natural_order("nodes", nodes)
-        if len(covers) != len(nodes):
-            raise ValueError(f"{len(covers)} covering rows for {len(nodes)} nodes")
-        check_masks("covering row", covers, len(nodes))
-        for node in nodes:
-            if node not in members:
-                raise ValueError(f"node {node!r} has no entry in members")
+    def __init__(self, order: OrderMatrix) -> None:
+        check_partial_order(order)
+        nodes, covers = order.reps, order.covers
         self.__dict__.update(
-            nodes=nodes, members=members, covers=covers, layers=_layers(nodes, covers)
+            order=order, nodes=nodes, covers=covers, members=order.member_map(),
+            layers=_layers(nodes, covers),
         )
-
-    @classmethod
-    def from_edges(
-        cls, nodes: Iterable[str], members: Mapping[str, tuple[str, ...]],
-        edges: Iterable[tuple[str, str]],
-    ) -> "HasseDiagram":
-        """Build a diagram from (lower, upper) name pairs, in any order.  A
-        repeated node, or an edge naming a node not in ``nodes``, raises
-        ``ValueError``, as does every check of the constructor."""
-        nodes = tuple(natural_sorted(nodes))
-        index = {name: i for i, name in enumerate(nodes)}
-        if len(index) != len(nodes):
-            raise ValueError("a node is listed twice")
-        covers = [0] * len(nodes)
-        for lower, upper in edges:
-            if lower not in index or upper not in index:
-                raise ValueError(f"edge ({lower!r}, {upper!r}) mentions an unknown node")
-            covers[index[lower]] |= 1 << index[upper]
-        return cls(nodes=nodes, members=members, covers=covers)
 
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
@@ -97,8 +72,9 @@ def _layers(nodes: Sequence[str], covers: Sequence[int]) -> dict[str, int]:
     once its column of ``covers`` (its predecessors) has no bit left in
     ``remaining``.  Only the nodes covering the layer just peeled can
     become ready, so each layer tests only those, and the whole peel
-    costs O(c + E) mask operations for E edges.  Nodes never peeled sit
-    on a cycle or above one, the set Kahn's algorithm leaves stuck.
+    costs O(c + E) mask operations for E edges.  The covers of an order
+    whose diagnostics pass are a subset of an acyclic strict order, so
+    the peel reaches every node.
     """
     down = transpose(covers, len(nodes))
     remaining = (1 << len(nodes)) - 1
@@ -109,8 +85,6 @@ def _layers(nodes: Sequence[str], covers: Sequence[int]) -> dict[str, int]:
         remaining ^= sum(1 << i for i in ready)  # distinct bits of remaining: clears them
         above = reduce(or_, map(covers.__getitem__, ready), 0)
         ready = [j for j in bit_indices(above) if not down[j] & remaining]
-    if remaining:  # index order is natural order, so the names come natural-sorted
-        raise ValueError(f"cycle detected among {list(map(nodes.__getitem__, bit_indices(remaining)))}")
     return {nodes[i]: level for level, group in enumerate(groups) for i in group}
 
 
@@ -129,8 +103,7 @@ def transitive_reduction(matrix: OrderMatrix) -> HasseDiagram:
     the result is the original matrix.  The covering rows were found by
     the same pass that checked the axioms (``OrderMatrix.covers``).
     """
-    check_partial_order(matrix)
-    return HasseDiagram(nodes=matrix.reps, members=matrix.member_map(), covers=matrix.covers)
+    return HasseDiagram(matrix)
 
 
 def assign_layers(diagram: HasseDiagram) -> dict[str, int]:

@@ -36,7 +36,6 @@ from .table import (
     ZERO_FLEXIBILITY,
     _read_columns,
     bit_flags,
-    natural_sorted,
     transpose,
 )
 
@@ -226,26 +225,31 @@ def emit_dot(diagram: HasseDiagram) -> str:
 class AnalysisReport(Frozen):
     """Everything the pipeline derives from one table at one flexibility.
 
-    ``order`` is the order matrix of ``table`` (its rows hold the strict
-    ordered pairs) and ``diagram`` its Hasse diagram (its rows hold the
-    covering subset of those pairs, and it carries the drawing layers);
-    all names are class representatives.  With ``include_counts`` the
-    writers add the response counts of every ordered pair of
-    representatives, read from the table one row at a time
-    (``JudgmentTable.count_rows``).  ``relation`` and ``classes`` are read
-    from ``order``, ``hasse`` and ``layers`` from ``diagram``.
+    ``diagram`` is the Hasse diagram of the order matrix of ``table`` (its
+    rows hold the covering subset of the strict ordered pairs, and it
+    carries the drawing layers); ``order``, read from it, is that matrix
+    (its rows hold the strict ordered pairs).  All names are class
+    representatives.  With ``include_counts`` the writers add the response
+    counts of every ordered pair of representatives, read from the table
+    one row at a time (``JudgmentTable.count_rows``).  ``relation`` and
+    ``classes`` are read from ``order``, ``hasse`` and ``layers`` from
+    ``diagram``.
     """
 
-    _fields = ("table", "flexibility", "order", "diagram", "include_counts")
+    _fields = ("table", "flexibility", "diagram", "include_counts")
 
     def __init__(
-        self, table: JudgmentTable, flexibility: Flexibility, order: OrderMatrix,
-        diagram: HasseDiagram, include_counts: bool = False,
+        self, table: JudgmentTable, flexibility: Flexibility, diagram: HasseDiagram,
+        include_counts: bool = False,
     ) -> None:
         self.__dict__.update(
-            table=table, flexibility=flexibility, order=order, diagram=diagram,
-            include_counts=include_counts,
+            table=table, flexibility=flexibility, diagram=diagram, include_counts=include_counts,
         )
+
+    @property
+    def order(self) -> OrderMatrix:
+        """The order matrix the diagram was built from (``diagram.order``)."""
+        return self.diagram.order
 
     @property
     def relation(self) -> tuple[tuple[str, str], ...]:
@@ -271,8 +275,8 @@ def analyze(
     table: JudgmentTable, alpha: Flexibility = ZERO_FLEXIBILITY, include_counts: bool = False
 ) -> AnalysisReport:
     """Run the full pipeline: classes, order, covering edges, layers."""
-    matrix = order_matrix(table, alpha)
-    return AnalysisReport(table, alpha, matrix, transitive_reduction(matrix), include_counts)
+    diagram = transitive_reduction(order_matrix(table, alpha))
+    return AnalysisReport(table, alpha, diagram, include_counts)
 
 
 def _report_json(report: AnalysisReport) -> Iterator[str]:
@@ -365,14 +369,14 @@ def _rendered_states(structure: KnowledgeStructure) -> tuple[list[int], list[str
     """The states ordered by size, then member names, and the "{a,b}" text
     of each.  A state's members are read once, as natural-order ranks
     (``KnowledgeStructure.rank``), which give both the sort key and the
-    text."""
+    text: the names by rank are ``rank`` inverted, with no name compared."""
     rank = structure.rank
     keyed = []
     for state in structure.states:
         ranks = sorted(compress(rank, bit_flags(state)))
         keyed.append((len(ranks), ranks, state))
     keyed.sort()
-    by_rank = natural_sorted(structure.ground)
+    by_rank = [name for _, name in sorted(zip(rank, structure.ground))]  # ranks are distinct
     texts = ["{" + ",".join([by_rank[r] for r in ranks]) + "}" for _, ranks, _ in keyed]
     return [state for _, _, state in keyed], texts
 

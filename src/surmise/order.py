@@ -131,7 +131,8 @@ class OrderMatrix(Frozen):
     covering reps[i] (meaningful when ``diagnostics.ok``); both come from
     one pass, at construction, so every matrix (also a hand-built one) is
     checked exactly once.  ``classes`` carries the member lists behind
-    each representative; hand-built matrices may omit it.
+    each representative and must be labeled by ``reps``; hand-built
+    matrices may omit it.
     """
 
     _fields = ("reps", "rows", "classes")
@@ -145,6 +146,9 @@ class OrderMatrix(Frozen):
         if len(rows) != len(reps):
             raise ValueError(f"{len(rows)} rows for {len(reps)} representatives")
         check_masks("row", rows, len(reps))
+        if classes is not None and classes.representatives != reps:
+            raise ValueError(f"classes labeled {classes.representatives!r} "
+                             f"for representatives {reps!r}")
         diagnostics, covers = _check_axioms(reps, rows)
         self.__dict__.update(
             reps=reps, rows=rows, classes=classes, diagnostics=diagnostics, covers=covers
@@ -195,25 +199,32 @@ class OrderMatrix(Frozen):
 
 
 class OrderDiagnostics(Frozen):
-    """Pass/fail per order axiom, with a counterexample where one fails."""
+    """The first counterexample to each order axiom, or None where it holds."""
 
-    _fields = (
-        "reflexive", "antisymmetric", "transitive",
-        "reflexivity_witness", "antisymmetry_witness", "transitivity_witness",
-    )
+    _fields = ("reflexivity_witness", "antisymmetry_witness", "transitivity_witness")
 
     def __init__(
-        self, reflexive: bool, antisymmetric: bool, transitive: bool,
-        reflexivity_witness: str | None = None,
+        self, reflexivity_witness: str | None = None,
         antisymmetry_witness: tuple[str, str] | None = None,
         transitivity_witness: tuple[str, str, str] | None = None,
     ) -> None:
         self.__dict__.update(
-            reflexive=reflexive, antisymmetric=antisymmetric, transitive=transitive,
             reflexivity_witness=reflexivity_witness,
             antisymmetry_witness=antisymmetry_witness,
             transitivity_witness=transitivity_witness,
         )
+
+    @property
+    def reflexive(self) -> bool:
+        return self.reflexivity_witness is None
+
+    @property
+    def antisymmetric(self) -> bool:
+        return self.antisymmetry_witness is None
+
+    @property
+    def transitive(self) -> bool:
+        return self.transitivity_witness is None
 
     @property
     def ok(self) -> bool:
@@ -273,14 +284,7 @@ def _check_axioms(
         transitivity_witness = (reps[i], reps[j], reps[k])
     covers = [row & ~implied_row for row, implied_row in zip(strict, implied)]
 
-    diagnostics = OrderDiagnostics(
-        reflexive=reflexivity_witness is None,
-        antisymmetric=antisymmetry_witness is None,
-        transitive=transitivity_witness is None,
-        reflexivity_witness=reflexivity_witness,
-        antisymmetry_witness=antisymmetry_witness,
-        transitivity_witness=transitivity_witness,
-    )
+    diagnostics = OrderDiagnostics(reflexivity_witness, antisymmetry_witness, transitivity_witness)
     return diagnostics, tuple(covers)
 
 

@@ -207,11 +207,10 @@ class Frozen:
     construction are neither compared nor shown.  Each record's
     ``__init__`` checks its arguments, then sets every attribute once
     through ``self.__dict__``; assigning or deleting an attribute later
-    raises ``AttributeError``.  ``JudgmentTable``, ``OrderMatrix``,
-    ``HasseDiagram`` and ``KnowledgeStructure`` store their sequence
-    arguments as tuples (a family of states as a frozenset), so one built
-    from lists equals, and hashes like, the same record built by the
-    pipeline.  The records are written by hand, not
+    raises ``AttributeError``.  ``JudgmentTable``, ``OrderMatrix`` and
+    ``KnowledgeStructure`` store their sequence arguments as tuples (a
+    family of states as a frozenset), so one built from lists equals, and
+    hashes like, the same record built by the pipeline.  The records are written by hand, not
     generated at import: generating their methods, and importing the
     generator with the ``inspect`` and ``ast`` modules it needs, took
     longer than a CLI run's work on a small table (README, "Start-up").

@@ -254,14 +254,7 @@ def check_axioms_reference(names, up) -> OrderDiagnostics:
         if transitivity_witness is not None:
             break
 
-    return OrderDiagnostics(
-        reflexive=reflexivity_witness is None,
-        antisymmetric=antisymmetry_witness is None,
-        transitive=transitivity_witness is None,
-        reflexivity_witness=reflexivity_witness,
-        antisymmetry_witness=antisymmetry_witness,
-        transitivity_witness=transitivity_witness,
-    )
+    return OrderDiagnostics(reflexivity_witness, antisymmetry_witness, transitivity_witness)
 
 
 def or_selected_reference(rows, selectors) -> list[int]:
@@ -300,14 +293,7 @@ def check_axioms_loop_reference(reps, up) -> tuple[OrderDiagnostics, tuple[int, 
             transitivity_witness = (reps[i], reps[j], reps[k])
         covers.append(above & ~implied)
 
-    diagnostics = OrderDiagnostics(
-        reflexive=reflexivity_witness is None,
-        antisymmetric=antisymmetry_witness is None,
-        transitive=transitivity_witness is None,
-        reflexivity_witness=reflexivity_witness,
-        antisymmetry_witness=antisymmetry_witness,
-        transitivity_witness=transitivity_witness,
-    )
+    diagnostics = OrderDiagnostics(reflexivity_witness, antisymmetry_witness, transitivity_witness)
     return diagnostics, tuple(covers)
 
 

@@ -40,6 +40,7 @@ DELETED_MEMBERS = [
     (kst.KnowledgeStructure, "full_state"),
     (kst.ConceptPartition, "representative_of"),
     (io.AnalysisReport, "counts"),
+    (hasse.HasseDiagram, "from_edges"),  # a diagram is built from its verified order
 ]
 
 

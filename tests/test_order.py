@@ -5,8 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import surmise.order
 from surmise import (
+    EquivalenceClasses,
     Flexibility,
     OrderAxiomError,
+    OrderDiagnostics,
     OrderMatrix,
     analyze,
     build_table,
@@ -192,6 +194,25 @@ class TestVerifyPartialOrder:
             with pytest.raises(ValueError, match=f"natural-sorted: {first!r} before {second!r}$"):
                 OrderMatrix(reps=(first, second), rows=(0b01, 0b10))
         assert OrderMatrix(reps=("t2", "t10"), rows=(0b01, 0b10)).diagnostics.ok
+
+    def test_classes_must_label_the_reps(self):
+        classes = EquivalenceClasses((("x",), ("y",)))
+        with pytest.raises(ValueError) as raised:
+            OrderMatrix(("a", "b"), (0b11, 0b10), classes=classes)
+        assert str(raised.value) == (
+            "classes labeled ('x', 'y') for representatives ('a', 'b')"
+        )
+
+    def test_diagnostics_are_read_from_the_witnesses(self):
+        assert OrderDiagnostics().ok
+        failed = OrderDiagnostics(reflexivity_witness="a")
+        assert (failed.reflexive, failed.antisymmetric, failed.transitive) == (False, True, True)
+        assert not failed.ok
+        assert failed.summary() == (
+            "reflexivity: FAIL at 'a'; anti-symmetry: pass; transitivity: pass"
+        )
+        with pytest.raises(AttributeError, match="immutable"):
+            failed.reflexive = True
 
     def test_from_pairs_rejects_repeated_element(self):
         with pytest.raises(ValueError, match="distinct"):
