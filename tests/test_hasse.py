@@ -88,15 +88,27 @@ class TestLayers:
         diagram = transitive_reduction(order_matrix(twelve_models))
         assert assign_layers(diagram) == dict(diagram.layers)
 
-    def test_deep_chain_from_order_matrix(self):
+    def test_deep_chain_from_edges(self):
         # Deeper than the recursive oracle can go: layers are the positions.
-        size = 2000
+        nodes = tuple(f"n{k}" for k in range(2000))
+        edges = tuple(zip(nodes, nodes[1:]))
+        index = {n: i for i, n in enumerate(nodes)}
+        rows = [1 << i for i in range(len(nodes))]
+        for lower, upper in reversed(edges):  # close the chain from the top down
+            rows[index[lower]] |= rows[index[upper]]
+        diagram = transitive_reduction(OrderMatrix(reps=nodes, rows=tuple(rows)))
+        assert diagram.edges == edges
+        assert diagram.layers == dict(zip(nodes, range(2000)))
+        assert diagram.layer_groups() == tuple((n,) for n in nodes)
+        assert assign_layers(diagram) == diagram.layers
+
+    def test_deep_chain_from_order_matrix(self):
+        size = 300
         nodes = tuple(f"n{k}" for k in range(size))
         rows = tuple(((1 << size) - 1) >> i << i for i in range(size))  # i -> j for j >= i
         diagram = transitive_reduction(OrderMatrix(reps=nodes, rows=rows))
         assert diagram.edges == tuple(zip(nodes, nodes[1:]))
         assert diagram.layers == dict(zip(nodes, range(size)))
-        assert diagram.layer_groups() == tuple((n,) for n in nodes)
         assert assign_layers(diagram) == diagram.layers
 
     def test_layer_strictly_increases_along_edges(self, fuzz_corpus):
