@@ -23,14 +23,16 @@ class HasseDiagram(Frozen):
     A view of ``order``, its one field: construction raises
     ``ValueError`` unless ``order.diagnostics`` pass, and checks nothing
     else, because the order checked its representatives and rows once,
-    when it was built.  The other attributes are read from the order:
-    ``nodes`` are its ``reps`` (distinct and in natural order, so index
-    order is natural order); bit j of ``covers[i]`` is the edge (nodes[i],
-    nodes[j]), from ``order.covers``: nodes[i] is a prerequisite of
-    nodes[j] with nothing strictly between, and is drawn below it;
-    ``members`` maps a node to the equally-informative targets it stands
-    for (``order.member_map()``); ``layers`` gives each node's drawing
-    layer.
+    when it was built.  The other attributes are read from the order and
+    are tuples indexed like the nodes: ``nodes`` are its ``reps``
+    (distinct and in natural order, so index order is natural order); bit
+    j of ``covers[i]`` is the edge (nodes[i], nodes[j]), from
+    ``order.covers``: nodes[i] is a prerequisite of nodes[j] with nothing
+    strictly between, and is drawn below it; ``members[i]`` are the
+    equally-informative targets nodes[i] stands for
+    (``order.classes.blocks``).  ``layers`` are the node names grouped by
+    drawing layer, bottom (no prerequisites) first, each group
+    natural-sorted.
     """
 
     _fields = ("order",)
@@ -39,7 +41,7 @@ class HasseDiagram(Frozen):
         check_partial_order(order)
         nodes, covers = order.reps, order.covers
         self.__dict__.update(
-            order=order, nodes=nodes, covers=covers, members=order.member_map(),
+            order=order, nodes=nodes, covers=covers, members=order.classes.blocks,
             layers=_layers(nodes, covers),
         )
 
@@ -55,18 +57,10 @@ class HasseDiagram(Frozen):
         node)."""
         return named_rows(self.nodes, self.covers)
 
-    def layer_groups(self) -> tuple[tuple[str, ...], ...]:
-        """Node names grouped by layer, bottom (no prerequisites) first; each
-        group natural-sorted, as the nodes are."""
-        groups: list[list[str]] = [[] for _ in range(max(self.layers.values(), default=-1) + 1)]
-        for node in self.nodes:
-            groups[self.layers[node]].append(node)
-        return tuple(map(tuple, groups))
 
-
-def _layers(nodes: Sequence[str], covers: Sequence[int]) -> dict[str, int]:
-    """Layer of each node: 0 for a minimal node, else one above its highest
-    covering predecessor.
+def _layers(nodes: Sequence[str], covers: Sequence[int]) -> tuple[tuple[str, ...], ...]:
+    """The node names by layer, bottom first: layer 0 holds the minimal
+    nodes, and a node sits one above its highest covering predecessor.
 
     Peels the minimal nodes off with masks: a node joins the next layer
     once its column of ``covers`` (its predecessors) has no bit left in
@@ -74,18 +68,19 @@ def _layers(nodes: Sequence[str], covers: Sequence[int]) -> dict[str, int]:
     become ready, so each layer tests only those, and the whole peel
     costs O(c + E) mask operations for E edges.  The covers of an order
     whose diagnostics pass are a subset of an acyclic strict order, so
-    the peel reaches every node.
+    the peel reaches every node.  Each layer's indices ascend, so its
+    names are natural-sorted.
     """
     down = transpose(covers, len(nodes))
     remaining = (1 << len(nodes)) - 1
-    groups: list[list[int]] = []
+    groups: list[tuple[str, ...]] = []
     ready = [i for i, row in enumerate(down) if not row]
     while ready:
-        groups.append(ready)
+        groups.append(tuple(map(nodes.__getitem__, ready)))
         remaining ^= sum(1 << i for i in ready)  # distinct bits of remaining: clears them
         above = reduce(or_, map(covers.__getitem__, ready), 0)
         ready = [j for j in bit_indices(above) if not down[j] & remaining]
-    return {nodes[i]: level for level, group in enumerate(groups) for i in group}
+    return tuple(groups)
 
 
 def check_partial_order(matrix: OrderMatrix) -> None:
@@ -106,8 +101,8 @@ def transitive_reduction(matrix: OrderMatrix) -> HasseDiagram:
     return HasseDiagram(matrix)
 
 
-def assign_layers(diagram: HasseDiagram) -> dict[str, int]:
-    """Recompute the layer map from the diagram's covering rows, by the
+def assign_layers(diagram: HasseDiagram) -> tuple[tuple[str, ...], ...]:
+    """Recompute the layer groups from the diagram's covering rows, by the
     routine that filled ``diagram.layers`` at construction.
 
     A node with no incoming edge sits at layer 0; otherwise one above its

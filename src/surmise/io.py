@@ -208,9 +208,8 @@ def _node_label(node: str, members: tuple[str, ...]) -> str:
 def dot_chunks(diagram: HasseDiagram) -> Iterator[str]:
     """Graphviz text for the diagram; rankdir=BT puts prerequisites below."""
     yield "digraph hierarchy {\n  rankdir=BT;\n"
-    yield "".join(
-        [f'  "{n}" [label="{_node_label(n, diagram.members[n])}"];\n' for n in diagram.nodes]
-    )
+    yield "".join([f'  "{n}" [label="{_node_label(n, members)}"];\n'
+                   for n, members in zip(diagram.nodes, diagram.members)])
     for lower, uppers in diagram.successors():
         if uppers:
             prefix = f'  "{lower}" -> "'
@@ -257,7 +256,7 @@ class AnalysisReport(Frozen):
         return self.order.pairs()
 
     @property
-    def classes(self) -> EquivalenceClasses | None:
+    def classes(self) -> EquivalenceClasses:
         return self.order.classes
 
     @property
@@ -267,8 +266,9 @@ class AnalysisReport(Frozen):
 
     @property
     def layers(self) -> tuple[tuple[str, ...], ...]:
-        """The node names per drawing layer (``HasseDiagram.layer_groups``)."""
-        return self.diagram.layer_groups()
+        """The node names per drawing layer, bottom first
+        (``HasseDiagram.layers``)."""
+        return self.diagram.layers
 
 
 def analyze(
@@ -354,10 +354,10 @@ def hasse_json_chunks(diagram: HasseDiagram) -> Iterator[str]:
     """The diagram as JSON: nodes with their members, covering edges and
     layers, laid out as ``json.dumps(..., indent=2)`` lays it out."""
     names = _JsonNames()
-    yield '{\n  "nodes": ' + names.blocks("name", ((n, diagram.members[n]) for n in diagram.nodes))
+    yield '{\n  "nodes": ' + names.blocks("name", zip(diagram.nodes, diagram.members))
     yield ',\n  "edges": '
     yield from names.pairs(diagram.nodes, diagram.covers)
-    layers = _array((names.array(group, 2) for group in diagram.layer_groups()), 1)
+    layers = _array((names.array(group, 2) for group in diagram.layers), 1)
     yield ',\n  "layers": ' + layers + "\n}\n"
 
 

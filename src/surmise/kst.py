@@ -12,6 +12,7 @@ one fixed iteration of the family, contains it.
 """
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .table import Frozen, JudgmentTable, NamePartition, check_masks, natural_ranks, transpose
@@ -34,8 +35,8 @@ class KnowledgeStructure(Frozen):
     full state were guaranteed at construction (the conventional closure
     that makes the family a genuine knowledge structure).  ``rank[j]`` is
     the position of ``ground[j]`` in natural order, derived once at
-    construction together with the name -> index dict, so ordering a
-    state costs no name comparison.
+    construction together with the read-only name -> index map, so
+    ordering a state costs no name comparison.
     """
 
     _fields = ("ground", "states", "completed")
@@ -55,7 +56,7 @@ class KnowledgeStructure(Frozen):
                 raise ValueError("completed structure must contain {} and the full set")
         self.__dict__.update(
             ground=ground, states=states, completed=completed, rank=natural_ranks(ground),
-            _index=index,
+            _index=MappingProxyType(index),
         )
 
     def index_of(self, name: str) -> int:

@@ -24,7 +24,6 @@ from .table import (
     natural_key,
     natural_sorted,
     or_selected,
-    transpose,
 )
 
 __all__ = [
@@ -103,12 +102,6 @@ class EquivalenceClasses(NamePartition):
 
     LABEL = -1
 
-    def members_of(self, representative: str) -> tuple[str, ...]:
-        block = self._block_of.get(representative)
-        if block is None or block[-1] != representative:
-            raise ValueError(f"no class labeled {representative!r}")
-        return block
-
 
 def equivalence_classes(table: JudgmentTable) -> EquivalenceClasses:
     """Group targets that are ordered both ways at any flexibility.
@@ -131,8 +124,9 @@ class OrderMatrix(Frozen):
     covering reps[i] (meaningful when ``diagnostics.ok``); both come from
     one pass, at construction, so every matrix (also a hand-built one) is
     checked exactly once.  ``classes`` carries the member lists behind
-    each representative and must be labeled by ``reps``; hand-built
-    matrices may omit it.
+    the representatives and must be labeled by ``reps``, so
+    ``classes.blocks[i]`` holds the members of reps[i]; when it is not
+    given, each representative is its own singleton class.
     """
 
     _fields = ("reps", "rows", "classes")
@@ -146,7 +140,9 @@ class OrderMatrix(Frozen):
         if len(rows) != len(reps):
             raise ValueError(f"{len(rows)} rows for {len(reps)} representatives")
         check_masks("row", rows, len(reps))
-        if classes is not None and classes.representatives != reps:
+        if classes is None:
+            classes = EquivalenceClasses(tuple(zip(reps)))
+        elif classes.representatives != reps:
             raise ValueError(f"classes labeled {classes.representatives!r} "
                              f"for representatives {reps!r}")
         diagnostics, covers = _check_axioms(reps, rows)
@@ -168,11 +164,6 @@ class OrderMatrix(Frozen):
         """All strict ordered pairs (p, q), natural-sorted: ``successors``
         flattened."""
         return tuple(chain.from_iterable(zip(repeat(p), qs) for p, qs in self.successors()))
-
-    def member_map(self) -> dict[str, tuple[str, ...]]:
-        if self.classes is None:
-            return {rep: (rep,) for rep in self.reps}
-        return {rep: self.classes.members_of(rep) for rep in self.reps}
 
     @classmethod
     def from_pairs(
@@ -247,36 +238,32 @@ def _check_axioms(
     covering successors of every node; never raises.
 
     Each witness is the first failure in the scan order i, then j, then
-    k.  Works on row and column bitmasks: anti-symmetry is one AND per
-    node.  ``implied[i]`` is the OR of the strict rows of everything
-    strictly above i, for every row at once (``table.or_selected``, by
-    Four Russians: (256 + c)·⌈c/8⌉ ORs for c nodes).  Some (i, j) breaks
-    transitivity (``up[j] & ~up[i]`` non-zero) iff ``implied[i]`` has a
-    bit outside ``up[i]``: j's own bit is in ``up[i]``.  In a partial
+    k.  Works on row bitmasks.  ``implied[i]`` is the OR of the strict
+    rows of everything strictly above i, for every row at once
+    (``table.or_selected``, by Four Russians: (256 + c)·⌈c/8⌉ ORs for c
+    nodes).  Some j != i has i -> j -> i iff ``implied[i]`` has bit i;
+    the first such i has only larger partners, as a smaller partner
+    would be such an i itself.  Some (i, j) breaks transitivity
+    (``up[j] & ~up[i]`` non-zero) iff ``implied[i]`` has a bit outside
+    ``up[i]``: j's own bit is in ``up[i]``.  In a partial
     order, j covers i iff no k above i lies below j, so the covers of i
     are its strict row less ``implied[i]`` (Aho, Garey & Ullman 1972).
     """
     size = len(reps)
-    down = transpose(up, size)
     strict = [row & ~(1 << i) for i, row in enumerate(up)]
 
     reflexivity_witness = next(
         (reps[i] for i in range(size) if not up[i] >> i & 1), None
     )
 
-    antisymmetry_witness = None
-    for i in range(size):
-        mutual = (up[i] & down[i]) >> (i + 1)
-        if mutual:
-            antisymmetry_witness = (reps[i], reps[i + 1 + bit_indices(mutual)[0]])
-            break
-
-    # Free the columns before the OR tables are built, so the pass holds
-    # at most about four rows per node at once (up, strict, two of implied).
-    del down
     implied = or_selected(strict, strict)
+    # Only the first failing row pays for each witness search.
+    antisymmetry_witness = None
+    i = next((i for i in range(size) if implied[i] >> i & 1), None)
+    if i is not None:
+        j = next(j for j in bit_indices(strict[i]) if strict[j] >> i & 1)
+        antisymmetry_witness = (reps[i], reps[j])
     transitivity_witness = None
-    # Only the first failing row pays for the witness search.
     i = next((i for i in range(size) if implied[i] & ~up[i]), None)
     if i is not None:
         j = next(j for j in bit_indices(up[i]) if up[j] & ~up[i])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from itertools import chain, compress
 from operator import or_
+from types import MappingProxyType
 from typing import ClassVar, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 __all__ = [
@@ -207,13 +208,16 @@ class Frozen:
     construction are neither compared nor shown.  Each record's
     ``__init__`` checks its arguments, then sets every attribute once
     through ``self.__dict__``; assigning or deleting an attribute later
-    raises ``AttributeError``.  ``JudgmentTable``, ``OrderMatrix`` and
-    ``KnowledgeStructure`` store their sequence arguments as tuples (a
-    family of states as a frozenset), so one built from lists equals, and
-    hashes like, the same record built by the pipeline.  The records are written by hand, not
-    generated at import: generating their methods, and importing the
-    generator with the ``inspect`` and ``ast`` modules it needs, took
-    longer than a CLI run's work on a small table (README, "Start-up").
+    raises ``AttributeError``.  ``JudgmentTable``, ``OrderMatrix``,
+    ``KnowledgeStructure`` and ``NamePartition`` store their sequence
+    arguments as tuples (a family of states as a frozenset), so one built
+    from lists equals, and hashes like, the same record built by the
+    pipeline.  No record holds a mutable container: a derived name lookup
+    is a read-only ``MappingProxyType``.  The records are written by
+    hand, not generated at import: generating their methods, and
+    importing the generator with the ``inspect`` and ``ast`` modules it
+    needs, took longer than a CLI run's work on a small table (README,
+    "Start-up").
     """
 
     _fields: ClassVar[tuple[str, ...]] = ()
@@ -258,9 +262,10 @@ class NamePartition(Frozen):
     LABEL: ClassVar[int]
     _fields = ("blocks",)
 
-    def __init__(self, blocks: tuple[tuple[str, ...], ...]) -> None:
-        block_of = {name: block for block in blocks for name in block}
-        if len(block_of) != sum(map(len, blocks)) or not all(blocks):
+    def __init__(self, blocks: Sequence[Sequence[str]]) -> None:
+        blocks = tuple(map(tuple, blocks))
+        names = {name for block in blocks for name in block}
+        if len(names) != sum(map(len, blocks)) or not all(blocks):
             # Only a failing partition is scanned, to name its first fault.
             seen: dict[str, int] = {}
             for k, block in enumerate(blocks):
@@ -270,7 +275,7 @@ class NamePartition(Frozen):
                     if name in seen:
                         raise ValueError(f"partition blocks {seen[name]} and {k} both hold {name!r}")
                     seen[name] = k
-        self.__dict__.update(blocks=blocks, _block_of=block_of)
+        self.__dict__.update(blocks=blocks)
 
     @classmethod
     def from_keys(
@@ -380,7 +385,7 @@ class JudgmentTable(Frozen):
             model_names=tuple(model_names), target_names=tuple(target_names),
             support_masks=tuple(support_masks),
             support_sizes=tuple(mask.bit_count() for mask in support_masks),
-            _target_index={name: j for j, name in enumerate(target_names)},
+            _target_index=MappingProxyType({name: j for j, name in enumerate(target_names)}),
         )
 
     @property

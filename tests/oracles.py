@@ -648,11 +648,11 @@ def hasse_json_reference(diagram) -> str:
     """The ``hasse --json`` text of a ``HasseDiagram``."""
     obj = {
         "nodes": [
-            {"name": node, "members": list(diagram.members[node])}
-            for node in diagram.nodes
+            {"name": node, "members": list(members)}
+            for node, members in zip(diagram.nodes, diagram.members)
         ],
         "edges": [list(edge) for edge in diagram.edges],
-        "layers": [list(group) for group in diagram.layer_groups()],
+        "layers": [list(group) for group in diagram.layers],
     }
     return json.dumps(obj, indent=2) + "\n"
 
@@ -697,8 +697,8 @@ def report_text_reference(report) -> str:
 def dot_reference(diagram) -> str:
     """The ``hasse --dot`` text of a ``HasseDiagram``, one line per edge."""
     text = "digraph hierarchy {\n  rankdir=BT;\n"
-    for node in diagram.nodes:
-        subsumed = ",".join(m for m in diagram.members[node] if m != node)
+    for node, members in zip(diagram.nodes, diagram.members):
+        subsumed = ",".join(m for m in members if m != node)
         label = f"{node} (={subsumed})" if subsumed else node
         text += f'  "{node}" [label="{label}"];\n'
     text += "".join(f'  "{lower}" -> "{upper}";\n' for lower, upper in diagram.edges)

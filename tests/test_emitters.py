@@ -22,8 +22,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from surmise import (
+    AnalysisReport,
     Flexibility,
     HasseDiagram,
+    JudgmentTable,
     OrderMatrix,
     SynthSpec,
     analyze,
@@ -239,11 +241,22 @@ def test_edges_listed_out_of_order_render_natural_sorted():
     nodes = ("d", "c", "b", "a")
     pairs = (("a", "b"), ("c", "d"), ("a", "c"), ("b", "d"), ("a", "d"))  # a's pairs are split
     diagram = transitive_reduction(OrderMatrix.from_pairs(nodes, pairs))
-    assert diagram.layers == {"a": 0, "b": 1, "c": 1, "d": 2}
+    assert diagram.layers == (("a",), ("b", "c"), ("d",))
     assert assign_layers(diagram) == diagram.layers
     assert diagram.edges == (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))
     assert_pair_sections_match_oracles(diagram)
     assert emit_dot(diagram).count("->") == 4
+
+
+@pytest.mark.parametrize("counts", [False, True])
+def test_report_on_an_order_built_without_classes(counts):
+    # A hand-built order without classes has one singleton class per
+    # representative, which both report writers read.
+    table = JudgmentTable(("M1", "M2"), ("a", "b"), (0b11, 0b01))
+    diagram = HasseDiagram(OrderMatrix(("a", "b"), (0b11, 0b10)))
+    report = AnalysisReport(table, ALPHA, diagram, counts)
+    assert emit_report(report, "json") == oracles.report_json_reference(report)
+    assert emit_report(report, "text") == oracles.report_text_reference(report)
 
 
 def test_pair_sections_stream_one_chunk_per_row():

@@ -31,6 +31,12 @@ TWELVE_MODELS_LAYERS_0 = {
 }
 
 
+def level_map(layers):
+    """Node -> layer number, from layer groups listed bottom first: the
+    shape of the layer references in ``oracles``."""
+    return {node: level for level, group in enumerate(layers) for node in group}
+
+
 class TestTransitiveReduction:
     def test_twelve_models_exact_edges(self, twelve_models):
         diagram = transitive_reduction(order_matrix(twelve_models))
@@ -47,7 +53,7 @@ class TestTransitiveReduction:
         matrix = OrderMatrix.from_pairs(["a", "b", "c"], [])
         diagram = transitive_reduction(matrix)
         assert diagram.edges == ()
-        assert diagram.layers == {"a": 0, "b": 0, "c": 0}
+        assert diagram.layers == (("a", "b", "c"),)
 
     def test_rejects_non_partial_order(self):
         broken = OrderMatrix.from_pairs(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -57,36 +63,37 @@ class TestTransitiveReduction:
     def test_default_members_are_singletons(self):
         matrix = OrderMatrix.from_pairs(["a", "b"], [("a", "b")])
         diagram = transitive_reduction(matrix)
-        assert diagram.members == {"a": ("a",), "b": ("b",)}
+        assert diagram.members == (("a",), ("b",))
 
     def test_twelve_models_members_carry_classes(self, twelve_models):
         diagram = transitive_reduction(order_matrix(twelve_models))
-        assert diagram.members["t1"] == ("t0", "t1")
-        assert diagram.members["t2"] == ("t2",)
+        members = dict(zip(diagram.nodes, diagram.members))
+        assert members["t1"] == ("t0", "t1")
+        assert members["t2"] == ("t2",)
 
 
 class TestLayers:
     def test_twelve_models_layers(self, twelve_models):
         diagram = transitive_reduction(order_matrix(twelve_models))
-        assert dict(diagram.layers) == TWELVE_MODELS_LAYERS_0
-        assert diagram.layer_groups() == (
+        assert level_map(diagram.layers) == TWELVE_MODELS_LAYERS_0
+        assert diagram.layers == (
             ("t1",), ("t4", "t6"), ("t2", "t5"), ("t3", "t9"), ("t8",), ("t7",),
         )
 
     def test_single_node(self):
         diagram = transitive_reduction(OrderMatrix.from_pairs(["x"], []))
-        assert diagram.layers == {"x": 0}
+        assert diagram.layers == (("x",),)
 
     def test_chain_of_three(self):
         matrix = OrderMatrix.from_pairs(
             ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]
         )
         diagram = transitive_reduction(matrix)
-        assert diagram.layers == {"a": 0, "b": 1, "c": 2}
+        assert diagram.layers == (("a",), ("b",), ("c",))
 
     def test_assign_layers_matches_construction(self, twelve_models):
         diagram = transitive_reduction(order_matrix(twelve_models))
-        assert assign_layers(diagram) == dict(diagram.layers)
+        assert assign_layers(diagram) == diagram.layers
 
     def test_deep_chain_from_edges(self):
         # Deeper than the recursive oracle can go: layers are the positions.
@@ -98,8 +105,8 @@ class TestLayers:
             rows[index[lower]] |= rows[index[upper]]
         diagram = transitive_reduction(OrderMatrix(reps=nodes, rows=tuple(rows)))
         assert diagram.edges == edges
-        assert diagram.layers == dict(zip(nodes, range(2000)))
-        assert diagram.layer_groups() == tuple((n,) for n in nodes)
+        assert level_map(diagram.layers) == dict(zip(nodes, range(2000)))
+        assert diagram.layers == tuple((n,) for n in nodes)
         assert assign_layers(diagram) == diagram.layers
 
     def test_deep_chain_from_order_matrix(self):
@@ -108,14 +115,15 @@ class TestLayers:
         rows = tuple(((1 << size) - 1) >> i << i for i in range(size))  # i -> j for j >= i
         diagram = transitive_reduction(OrderMatrix(reps=nodes, rows=rows))
         assert diagram.edges == tuple(zip(nodes, nodes[1:]))
-        assert diagram.layers == dict(zip(nodes, range(size)))
+        assert level_map(diagram.layers) == dict(zip(nodes, range(size)))
         assert assign_layers(diagram) == diagram.layers
 
     def test_layer_strictly_increases_along_edges(self, fuzz_corpus):
         for table in fuzz_corpus[:30]:
             diagram = transitive_reduction(order_matrix(table))
+            level = level_map(diagram.layers)
             for lower, upper in diagram.edges:
-                assert diagram.layers[lower] < diagram.layers[upper]
+                assert level[lower] < level[upper]
 
 
 class TestConstructionChecks:
@@ -137,7 +145,7 @@ class TestConstructionChecks:
         assert diagram.order is matrix
         assert diagram.nodes is matrix.reps
         assert diagram.covers is matrix.covers
-        assert diagram.members == matrix.member_map()
+        assert diagram.members is matrix.classes.blocks
 
 
 class TestTransitiveClosure:
@@ -206,5 +214,6 @@ class TestIndexWalk:
         diagram = transitive_reduction(matrix)
         covering = oracles.covering_pairs(strict)
         assert diagram.edges == tuple(sorted(covering, key=natural_pair_key))
-        assert diagram.layers == oracles.layers_from_edges_reference(reps, diagram.edges)
-        assert diagram.layers == oracles.longest_path_layers(reps, covering)
+        level = level_map(diagram.layers)
+        assert level == oracles.layers_from_edges_reference(reps, diagram.edges)
+        assert level == oracles.longest_path_layers(reps, covering)

@@ -41,6 +41,9 @@ DELETED_MEMBERS = [
     (kst.ConceptPartition, "representative_of"),
     (io.AnalysisReport, "counts"),
     (hasse.HasseDiagram, "from_edges"),  # a diagram is built from its verified order
+    (order.OrderMatrix, "member_map"),  # classes are always set: read classes.blocks
+    (order.EquivalenceClasses, "members_of"),
+    (hasse.HasseDiagram, "layer_groups"),  # layers are stored as groups
 ]
 
 

@@ -87,18 +87,18 @@ class TestEquivalenceClasses:
         assert equivalence_classes(table).blocks == (("a",), ("b",), ("c",))
 
     def test_members_of_label(self, twelve_models):
+        # Block i holds the members of the class labeled representatives[i].
         classes = equivalence_classes(twelve_models)
-        assert classes.members_of("t1") == ("t0", "t1")
-        with pytest.raises(ValueError):
-            classes.members_of("t0")
+        members = dict(zip(classes.representatives, classes.blocks))
+        assert members["t1"] == ("t0", "t1")
+        assert "t0" not in members  # a member that labels no class
 
     def test_block_of(self, twelve_models):
-        # members_of looks the label up among all members: a name in no
-        # block fails as a member that labels none does.
+        # A name in no block labels no class, as a non-label member does.
         classes = equivalence_classes(twelve_models)
-        assert classes.members_of("t2") == ("t2",)
-        with pytest.raises(ValueError, match="no class labeled 'x'"):
-            classes.members_of("x")
+        members = dict(zip(classes.representatives, classes.blocks))
+        assert members["t2"] == ("t2",)
+        assert "x" not in members
 
     def test_blocks_match_identical_columns_oracle(self, fuzz_corpus):
         tables = list(fuzz_corpus[:40])
@@ -188,8 +188,8 @@ class TestVerifyPartialOrder:
             OrderMatrix(reps=("a", "b"), rows=(0b01, 0b100))
 
     def test_reps_must_be_distinct_and_natural_sorted(self):
-        # Index order is natural order; a repeated name would make
-        # index_of ambiguous, so both are refused at construction.
+        # Index order is natural order, so a repeated or out-of-order
+        # name is refused at construction.
         for first, second in (("b", "a"), ("a", "a"), ("t10", "t2")):
             with pytest.raises(ValueError, match=f"natural-sorted: {first!r} before {second!r}$"):
                 OrderMatrix(reps=(first, second), rows=(0b01, 0b10))
