@@ -15,8 +15,8 @@ from .hasse import transitive_reduction
 from .io import (
     CsvError,
     analyze,
+    csv_chunks,
     dot_chunks,
-    emit_csv,
     hasse_json_chunks,
     parse_csv,
     report_chunks,
@@ -79,7 +79,7 @@ def _cmd_synth(args: argparse.Namespace) -> Iterable[str]:
     spec = SynthSpec(
         poset=poset, model_count=args.models, noise=args.noise, seed=args.seed
     )
-    return [emit_csv(sample_models(spec))]
+    return csv_chunks(sample_models(spec))
 
 
 def build_parser() -> _Parser:

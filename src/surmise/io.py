@@ -1,28 +1,29 @@
-"""File formats: CSV tables in, JSON/DOT/text reports out.
+"""File formats: CSV tables in, CSV/JSON/DOT/text out.
 
 Every emitter is byte-deterministic for a given input: collections are
 natural-sorted, JSON key order is fixed, and all numbers are integers
 (the flexibility is echoed as decimal text as well, so consumers never
 re-round it).  Each output has one writer, a generator of text chunks
 (``report_chunks``, ``dot_chunks``, ``hasse_json_chunks``,
-``structure_chunks``) that the CLI streams to stdout; ``emit_report``,
-``emit_dot``, ``hasse_json`` and ``structure_report`` join its chunks.  A
-section is one chunk, except the sections that can grow quadratically:
-the pair lists (relation and covering edges) are one chunk per row, all
-pairs with the same first element, read straight from the row masks of
-the order matrix and of the Hasse diagram by one row walker
+``structure_chunks``, ``csv_chunks``) that the CLI streams to stdout;
+``emit_report``, ``emit_dot``, ``hasse_json``, ``structure_report`` and
+``emit_csv`` join its chunks.  A section is one chunk, except the
+sections that can grow quadratically or with the models: the pair lists
+(relation and covering edges) are one chunk per row, all pairs with the
+same first element, read straight from the row masks of the order
+matrix and of the Hasse diagram by one row walker
 (``order.named_rows``); the counts are one chunk per row of
-``JudgmentTable.count_rows``; and each ``K_<name>`` line is its own
-chunk.  A row's names are picked from a list by ``compress`` on the
-row's ``table.bit_flags``, never through a list of bit indices: the
-text and DOT writers pick plain names, the JSON writers the quoted
-names, each node quoted once per document.  Every JSON array is laid
-out by one writer, ``_array_chunks``.
+``JudgmentTable.count_rows``; each ``K_<name>`` line is its own chunk;
+and so is each CSV row.  A row's names are picked from a list by
+``compress`` on the row's ``table.bit_flags``, never through a list of
+bit indices: the text and DOT writers pick plain names, the JSON
+writers the quoted names, each node quoted once per document.  Every
+JSON array is laid out by one writer, ``_array_chunks``.  Only quoting a
+name loads ``json``, so the text, DOT and CSV writers never import it.
 """
 from __future__ import annotations
 
-import json
-from itertools import compress
+from itertools import compress, cycle, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -34,6 +35,7 @@ from .table import (
     Frozen,
     JudgmentTable,
     ZERO_FLEXIBILITY,
+    _DIGIT_VALUES,
     _read_columns,
     bit_flags,
     transpose,
@@ -52,6 +54,7 @@ __all__ = [
     "report_chunks",
     "hasse_json_chunks",
     "structure_chunks",
+    "csv_chunks",
     "analyze",
 ]
 
@@ -136,14 +139,21 @@ def parse_csv(data: bytes | str) -> JudgmentTable:
     return JudgmentTable(model_names, tuple(target_names), _read_columns(digits, u))
 
 
+def csv_chunks(table: JudgmentTable) -> Iterator[str]:
+    """CSV text of a table, as the header line and then one chunk per
+    model row.  The binary digits of every support mask are joined once,
+    most significant first, so model i's cell of each target lies in
+    that target's digits at offset m - 1 - i, and a row's cells are one
+    strided read from there."""
+    m = table.model_count
+    yield "model," + ",".join(table.target_names) + "\n"
+    digits = "".join([format(mask, "b").zfill(m) for mask in table.support_masks])
+    for name, start in zip(table.model_names, range(m - 1, -1, -1)):
+        yield f"{name},{','.join(digits[start::m])}\n"
+
+
 def emit_csv(table: JudgmentTable) -> str:
-    """CSV text of a table, rendered from its row masks: a row's cells are
-    the binary digits of its mask, least significant first."""
-    u = table.target_count
-    lines = ["model," + ",".join(table.target_names)]
-    for name, row in zip(table.model_names, table.row_masks):
-        lines.append(name + "," + ",".join(format(row, "b").zfill(u)[::-1]))
-    return "\n".join(lines) + "\n"
+    return "".join(csv_chunks(table))
 
 
 def _array_chunks(runs: Iterable[str], depth: int) -> Iterator[str]:
@@ -173,13 +183,21 @@ def _pair_runs(rows: Iterable[tuple[str, Sequence[str]]]) -> Iterator[str]:
             yield head + ("\n    ],\n    " + head).join(successors) + "\n    ]"
 
 
+def _json_string(name: str) -> str:
+    """``name`` as a JSON string literal.  ``json`` is imported here, on
+    first use, so a run that writes no JSON never loads it."""
+    import json
+
+    return json.dumps(name)
+
+
 class _JsonNames(dict):
-    """Name -> JSON string literal, quoted by ``json.dumps`` on first use,
-    and the arrays of names both JSON outputs are made of.  One per
+    """Name -> JSON string literal, quoted by ``_json_string`` on first
+    use, and the arrays of names both JSON outputs are made of.  One per
     document, so each name is quoted once per document."""
 
     def __missing__(self, name: str) -> str:
-        self[name] = text = json.dumps(name)
+        self[name] = text = _json_string(name)
         return text
 
     def array(self, names: Iterable[str], depth: int) -> str:
@@ -283,7 +301,7 @@ def _report_json(report: AnalysisReport) -> Iterator[str]:
     names = _JsonNames()
     yield (
         f'{{\n  "targets": {names.array(report.table.target_names, 1)},\n  "flexibility": {{'
-        f'\n    "percent": {json.dumps(report.flexibility.percent_text)},'
+        f'\n    "percent": "{report.flexibility.percent_text}",'  # digits and a dot: no escapes
         f'\n    "basis_points": {report.flexibility.basis_points}\n  }},\n  "classes": '
     )
     yield names.blocks("representative", ((b[-1], b) for b in report.classes.blocks))
@@ -366,19 +384,31 @@ def hasse_json(diagram: HasseDiagram) -> str:
 
 
 def _rendered_states(structure: KnowledgeStructure) -> tuple[list[int], list[str]]:
-    """The states ordered by size, then member names, and the "{a,b}" text
-    of each.  A state's members are read once, as natural-order ranks
-    (``KnowledgeStructure.rank``), which give both the sort key and the
-    text: the names by rank are ``rank`` inverted, with no name compared."""
-    rank = structure.rank
-    keyed = []
-    for state in structure.states:
-        ranks = sorted(compress(rank, bit_flags(state)))
-        keyed.append((len(ranks), ranks, state))
-    keyed.sort()
-    by_rank = [name for _, name in sorted(zip(rank, structure.ground))]  # ranks are distinct
-    texts = ["{" + ",".join([by_rank[r] for r in ranks]) + "}" for _, ranks, _ in keyed]
-    return [state for _, _, state in keyed], texts
+    """The states ordered by size, then by the ascending lists of their
+    members' natural-order ranks (``KnowledgeStructure.rank``), and the
+    "{a,b}" text of each.
+
+    The state matrix is transposed, its columns are put in descending rank
+    order and it is transposed back, so bit u - 1 - r of ``keys[i]`` says
+    whether state i holds the name of rank r.  For states of equal size,
+    the ascending rank lists are in the descending order of these keys,
+    so one int per state sorts the family.  The keys' binary digits, most
+    significant first, then pick every state's names, in turn, from the
+    names in rank order.  No name and no list is compared.
+    """
+    u = len(structure.ground)
+    states = list(structure.states)
+    # One (rank, name, column) per target; ranks are distinct, so nothing else is compared.
+    by_rank = sorted(zip(structure.rank, structure.ground, transpose(states, u)))
+    keys = transpose([column for _, _, column in reversed(by_rank)], len(states))
+    full = (1 << u) - 1
+    sort_keys = [key.bit_count() << u | full ^ key for key in keys]
+    order = sorted(range(len(states)), key=sort_keys.__getitem__)
+    top = 1 << u  # bin(key | top) is "0b1" and then the u digits of key
+    flags = "".join([bin(keys[i] | top)[3:] for i in order]).encode().translate(_DIGIT_VALUES)
+    members = compress(cycle([name for _, name, _ in by_rank]), flags)
+    texts = ["{" + ",".join(islice(members, sort_keys[i] >> u)) + "}" for i in order]
+    return [states[i] for i in order], texts
 
 
 def structure_chunks(structure: KnowledgeStructure) -> Iterator[str]:
@@ -387,25 +417,30 @@ def structure_chunks(structure: KnowledgeStructure) -> Iterator[str]:
 
     Each state is sorted and rendered once, the ``K_<name>`` lines read
     the transposed sorted states, and the partition is computed once and
-    reused for the discriminative flag and the reduction.  Each
+    gives the discriminative flag.  A discriminative structure (every
+    concept one target) is its own reduction, so its state lines are
+    written again as the reduction's; only a structure that is not
+    discriminative is reduced and rendered a second time.  Each
     ``K_<name>`` line is a chunk of its own: a line can list every state,
     so the lines together can be far larger than the rendered states.
     """
     states, texts = _rendered_states(structure)
-    yield f"targets: {' '.join(structure.ground)}\nstates ({len(states)}):\n"
-    yield "".join([f"  {text}\n" for text in texts])
+    lines = "".join([f"  {text}\n" for text in texts])
+    yield f"targets: {' '.join(structure.ground)}\nstates ({len(states)}):\n" + lines
     families = transpose(states, len(structure.ground))
     for name, family in zip(structure.ground, families):
         yield " ".join([f"K_{name}:", *compress(texts, bit_flags(family))]) + "\n"
     partition = equally_informative(structure)
     concepts = " ".join("{" + ",".join(block) + "}" for block in partition.blocks)
-    discriminative = "true" if len(partition.blocks) == len(structure.ground) else "false"
-    reduced = discriminative_reduction(structure, partition)
-    _, reduced_texts = _rendered_states(reduced)
+    discriminative = len(partition.blocks) == len(structure.ground)
+    reduced, reduced_lines = structure, lines
+    if not discriminative:
+        reduced = discriminative_reduction(structure, partition)
+        reduced_lines = "".join([f"  {text}\n" for text in _rendered_states(reduced)[1]])
     yield (
-        f"concepts: {concepts}\ndiscriminative: {discriminative}\n"
+        f"concepts: {concepts}\ndiscriminative: {'true' if discriminative else 'false'}\n"
         f"reduction targets: {' '.join(reduced.ground)}\n"
-        f"reduction states ({len(reduced_texts)}):\n" + "".join([f"  {t}\n" for t in reduced_texts])
+        f"reduction states ({len(reduced.states)}):\n" + reduced_lines
     )
 
 

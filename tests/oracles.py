@@ -23,6 +23,9 @@ and DOT outputs by one rendered element per (p, q) pair.  The fused
 axiom and covering pass is kept as it was before the rows a mask selects
 were ORed by Four Russians (one ``reduce`` over a list of bit indices
 per row), and so is the row walker that named a row through such a list.
+The structure view's state order is kept as it was before it was read
+from one int key per state: one sorted list of member ranks per state,
+compared as lists.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ import re
 from collections import deque
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from operator import or_
 
 from surmise.io import CsvError
@@ -43,6 +47,7 @@ from surmise.table import (
     Flexibility,
     JudgmentTable,
     TableError,
+    bit_flags,
     bit_indices,
     transpose,
 )
@@ -415,6 +420,22 @@ def natural_name_key(name: str) -> tuple:
         if run
     )
     return (runs, name)
+
+
+def rendered_states_reference(structure) -> tuple[list[int], list[str]]:
+    """The states ordered by size, then member names, and the "{a,b}" text
+    of each.  A state's members are read once, as natural-order ranks
+    (``KnowledgeStructure.rank``), which give both the sort key and the
+    text: the names by rank are ``rank`` inverted, with no name compared."""
+    rank = structure.rank
+    keyed = []
+    for state in structure.states:
+        ranks = sorted(compress(rank, bit_flags(state)))
+        keyed.append((len(ranks), ranks, state))
+    keyed.sort()
+    by_rank = [name for _, name in sorted(zip(rank, structure.ground))]  # ranks are distinct
+    texts = ["{" + ",".join([by_rank[r] for r in ranks]) + "}" for _, ranks, _ in keyed]
+    return [state for _, _, state in keyed], texts
 
 
 def structure_report_reference(

@@ -133,6 +133,7 @@ def test_dot_and_synth_outputs_match_golden_bytes(golden, argv):
         ),
         ("twelve_models.structure-no-complete.txt", ["structure", TWELVE, "--no-complete"]),
         ("twelve_models.counts-t6-t4.txt", ["counts", TWELVE, "--p", "t6", "--q", "t4"]),
+        ("synth-20x300-seed3.structure.txt", ["structure", SYNTH_20]),
     ],
 )
 def test_text_outputs_match_golden_bytes(golden, argv):

@@ -257,13 +257,19 @@ class TestDiscriminativeReduction:
             }
         )
 
-    def test_already_discriminative_is_isomorphic(self):
-        structure = make_structure(
-            ("a", "b"), [frozenset(), frozenset({"a"}), frozenset({"a", "b"})]
-        )
+    @given(structures())
+    @example(make_structure(("a", "b"), [frozenset(), frozenset({"a"}), frozenset({"a", "b"})]))
+    def test_already_discriminative_is_isomorphic(self, structure):
+        # A structure that is not discriminative is replaced by its
+        # reduction, which is; the report reuses a discriminative
+        # structure's own states as its reduction's on this identity.
+        partition = equally_informative(structure)
+        if len(partition.blocks) != len(structure.ground):
+            structure = discriminative_reduction(structure, partition)
         reduced = reduce_(structure)
         assert reduced.ground == structure.ground
         assert len(reduced.states) == len(structure.states)
+        assert reduced == structure
 
     def test_two_target_collapse(self):
         structure = make_structure(("a", "b"), [frozenset(), frozenset({"a", "b"})])

@@ -3,7 +3,8 @@
 A CLI run pays for the interpreter, then for ``import surmise.cli``, then
 for its work.  The package import must not pull in ``dataclasses`` or
 ``inspect``, whose own import (with ``ast``, ``dis`` and ``tokenize``)
-cost more than the work of a run on a small table.  ``site`` may load
+cost more than the work of a run on a small table, nor ``json``, which
+only the JSON writers need and import on first use.  ``site`` may load
 modules of its own before any user code runs (``.pth`` files of installed
 packages), so the check compares the modules loaded after the import with
 those loaded just before it, in one fresh interpreter.  No time is
@@ -39,4 +40,4 @@ def modules_added_by_cli_import() -> set[str]:
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     added = modules_added_by_cli_import()
     assert {"surmise", "surmise.cli", "surmise.table"} <= added
-    assert {"dataclasses", "inspect"}.isdisjoint(added), sorted(added)
+    assert {"dataclasses", "inspect", "json"}.isdisjoint(added), sorted(added)

@@ -4,14 +4,16 @@
 structure and one concept partition per report; ``oracles`` sorts every
 state by natural keys each time it is printed and groups concepts by
 brute force.  Grounds are shuffled and contain numeric ties, so natural
-order, column order and plain string order all differ.
+order, column order and plain string order all differ.  The state order,
+one int key per state, is also checked against the sorted rank lists it
+replaced, on families with many states of one size.
 """
 from __future__ import annotations
 
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from surmise import (
     ConceptPartition,
@@ -22,6 +24,7 @@ from surmise import (
     structure_from_table,
     structure_report,
 )
+from surmise.io import _rendered_states
 
 import oracles
 from test_bitset import latent_rows
@@ -101,6 +104,28 @@ def test_report_matches_reference_on_hand_built_structures(states):
     assert_same_report(
         structure_report(structure), oracles.structure_report_reference(ODD_NAMES, family)
     )
+
+
+@st.composite
+def ranked_structures(draw):
+    """Structures over a shuffled prefix of ODD_NAMES (so a name's rank is
+    not its index), holding many states of one drawn size and a few
+    others; the family may be empty."""
+    names = draw(st.permutations(ODD_NAMES))
+    ground = tuple(names[: draw(st.integers(0, len(names)))])
+    size = draw(st.integers(0, len(ground)))
+    same_size = [mask for mask in range(1 << len(ground)) if mask.bit_count() == size]
+    states = draw(st.sets(st.sampled_from(same_size)))
+    states |= draw(st.sets(st.integers(0, (1 << len(ground)) - 1), max_size=6))
+    return KnowledgeStructure(ground=ground, states=states)
+
+
+@given(ranked_structures())
+@example(KnowledgeStructure(ground=ODD_NAMES, states=frozenset()))
+@example(KnowledgeStructure(ground=ODD_NAMES, states=frozenset({0})))
+@example(KnowledgeStructure(ground=(), states=frozenset({0})))
+def test_state_order_and_texts_match_sorted_rank_lists(structure):
+    assert _rendered_states(structure) == oracles.rendered_states_reference(structure)
 
 
 def test_ranks_follow_natural_order_and_stay_out_of_equality():
