@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_table(path: str):
     with open(path, "rb") as handle:
-        return parse_csv(handle.read())
+        return parse_csv(handle)
 
 
 # Each command returns its standard output as text chunks; cli_main

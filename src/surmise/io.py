@@ -1,5 +1,10 @@
 """File formats: CSV tables in, CSV/JSON/DOT/text out.
 
+``parse_csv`` reads bytes, a str or an open binary file one block of
+whole lines at a time, so reading holds the table and one block, never
+the whole input; only an input that fails the block check is read again
+whole, to name its first fault.
+
 Every emitter is byte-deterministic for a given input: collections are
 natural-sorted, JSON key order is fixed, and all numbers are integers
 (the flexibility is echoed as decimal text as well, so consumers never
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from itertools import compress, cycle, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .hasse import HasseDiagram, transitive_reduction
 from .kst import KnowledgeStructure, discriminative_reduction, equally_informative
@@ -82,61 +87,112 @@ def _row_error(line: str, line_number: int, target_names: Sequence[str]) -> CsvE
     return None
 
 
-def parse_csv(data: bytes | str) -> JudgmentTable:
-    """Read a judgment table from CSV bytes (UTF-8, LF or CRLF).
+_BLOCK = 1 << 16  # bytes (characters, for str input) read per chunk
+
+
+def _line_blocks(source: bytes | str | IO) -> Iterator[bytes | str]:
+    """The lines of the source, a block at a time: chunks of ``_BLOCK``
+    are cut at their last line break, the partial line after it carried
+    into the next chunk.  A block is its lines joined by line breaks."""
+    if isinstance(source, (bytes, str)):
+        carry = source[:0]
+        chunks = (source[k : k + _BLOCK] for k in range(0, len(source), _BLOCK))
+    else:
+        carry = empty = source.read(0)
+        chunks = iter(lambda: source.read(_BLOCK), empty)
+    newline = "\n" if isinstance(carry, str) else b"\n"
+    for chunk in chunks:
+        block, cut, carry = (carry + chunk).rpartition(newline)
+        if cut:
+            yield block
+    if carry:
+        yield carry
+
+
+def _block_table(source: bytes | str | IO) -> JudgmentTable | None:
+    """The table, read block by block, or None when a block fails the
+    body check, is not UTF-8 or lacks targets or rows."""
+    digits, model_names, target_names = bytearray(), [], None
+    for block in _line_blocks(source):
+        if isinstance(block, bytes):
+            try:
+                block = block.decode("utf-8")  # an LF byte never lies inside a UTF-8 sequence
+            except UnicodeDecodeError:
+                return None
+        lines = block.split("\n")
+        if "\r" in block:
+            lines = [line.removesuffix("\r") for line in lines]
+        if target_names is None:
+            target_names = lines.pop(0).split(",")[1:]
+            width = 2 * len(target_names)
+        tails = "".join(map(itemgetter(slice(-width, None)), lines))
+        names = list(map(itemgetter(slice(None, -width)), lines))
+        block_digits = tails[1::2].encode("ascii", "replace")  # "?" fails the 0/1 test
+        if not width or len(tails) != width * len(lines) or "," in "".join(names):
+            return None
+        if block_digits.translate(None, b"01") or tails.count(",") != len(block_digits):
+            return None
+        digits += block_digits
+        model_names += names
+    if not model_names:
+        return None
+    columns = _read_columns(digits, len(target_names))
+    del digits  # the constructor's name checks need room of their own
+    return JudgmentTable(tuple(model_names), tuple(target_names), columns)
+
+
+def parse_csv(source: bytes | str | IO) -> JudgmentTable:
+    """Read a judgment table from CSV (UTF-8, LF or CRLF): bytes, str, or
+    a binary file open for reading.
 
     Layout: the header's first cell is reserved (ignored), the rest are
     target names; each body row is a model name followed by "0"/"1"
     cells.  The ``JudgmentTable`` constructor checks the names, as it does
     for ``build_table``.
 
-    The body is checked at once, by string methods that run in C.  With u
+    The input is read one block of whole lines at a time
+    (``_line_blocks``), so beside the table only one block is held.  Each
+    block is checked at once, by string methods that run in C.  With u
     targets, a line is valid iff it ends in u cells, each a comma and a
-    "0"/"1" digit, and the name before them holds no comma.  So the body
-    is valid iff the last 2u characters of its lines, joined, are 2u
+    "0"/"1" digit, and the name before them holds no comma.  So a block is
+    valid iff the last 2u characters of its lines, joined, are 2u
     characters per line with only "0"/"1" at the odd positions and only
-    commas at the even ones, and the names hold no comma.  The odd
-    positions are then the cells in row-major order, and each column is
-    one strided read of them (``table._read_columns``).  Only a body that
-    fails is scanned line by line, to name the first faulty line.  Cell
-    and shape faults are reported in line order, then a missing body,
-    then bad names.
+    commas at the even ones, and the names hold no comma; each tail is one
+    line's own, so the blocks pass exactly when the whole body would.  The
+    odd positions are the block's cells in row-major order; the cells of
+    all blocks are joined, and each column is one strided read of them
+    (``table._read_columns``).
+
+    Only an input that fails is read again, whole (a file from where it
+    stood when given), and scanned line by line to name its first fault:
+    invalid UTF-8 first, then an empty input, no targets or no rows, then
+    cell and shape faults in line order.  Name faults come last, from the
+    constructor.  A file that cannot seek (a pipe) is read whole first.
     """
-    if isinstance(data, bytes):
+    if not isinstance(source, (bytes, str)) and not source.seekable():
+        source = source.read()
+    start = None if isinstance(source, (bytes, str)) else source.tell()
+    table = _block_table(source)
+    if table is not None:
+        return table
+    if start is not None:
+        source.seek(start)
+        source = source.read()
+    if isinstance(source, bytes):
         try:
-            text = data.decode("utf-8")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CsvError(f"input is not valid UTF-8: {exc}") from None
-    else:
-        text = data
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if "\r" in text:
-        lines = [line.removesuffix("\r") for line in lines]
+    lines = [line.removesuffix("\r") for line in source.removesuffix("\n").split("\n")]
     if not any(lines):
         raise CsvError("empty CSV input")
-
     target_names = lines[0].split(",")[1:]
     if not target_names:
         raise CsvError("header row declares no targets")
-    u = len(target_names)
-    body = lines[1:]
-    if not body:
+    if len(lines) == 1:
         raise CsvError("CSV has a header but no model rows")
-    width = 2 * u
-    tails = "".join(map(itemgetter(slice(-width, None)), body))
-    model_names = tuple(map(itemgetter(slice(None, -width)), body))
-    digits = tails[1::2].encode("ascii", "replace")  # "?" fails the 0/1 test
-    if (
-        len(tails) != width * len(body)
-        or digits.translate(None, b"01")
-        or tails.count(",") != len(digits)
-        or "," in "".join(model_names)
-    ):
-        errors = (_row_error(line, n, target_names) for n, line in enumerate(body, start=2))
-        raise next(filter(None, errors), AssertionError("the body check found no faulty line"))
-    return JudgmentTable(model_names, tuple(target_names), _read_columns(digits, u))
+    errors = (_row_error(line, n, target_names) for n, line in enumerate(lines[1:], start=2))
+    raise next(filter(None, errors), AssertionError("the body check found no faulty line"))
 
 
 def csv_chunks(table: JudgmentTable) -> Iterator[str]:

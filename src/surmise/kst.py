@@ -16,6 +16,7 @@ from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .table import Frozen, JudgmentTable, NamePartition, check_masks, natural_ranks, transpose
+from .table import _check_name
 
 __all__ = [
     "KnowledgeStructure",
@@ -31,12 +32,15 @@ class KnowledgeStructure(Frozen):
     """A family of distinct knowledge states over an ordered ground list.
 
     Each state is an int mask: bit j is set iff the state contains
-    ``ground[j]``.  ``completed`` records that the empty state and the
-    full state were guaranteed at construction (the conventional closure
-    that makes the family a genuine knowledge structure).  ``rank[j]`` is
-    the position of ``ground[j]`` in natural order, derived once at
-    construction together with the read-only name -> index map, so
-    ordering a state costs no name comparison.
+    ``ground[j]``.  Ground names obey the rules of target names (a
+    non-empty str without a quote, comma, line break or backslash), so
+    every rendering of a state is unambiguous.  ``completed`` records
+    that the empty state and the full state were guaranteed at
+    construction (the conventional closure that makes the family a
+    genuine knowledge structure).  ``rank[j]`` is the position of
+    ``ground[j]`` in natural order, derived once at construction together
+    with the read-only name -> index map, so ordering a state costs no
+    name comparison.
     """
 
     _fields = ("ground", "states", "completed")
@@ -47,6 +51,7 @@ class KnowledgeStructure(Frozen):
         ground, states = tuple(ground), frozenset(states)
         index: dict[str, int] = {}
         for j, name in enumerate(ground):
+            _check_name("ground", j, name)
             if name in index:
                 raise ValueError(f"duplicate ground name {name!r}")
             index[name] = j

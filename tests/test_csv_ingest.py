@@ -7,10 +7,18 @@ support masks cell by cell.  On valid tables, on single faults, on pairs
 of faults and on one-character edits both must give an equal table with
 equal support masks, or the same exception class with the same message;
 the row views of the table must be the reference's rows.
+
+``parse_csv`` reads its input one block of whole lines at a time.  Every
+comparison is also made with the block size patched down to a few bytes,
+so that blocks end inside a line, inside a CRLF and inside a UTF-8
+sequence, and with the input given as bytes, as str, as an open binary
+file and as a file that cannot seek.
 """
 from __future__ import annotations
 
+import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +31,7 @@ from surmise import (
     emit_csv,
     parse_csv,
 )
+import surmise.io
 
 import oracles
 
@@ -42,8 +51,37 @@ def outcome(parse, data):
     return table, table.support_masks
 
 
-def assert_same(data: bytes | str) -> None:
-    assert outcome(parse_csv, data) == outcome(oracles.parse_csv_reference, data)
+class Pipe(io.BytesIO):
+    """A binary file that cannot seek, as a pipe."""
+
+    def seekable(self) -> bool:
+        return False
+
+
+def sources(data: bytes | str):
+    """The same input as bytes, as str (when it is valid UTF-8), as an
+    open binary file and as a pipe."""
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    yield raw
+    try:
+        yield raw.decode("utf-8")
+    except UnicodeDecodeError:
+        pass
+    yield io.BytesIO(raw)
+    yield Pipe(raw)
+
+
+BLOCK_SIZES = (1, 2, 7, 64)
+
+
+def assert_same(data: bytes | str, block_sizes=BLOCK_SIZES) -> None:
+    expected = outcome(oracles.parse_csv_reference, data)
+    assert outcome(parse_csv, data) == expected
+    for size in block_sizes:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surmise.io, "_BLOCK", size)
+            for source in sources(data):
+                assert outcome(parse_csv, source) == expected, (size, source)
 
 
 def random_lines(rng: random.Random) -> list[str]:
@@ -289,3 +327,85 @@ def test_edited_tables_match_reference(data, draw):
     edit = draw.draw(st.sampled_from(["", "0", "1", ",", "\r", "\n", " ", "x", "²"]))
     cut = draw.draw(st.integers(0, 1))
     assert_same(text[:at] + edit + text[at + cut :])
+
+
+def table_lines(u: int, v: int, seed: int) -> list[str]:
+    """Header and body lines of a seeded random u x v table."""
+    rng = random.Random(seed)
+    lines = ["model," + ",".join(f"t{j}" for j in range(u))]
+    lines += [f"m{i}," + ",".join(rng.choice("01") for _ in range(u)) for i in range(v)]
+    return lines
+
+
+def blocks_of(data: bytes) -> int:
+    return -(-len(data) // surmise.io._BLOCK)
+
+
+def test_invalid_utf8_in_a_late_block_wins_over_an_early_cell_fault():
+    lines = table_lines(8, 5000, INGEST_SEED)
+    lines[1] = lines[1][:-1] + "2"
+    data = render(lines, "\n", True) + b"m\xff,0,0,0,0,0,0,0,0\n"
+    assert blocks_of(data) > 1
+    with pytest.raises(CsvError, match="^input is not valid UTF-8: "):
+        parse_csv(io.BytesIO(data))
+    assert_same(data, block_sizes=(7, 64))
+
+
+def test_a_fault_only_in_a_late_block_is_named():
+    lines = table_lines(8, 5000, INGEST_SEED)
+    lines[-1] = lines[-1][:-1] + "x"
+    data = render(lines, "\r\n", False)
+    assert blocks_of(data) > 1
+    with pytest.raises(CsvError, match="^cell at line 5001, column 8 "):
+        parse_csv(io.BytesIO(data))
+    assert_same(data, block_sizes=(7, 64))
+
+
+@pytest.mark.parametrize("fault", [None, "2", "duplicate model"])
+def test_a_header_longer_than_one_block(fault):
+    lines = table_lines(12000, 3, INGEST_SEED)
+    if fault == "2":
+        lines[2] = lines[2][:-1] + fault
+    elif fault:
+        lines.append(lines[1])
+    data = render(lines, "\n", True)
+    assert len(lines[0]) > surmise.io._BLOCK
+    assert_same(data, block_sizes=(64,))
+
+
+def test_crlf_split_at_every_chunk_boundary():
+    """Every block size up to the whole input, so some chunk ends between
+    the "\\r" and the "\\n" of each line end, and one ends after a
+    "\\r" that is the input's last byte."""
+    for data in (b"m,a,b\r\nM1,0,1\r\nM2,1,1\r\n", b"m,a,b\r\nM1,0,1\r\nM2,1,1\r"):
+        assert_same(data, block_sizes=range(1, len(data) + 1))
+
+
+def test_a_file_is_read_from_where_it_stands():
+    for data in (b"m,a\nM1,1\nM2,0\n", b"m,a\nM1,1\nM2,2\n"):
+        handle = io.BytesIO(b"skipped\n" + data)
+        handle.readline()
+        assert outcome(parse_csv, handle) == outcome(parse_csv, data)
+
+
+def test_reading_a_file_holds_about_one_block_beside_the_table(tmp_path):
+    """An 8000 x 40 table: 0.69 MB of CSV, a table of 0.54 MB.  Read by
+    blocks, the traced peak is about 1.4 MB (Python 3.11).  Holding the
+    file's bytes as well takes it to about 2.1 MB, and holding its text,
+    lines and tails at once (the whole-body reader) to about 4.7 MB."""
+    path = tmp_path / "tall.csv"
+    path.write_bytes(render(table_lines(40, 8000, INGEST_SEED), "\n", True))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        with open(path, "rb") as handle:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table = parse_csv(handle)
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (table.model_count, len(table.target_names)) == (8000, 40)
+    assert peak < 1.75e6, peak

@@ -142,6 +142,43 @@ def test_text_outputs_match_golden_bytes(golden, argv):
     assert result.stdout == (DATA_DIR / golden).read_bytes()
 
 
+SYNTH_5000 = ["synth", "--targets", "20", "--models", "5000", "--seed", "3", "--noise", "0.1"]
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
+def test_a_csv_of_several_blocks_matches_golden_bytes(tmp_path, ending):
+    """A 229 KB CSV, four blocks of the reader, in LF and in CRLF."""
+    synth = run_cli(*SYNTH_5000)
+    assert (synth.returncode, synth.stderr) == (0, b"")
+    path = tmp_path / "synth-20x5000-seed3.csv"
+    path.write_bytes(synth.stdout.replace(b"\n", ending))
+    result = run_cli("analyze", str(path), "--text", "--counts", "--flexibility", "5")
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (DATA_DIR / "synth-20x5000-seed3.analyze-5-counts.txt").read_bytes()
+
+
+@pytest.mark.parametrize("data, code", [
+    (b"m,a,b\nM1,0,1\nM2,1,1\n", 0),
+    (b"m,a,b\nM1,0,1\nM2,1,2\n", 2),
+    (b"m,a,b\nM1,0,1\nM\xff,1,1\n", 2),
+    (b"", 2),
+])
+def test_a_pipe_reads_as_the_same_file_by_path(tmp_path, data, code):
+    """A pipe cannot seek, so it is read whole; the output, the message
+    and the exit code are those of the same bytes read from a file."""
+    path = tmp_path / "table.csv"
+    path.write_bytes(data)
+    by_path = run_cli("analyze", str(path))
+    piped = subprocess.run(
+        [sys.executable, "-m", "surmise", "analyze", "/dev/stdin"],
+        input=data, capture_output=True, env=dict(os.environ),
+    )
+    assert by_path.returncode == code
+    assert (piped.returncode, piped.stdout, piped.stderr) == (
+        by_path.returncode, by_path.stdout, by_path.stderr
+    )
+
+
 @st.composite
 def tables(draw):
     u = draw(st.integers(1, 8))

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from surmise import (
     ConceptPartition,
     KnowledgeStructure,
+    TableError,
     build_table,
     discriminative_reduction,
     equally_informative,
@@ -115,6 +116,25 @@ class TestStructureFromTable:
             KnowledgeStructure(ground=("a", "b"), states=frozenset({0b01, 0b100}))
         with pytest.raises(ValueError, match=r"^state -1 is not a mask over 2 elements$"):
             KnowledgeStructure(ground=("a", "b"), states=frozenset({-1}))
+
+    @pytest.mark.parametrize(
+        "ground,message",
+        [
+            (("a,b", "c"), "ground name 'a,b' at position 0 contains forbidden character ','"),
+            (("a", "b\nc"), "ground name 'b\\nc' at position 1 contains forbidden character '\\n'"),
+            (("a", ""), "ground name at position 1 is empty"),
+        ],
+    )
+    def test_ground_names_obey_the_target_name_rules(self, ground, message):
+        """A comma or a line break in a ground name would make the
+        rendered states ambiguous ("K_a,b:", a state line split in two)."""
+        with pytest.raises(TableError) as raised:
+            KnowledgeStructure(ground=ground, states=frozenset({0, 0b01, 0b11}))
+        assert str(raised.value) == message
+
+    def test_duplicate_ground_name_rejected(self):
+        with pytest.raises(ValueError, match=r"^duplicate ground name 'a'$"):
+            KnowledgeStructure(ground=("a", "b", "a"), states=frozenset({0}))
 
     def test_set_state_rejected_by_name(self):
         with pytest.raises(
