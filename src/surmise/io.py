@@ -24,7 +24,9 @@ and so is each CSV row.  A row's names are picked from a list by
 bit indices: the text and DOT writers pick plain names, the JSON
 writers the quoted names, each node quoted once per document.  Every
 JSON array is laid out by one writer, ``_array_chunks``.  Only quoting a
-name loads ``json``, so the text, DOT and CSV writers never import it.
+name that needs an escape loads ``json`` (``_json_string``), so the text,
+DOT and CSV writers never import it, and neither do the JSON writers on
+printable ASCII names without quotes or backslashes.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from operator import itemgetter
 from typing import IO, Iterable, Iterator, Sequence
 
 from .hasse import HasseDiagram, transitive_reduction
-from .kst import KnowledgeStructure, discriminative_reduction, equally_informative
+from .kst import ConceptPartition, KnowledgeStructure, discriminative_reduction
 from .order import EquivalenceClasses, OrderMatrix, named_rows, order_matrix
 from .table import (
     Flexibility,
@@ -240,8 +242,15 @@ def _pair_runs(rows: Iterable[tuple[str, Sequence[str]]]) -> Iterator[str]:
 
 
 def _json_string(name: str) -> str:
-    """``name`` as a JSON string literal.  ``json`` is imported here, on
-    first use, so a run that writes no JSON never loads it."""
+    """``name`` as a JSON string literal, as ``json.dumps`` writes it.
+    ``json.dumps`` escapes only ``"``, ``\\`` and the characters outside
+    printable ASCII, so a printable ASCII name with neither is written
+    between quotes as it is.  Both characters are tested because names
+    from ``OrderMatrix.from_pairs`` never pass the table's alphabet
+    check.  Any other name is quoted by ``json``, imported here on first
+    use, so a run whose names need no escape never loads it."""
+    if name.isascii() and name.isprintable() and '"' not in name and "\\" not in name:
+        return '"' + name + '"'
     import json
 
     return json.dumps(name)
@@ -472,8 +481,10 @@ def structure_chunks(structure: KnowledgeStructure) -> Iterator[str]:
     the concept partition, and the discriminative reduction.
 
     Each state is sorted and rendered once, the ``K_<name>`` lines read
-    the transposed sorted states, and the partition is computed once and
-    gives the discriminative flag.  A discriminative structure (every
+    the transposed sorted states, and the concept partition groups the
+    targets by those same columns (equal columns stay equal in any state
+    order) instead of transposing the states again; it gives the
+    discriminative flag.  A discriminative structure (every
     concept one target) is its own reduction, so its state lines are
     written again as the reduction's; only a structure that is not
     discriminative is reduced and rendered a second time.  Each
@@ -486,7 +497,7 @@ def structure_chunks(structure: KnowledgeStructure) -> Iterator[str]:
     families = transpose(states, len(structure.ground))
     for name, family in zip(structure.ground, families):
         yield " ".join([f"K_{name}:", *compress(texts, bit_flags(family))]) + "\n"
-    partition = equally_informative(structure)
+    partition = ConceptPartition.from_keys(structure.ground, families)
     concepts = " ".join("{" + ",".join(block) + "}" for block in partition.blocks)
     discriminative = len(partition.blocks) == len(structure.ground)
     reduced, reduced_lines = structure, lines

@@ -10,6 +10,8 @@ and is a genuine partial order: reflexive, anti-symmetric, transitive.
 from __future__ import annotations
 
 from itertools import chain, compress, groupby, pairwise, repeat
+from math import gcd
+from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 from .table import (
@@ -24,6 +26,7 @@ from .table import (
     natural_key,
     natural_sorted,
     or_selected,
+    transpose,
 )
 
 __all__ = [
@@ -77,9 +80,16 @@ def _edge_holds(n2: int, n3: int, basis_points: int) -> bool:
     - Size order: the left side of (*) is >= 0, so |S_p| >= |S_q|, and
       equal sizes force n3 = 0 and then n2 = 0.  A strict edge between
       different columns thus goes from a larger support to a smaller one.
-      ``order_matrix`` relies on this: it tests only pairs whose q has a
-      strictly smaller support, against ``_q_only_limits``, which is (*)
-      solved for n3.
+
+    ``order_matrix`` tests (*) by one of two kernels.  The size-order
+    kernel relies on the size order: it tests only pairs whose q has a
+    strictly smaller support, against ``_q_only_limits``, which is (*)
+    solved for n3.  The lane kernel tests (*) divided by g = gcd(10000 -
+    2*bp, bp), a*n3 + b*|S_q| <= b*|S_p| with a = (10000 - 2*bp)/g and b =
+    bp/g (a = 1, b = 0 at 0%), for every q at once.  It needs no size
+    order: for distinct columns the test holds on the diagonal and fails
+    for every q whose support is as large as S_p or larger, as then n3 >
+    0 and a >= 1.
     """
     return 10000 * n3 <= basis_points * (n2 + n3)
 
@@ -282,28 +292,20 @@ def verify_partial_order(matrix: OrderMatrix) -> OrderDiagnostics:
     return matrix.diagnostics
 
 
-def order_matrix(
-    table: JudgmentTable, alpha: Flexibility = ZERO_FLEXIBILITY
-) -> OrderMatrix:
-    """The prerequisite order over class representatives.
+def _size_order_rows(
+    masks: Sequence[int], sizes: Sequence[int], models: int, basis_points: int
+) -> list[int]:
+    """The order rows over distinct supports by the size-order kernel.
 
     A strict edge p -> q needs |S_q| < |S_p| (see ``_edge_holds``), so the
     classes are walked by ascending support size and each is tested only
-    against the strictly smaller ones: n3 is the popcount of S_q less
-    S_p, and the edge holds iff n3 <= limit[|S_p| - |S_q|].  The result is
-    verified against the three order axioms; a failure is an internal bug
-    and is raised, never ignored.
-    """
-    classes = equivalence_classes(table)
-    reps = classes.representatives
-    columns = [table.target_index(rep) for rep in reps]
-    masks = [table.support_masks[j] for j in columns]
-    sizes = [table.support_sizes[j] for j in columns]
-    limit = _q_only_limits(table.model_count, alpha.basis_points)
-    every_model = (1 << table.model_count) - 1
-    rows = [1 << i for i in range(len(reps))]
+    against the strictly smaller ones: n3 is the popcount of S_q less S_p,
+    and the edge holds iff n3 <= limit[|S_p| - |S_q|]."""
+    limit = _q_only_limits(models, basis_points)
+    every_model = (1 << models) - 1
+    rows = [1 << i for i in range(len(masks))]
     below: list[tuple[int, int, int]] = []  # (mask, size, row bit) of smaller supports
-    by_size = sorted(range(len(reps)), key=sizes.__getitem__)
+    by_size = sorted(range(len(masks)), key=sizes.__getitem__)
     for size_p, group in groupby(by_size, key=sizes.__getitem__):
         group = list(group)
         for p in group:
@@ -315,6 +317,138 @@ def order_matrix(
             ]
             rows[p] |= sum(hits)  # distinct bits, so the sum is their OR
         below.extend((masks[q], sizes[q], 1 << q) for q in group)
+    return rows
+
+
+def _lane_terms(models: int, basis_points: int) -> tuple[int, int, int]:
+    """(a, b, k) of the lane kernel: (*) of ``_edge_holds`` divided by
+    g = gcd(10000 - 2*bp, bp) reads a*n3 + b*|S_q| <= b*|S_p|, and k is
+    the smallest multiple of 8 with (a + b)*models < 2**(k - 1), so every
+    lane of ``_lane_rows`` stays below 2**k."""
+    scale = 10000 - 2 * basis_points
+    g = gcd(scale, basis_points)
+    a, b = scale // g, basis_points // g
+    return a, b, ((a + b) * models).bit_length() + 8 & ~7
+
+
+# A model block of the lane kernel: 4 models, a table of 16 subset sums.
+_LOW_NIBBLE = bytes(k & 15 for k in range(256))
+_HIGH_NIBBLE = bytes(k >> 4 for k in range(256))
+# A lane's top byte as the digit of its class's row bit: "1" iff the guard bit is clear.
+_GUARD_DIGITS = b"1" * 128 + b"0" * 128
+
+
+def _lane_rows(
+    masks: Sequence[int], sizes: Sequence[int], models: int, basis_points: int
+) -> list[int]:
+    """The order rows over distinct supports by the lane-sum kernel.
+
+    Row p is every q with a*|S_q - S_p| + b*|S_q| <= b*|S_p| (``_lane_terms``),
+    tested for all q at once: class q is lane q, k bits wide, of one int.
+    ``lanes[i]`` holds a in lane q when model i is in S_q, so n3 for every
+    q, times a, is the sum of ``lanes[i]`` over the models i outside S_p.
+    That sum is taken by 4-model blocks (Method of Four Russians, as
+    ``table.or_selected`` takes ORs): each block's table holds its 16
+    subset sums, and a row adds one entry per block, picked by a nibble
+    of S_p's complement.  Adding b*|S_q| + 2**(k-1) - 1 - b*|S_p| in lane
+    q sets the lane's top (guard) bit exactly when q is not in row p;
+    every lane stays in [0, 2**k), so no lane carries into the next.  The
+    guard bytes are read off as the row's binary digits, so the rows come
+    out in index order with no size sort.  The rows are the outer loop,
+    so beside the tables only one sum is alive at a time."""
+    a, b, k = _lane_terms(models, basis_points)
+    width = k // 8
+    count = len(masks)
+    lanes = []
+    for column in transpose(masks, models):
+        spread = bytearray(count * width)
+        spread[::width] = bit_flags(column | 1 << count)[:count]
+        lanes.append(a * int.from_bytes(spread, "little"))
+    tables = []
+    for start in range(0, models, 4):
+        table = [0]
+        for lane in lanes[start : start + 4]:
+            table += [entry + lane for entry in table]
+        tables.append(table)
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
+    guard = (1 << k - 1) - 1
+    base = sum(b * size << k * q for q, size in enumerate(sizes)) + guard * ones
+    bases = {size: base - b * size * ones for size in set(sizes)}
+    low_tables, high_tables = tables[0::2], tables[1::2]
+    every_model = (1 << models) - 1
+    nibble_bytes = (models + 7) // 8
+    rows = []
+    for mask, size in zip(masks, sizes):
+        outside = (every_model ^ mask).to_bytes(nibble_bytes, "little")
+        total = sum(map(getitem, low_tables, outside.translate(_LOW_NIBBLE)), bases[size])
+        total = sum(map(getitem, high_tables, outside.translate(_HIGH_NIBBLE)), total)
+        top_bytes = total.to_bytes(count * width, "big")[::width]  # last lane first
+        rows.append(int(top_bytes.translate(_GUARD_DIGITS), 2))
+    return rows
+
+
+def _lanes_win(classes: int, models: int, lane_bits: int) -> bool:
+    """Whether the lane kernel is expected to be faster than the size-order
+    kernel on ``classes`` distinct supports over ``models`` models, with
+    lanes ``lane_bits`` wide: a count of operations, in units of one
+    size-order pair test (about 100 ns on the machine below).
+
+    - Size order: c²/2 pair tests, each an AND and a popcount of m-bit
+      ints, which costs 1/1300 of a test more per model.
+    - Lanes: 15 per model (its lane int and its share of the block
+      tables), 20 per row (reading the guard bits), and ⌈m/4⌉ block
+      sums per row, each 0.75 plus 1/3000 per bit of its c·k-bit int.
+
+    The constants are a least-squares fit of both kernels' in-process
+    times on ``bench/gen.py`` tables from 10 × 100 to 4000 × 300 (noise
+    0.6, bp 0, 1 and 1000; Python 3.11.7, 2-vCPU x86-64 Linux VM).  Lanes
+    win when the classes far outnumber the models: at 400 × 40 the
+    kernel takes 2-3 ms against 7 ms, at 4000 × 300 0.63 s against
+    1.1-1.4 s; at 1000 × 1000 (0.14 s against 0.07-0.08 s) and 40 × 8000
+    (25-35 ms against 1 ms) the size order wins.
+    """
+    blocks = (models + 3) // 4
+    lane_cost = 15 * models + 20 * classes + blocks * classes * (0.75 + classes * lane_bits / 3000)
+    size_cost = classes * classes / 2 * (1 + models / 1300)
+    return lane_cost < size_cost
+
+
+def order_matrix(
+    table: JudgmentTable, alpha: Flexibility = ZERO_FLEXIBILITY
+) -> OrderMatrix:
+    """The prerequisite order over class representatives.
+
+    Row p holds every class q with p -> q, by (*) of ``_edge_holds``, over
+    the c distinct supports of the m models.  One of two kernels builds the
+    rows:
+
+    - size order (``_size_order_rows``): the classes by ascending support
+      size, each tested against the strictly smaller ones, one popcount
+      per pair, about c²/2 tests of m-bit ints;
+    - lane sums (``_lane_rows``): a*|S_q - S_p| + b*|S_q| <= b*|S_p| for all
+      q at once, class q in lane q, k bits wide, of one int.  A row is
+      ⌈m/4⌉ sums of c*k-bit ints, one per block of 4 models.  Lane q then
+      holds a*n3 + b*|S_q| + 2**(k-1) - 1 - b*|S_p|, which lies in [0, 2**k)
+      as (a + b)*m < 2**(k-1), so its top (guard) bit is set exactly when
+      the test fails; the row is read off the guard bits.
+
+    ``_lanes_win`` picks the kernel from c, m and k alone, by operation
+    count (its constants are given there): lanes when the classes far
+    outnumber the models, as at 400 × 40 or 4000 × 300, the size order
+    when the models are many, as at 40 × 8000 or 1000 × 1000.  Both give
+    the same rows, and everything after them is shared.  The result is
+    verified against the three order axioms; a failure is an internal bug
+    and is raised, never ignored.
+    """
+    classes = equivalence_classes(table)
+    reps = classes.representatives
+    columns = [table.target_index(rep) for rep in reps]
+    masks = [table.support_masks[j] for j in columns]
+    sizes = [table.support_sizes[j] for j in columns]
+    models, basis_points = table.model_count, alpha.basis_points
+    lane_bits = _lane_terms(models, basis_points)[2]
+    kernel = _lane_rows if _lanes_win(len(reps), models, lane_bits) else _size_order_rows
+    rows = kernel(masks, sizes, models, basis_points)
     matrix = OrderMatrix(reps=reps, rows=rows, classes=classes)
     if not matrix.diagnostics.ok:
         raise OrderAxiomError(

@@ -11,6 +11,7 @@ and a reader that closes stdout early ends the run quietly.
 """
 from __future__ import annotations
 
+import json
 import os
 import random
 import re
@@ -44,7 +45,7 @@ from surmise import (
     transitive_reduction,
 )
 from surmise.cli import cli_main
-from surmise.io import _JsonNames, _text_pairs, report_chunks
+from surmise.io import _JsonNames, _json_string, _text_pairs, report_chunks
 from surmise.table import natural_sorted
 
 import oracles
@@ -53,6 +54,9 @@ from test_order import partial_orders
 
 TWELVE = str(TWELVE_MODELS_PATH)
 SYNTH_20 = str(DATA_DIR / "synth-20x300-seed3.csv")
+# 120 targets x 16 models from bench/gen.py; its shape takes the lane
+# kernel of order_matrix (test_order, TestRowKernels).
+LANES = str(DATA_DIR / "lanes-120x16.csv")
 ALPHA = Flexibility(1000)
 # Legal names that JSON escapes or that look like numbers: tab, DEL and
 # other C0 controls, non-ASCII BMP letters, astral code points (written
@@ -114,6 +118,7 @@ def test_json_outputs_match_golden_bytes(golden, argv):
              "--density", "0.3", "--noise", "0.2"],
         ),
         ("synth-20x300-seed3.hasse-30.dot", ["hasse", SYNTH_20, "--flexibility", "30"]),
+        ("lanes-120x16.hasse-10.dot", ["hasse", LANES, "--flexibility", "10"]),
     ],
 )
 def test_dot_and_synth_outputs_match_golden_bytes(golden, argv):
@@ -134,6 +139,7 @@ def test_dot_and_synth_outputs_match_golden_bytes(golden, argv):
         ("twelve_models.structure-no-complete.txt", ["structure", TWELVE, "--no-complete"]),
         ("twelve_models.counts-t6-t4.txt", ["counts", TWELVE, "--p", "t6", "--q", "t4"]),
         ("synth-20x300-seed3.structure.txt", ["structure", SYNTH_20]),
+        ("lanes-120x16.analyze.txt", ["analyze", LANES, "--text"]),
     ],
 )
 def test_text_outputs_match_golden_bytes(golden, argv):
@@ -218,6 +224,16 @@ def test_json_matches_json_dumps(table, alpha, counts):
 def test_json_fixed_shapes_match_json_dumps(names, rows, counts):
     table = build_table(names, [f"M{i}" for i in range(len(rows))], rows)
     assert_json_matches_oracles(table, ALPHA, counts)
+
+
+@given(st.text())
+@example("")
+@example('a"b')
+@example("a\\b")
+@example("x\x7fy")
+@example("a b~")
+def test_json_string_is_json_dumps(name):
+    assert _json_string(name) == json.dumps(name)
 
 
 def test_empty_diagram_matches_json_dumps():

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +9,7 @@ import surmise.order
 from surmise import (
     EquivalenceClasses,
     Flexibility,
+    JudgmentTable,
     OrderAxiomError,
     OrderDiagnostics,
     OrderMatrix,
@@ -14,13 +17,24 @@ from surmise import (
     build_table,
     equivalence_classes,
     order_matrix,
+    parse_csv,
     transitive_reduction,
     verify_partial_order,
 )
-from surmise.order import _check_axioms, _edge_holds, _q_only_limits, named_rows
+from surmise.order import (
+    _check_axioms,
+    _edge_holds,
+    _lane_rows,
+    _lane_terms,
+    _lanes_win,
+    _q_only_limits,
+    _size_order_rows,
+    named_rows,
+)
 from surmise.table import bit_indices
 
 import oracles
+from conftest import DATA_DIR
 
 ALPHA_0 = Flexibility(0)
 ALPHA_20 = Flexibility(2000)
@@ -299,11 +313,11 @@ LIMIT_BASIS_POINTS = (0, 1, 999, 1000, 2550, 4999)
 
 
 @st.composite
-def kernel_tables(draw):
-    """Tables of 1-10 models whose columns include empty and full supports
-    and rotations of other columns: equal support sizes, usually on
-    different supports."""
-    models = draw(st.integers(1, 10))
+def kernel_tables(draw, models=st.integers(1, 10)):
+    """Tables over ``models`` models (1-10 by default) whose columns include
+    empty and full supports and rotations of other columns: equal support
+    sizes, usually on different supports."""
+    models = draw(models)
     full = (1 << models) - 1
     columns = draw(
         st.lists(
@@ -321,10 +335,36 @@ def kernel_tables(draw):
     for k, shift in rotations:
         column = columns[k]
         columns.append((column << shift | column >> (models - shift)) & full)
-    rows = [[column >> i & 1 for column in columns] for i in range(models)]
-    return build_table(
-        [f"t{j}" for j in range(len(columns))], [f"M{i}" for i in range(models)], rows
+    return JudgmentTable(
+        [f"M{i}" for i in range(models)], [f"t{j}" for j in range(len(columns))], columns
     )
+
+
+def assert_rows_match_oracles(table, bp, rows):
+    """``rows``, over the table's class representatives at ``bp`` basis
+    points, are the plain pairwise loop's rows, and relate every two
+    targets (through their representatives) exactly when the Fraction
+    threshold relation does."""
+    alpha = Flexibility(bp)
+    assert tuple(rows) == oracles.pairwise_order_rows(table, alpha)
+    classes = equivalence_classes(table)
+    matrix = OrderMatrix(classes.representatives, rows, classes)
+    cells = [list(row) for row in oracles.cells_of(table)]
+    relation = oracles.threshold_relation(cells, Fraction(bp, 100))
+    names = table.target_names
+    rep_of = {name: block[-1] for block in matrix.classes.blocks for name in block}
+    for p, name_p in enumerate(names):
+        for q, name_q in enumerate(names):
+            assert oracles.order_holds(matrix, rep_of[name_p], rep_of[name_q]) == (
+                (p, q) in relation
+            ), (name_p, name_q)
+
+
+def kernel_input(table):
+    """The support masks and sizes of the table's class representatives,
+    in representative order, as the row kernels take them."""
+    columns = list(map(table.target_index, equivalence_classes(table).representatives))
+    return [table.support_masks[j] for j in columns], [table.support_sizes[j] for j in columns]
 
 
 class TestSizeOrderKernel:
@@ -345,21 +385,108 @@ class TestSizeOrderKernel:
     @example(build_table(["a", "b", "c"], ["M1"], [[1, 0, 1]]), 0)
     @example(build_table(["a", "b", "c", "d"], ["M1", "M2"], [[1, 0, 0, 1], [0, 1, 0, 1]]), 4999)
     def test_rows_match_pairwise_loop_and_threshold(self, table, bp):
-        alpha = Flexibility(bp)
-        matrix = order_matrix(table, alpha)
-        assert matrix.rows == oracles.pairwise_order_rows(table, alpha)
+        assert_rows_match_oracles(table, bp, order_matrix(table, Flexibility(bp)).rows)
 
-        cells = [list(row) for row in oracles.cells_of(table)]
-        relation = oracles.threshold_relation(cells, Fraction(bp, 100))
-        names = table.target_names
-        rep_of = {
-            name: block[-1] for block in matrix.classes.blocks for name in block
-        }
-        for p, name_p in enumerate(names):
-            for q, name_q in enumerate(names):
-                assert oracles.order_holds(matrix, rep_of[name_p], rep_of[name_q]) == (
-                    (p, q) in relation
-                ), (name_p, name_q)
+
+KERNEL_BASIS_POINTS = (0, 1, 999, 1000, 3333, 4999)
+
+
+def lane_step_models(bp):
+    """The model counts on both sides of each lane-width step of the lane
+    kernel at ``bp`` below 2**15 and 4000 models: for each step, the m
+    with (a + b)*m just below 2**7 or 2**15, then the next m."""
+    a, b, _ = _lane_terms(1, bp)
+    counts = []
+    for top in (1 << 7, 1 << 15):
+        first_over = -(-top // (a + b))  # the least m with (a + b)*m >= top
+        if 2 <= first_over <= 4000:
+            counts += [first_over - 1, first_over]
+    return counts
+
+
+@st.composite
+def kernel_cases(draw):
+    """A table and a flexibility in basis points, the model count on a side
+    of a lane-width step about half the time."""
+    bp = draw(st.sampled_from(KERNEL_BASIS_POINTS))
+    models = st.one_of(st.integers(1, 10), st.sampled_from(lane_step_models(bp)))
+    return draw(kernel_tables(models)), bp
+
+
+ONE_MODEL = build_table(["a", "b", "c"], ["M1"], [[1, 0, 1]])
+ONE_CLASS = build_table(["a"], ["M1", "M2", "M3"], [[1], [0], [1]])
+IDENTICAL_COLUMNS = build_table(["a", "b", "c"], ["M1", "M2"], [[1, 1, 1], [0, 0, 0]])
+
+
+class TestRowKernels:
+    """Each row kernel, called directly, against the oracles, and the rule
+    that picks one."""
+
+    @pytest.mark.parametrize("bp", KERNEL_BASIS_POINTS)
+    def test_lane_terms_divide_the_edge_test_and_fit_their_lanes(self, bp):
+        for models in (1, 2, 40, 127, 128, 3641, 32768):
+            a, b, k = _lane_terms(models, bp)
+            assert gcd(a, b) == 1 and a * bp == b * (10000 - 2 * bp)
+            assert k % 8 == 0 and (a + b) * models < 1 << (k - 1) <= (a + b) * models << 8
+
+    @pytest.mark.parametrize("bp", KERNEL_BASIS_POINTS)
+    def test_step_models_cross_a_lane_width_step(self, bp):
+        counts = lane_step_models(bp)
+        assert counts
+        for below, above in zip(counts[::2], counts[1::2]):
+            assert _lane_terms(below, bp)[2] < _lane_terms(above, bp)[2]
+
+    @pytest.mark.parametrize("kernel", [_size_order_rows, _lane_rows])
+    @settings(max_examples=120, deadline=None)
+    @given(case=kernel_cases())
+    @example(case=(ONE_MODEL, 0))
+    @example(case=(ONE_MODEL, 4999))
+    @example(case=(ONE_CLASS, 1000))
+    @example(case=(IDENTICAL_COLUMNS, 0))
+    @example(case=(IDENTICAL_COLUMNS, 3333))
+    def test_rows_match_pairwise_loop_and_threshold(self, kernel, case):
+        table, bp = case
+        masks, sizes = kernel_input(table)
+        assert_rows_match_oracles(table, bp, kernel(masks, sizes, table.model_count, bp))
+
+    @pytest.mark.parametrize("models", [32767, 32768])
+    def test_both_kernels_across_the_widest_step_at_zero(self, models):
+        # At 0%, a + b = 1: lanes are 16 bits up to 32767 models, 24 from 32768.
+        rng = random.Random(models)
+        full = (1 << models) - 1
+        top = rng.getrandbits(models)
+        columns = [top, top & rng.getrandbits(models), top & rng.getrandbits(models),
+                   rng.getrandbits(models), 0, full, 1 << models - 1]
+        table = JudgmentTable(
+            [f"M{i}" for i in range(models)], [f"t{j}" for j in range(len(columns))], columns
+        )
+        masks, sizes = kernel_input(table)
+        expected = oracles.pairwise_order_rows(table, ALPHA_0)
+        for kernel in (_size_order_rows, _lane_rows):
+            assert tuple(kernel(masks, sizes, models, 0)) == expected
+
+    @pytest.mark.parametrize("bp", [0, 500, 1000])
+    def test_the_rule_sends_many_classes_over_few_models_to_lanes(self, bp):
+        def lanes(classes, models):
+            return _lanes_win(classes, models, _lane_terms(models, bp)[2])
+
+        assert lanes(383, 40)  # the items-wide shape
+        assert lanes(3993, 300)  # 4000 x 300
+        assert not lanes(40, 8000)  # the models-tall shape
+        assert not lanes(1000, 1000)
+        assert not lanes(3, 3)
+
+    @pytest.mark.parametrize("bp", [0, 1000])
+    def test_the_lane_golden_takes_the_lane_kernel(self, monkeypatch, bp):
+        table = parse_csv((DATA_DIR / "lanes-120x16.csv").read_bytes())
+
+        def size_order_rows(*args):
+            raise AssertionError("the size-order kernel was chosen")
+
+        monkeypatch.setattr(surmise.order, "_size_order_rows", size_order_rows)
+        matrix = order_matrix(table, Flexibility(bp))
+        assert len(matrix.reps) > 60
+        assert matrix.rows == oracles.pairwise_order_rows(table, Flexibility(bp))
 
 
 @st.composite

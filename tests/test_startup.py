@@ -4,7 +4,8 @@ A CLI run pays for the interpreter, then for ``import surmise.cli``, then
 for its work.  The package import must not pull in ``dataclasses`` or
 ``inspect``, whose own import (with ``ast``, ``dis`` and ``tokenize``)
 cost more than the work of a run on a small table, nor ``json``, which
-only the JSON writers need and import on first use.  ``site`` may load
+only the JSON writers need, for a name that needs an escape, and import
+on first use.  ``site`` may load
 modules of its own before any user code runs (``.pth`` files of installed
 packages), so the check compares the modules loaded after the import with
 those loaded just before it, in one fresh interpreter.  No time is
@@ -41,3 +42,27 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     added = modules_added_by_cli_import()
     assert {"surmise", "surmise.cli", "surmise.table"} <= added
     assert {"dataclasses", "inspect", "json"}.isdisjoint(added), sorted(added)
+
+
+# Runs the CLI on argv in this interpreter, then reports on stderr
+# whether ``json`` was loaded.
+JSON_LOADED_BY_RUN = """\
+import sys
+from surmise.cli import cli_main
+code = cli_main(sys.argv[1:])
+print(code, "json" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_json_output_on_plain_names_never_loads_json():
+    """Names of printable ASCII without quotes or backslashes are quoted
+    without ``json``, so ``analyze --json`` on them never imports it."""
+    data = SRC.parent / "tests" / "data"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", JSON_LOADED_BY_RUN, "analyze",
+         str(data / "twelve_models.csv"), "--json"],
+        capture_output=True, env=env, check=True,
+    )
+    assert result.stdout == (data / "twelve_models.analyze.json").read_bytes()
+    assert result.stderr.split() == [b"0", b"False"]
