@@ -1,13 +1,11 @@
 """Covering edges of a partial order and the layered drawing behind them."""
 from __future__ import annotations
 
-from functools import reduce
-from itertools import chain, repeat
-from operator import or_
+from itertools import chain, compress, repeat
 from typing import Iterator, Sequence
 
 from .order import OrderMatrix, named_rows
-from .table import Frozen, bit_indices, transpose
+from .table import Frozen, bit_flags
 
 __all__ = [
     "HasseDiagram",
@@ -32,17 +30,19 @@ class HasseDiagram(Frozen):
     equally-informative targets nodes[i] stands for
     (``order.classes.blocks``).  ``layers`` are the node names grouped by
     drawing layer, bottom (no prerequisites) first, each group
-    natural-sorted.
+    natural-sorted: a node sits one above its highest covering
+    prerequisite.  They name the layer masks the order's axiom pass found
+    (``order.layers``), so building a diagram computes no order of its
+    own.
     """
 
     _fields = ("order",)
 
     def __init__(self, order: OrderMatrix) -> None:
         check_partial_order(order)
-        nodes, covers = order.reps, order.covers
         self.__dict__.update(
-            order=order, nodes=nodes, covers=covers, members=order.classes.blocks,
-            layers=_layers(nodes, covers),
+            order=order, nodes=order.reps, covers=order.covers, members=order.classes.blocks,
+            layers=_layers(order.reps, order.layers),
         )
 
     @property
@@ -58,29 +58,10 @@ class HasseDiagram(Frozen):
         return named_rows(self.nodes, self.covers)
 
 
-def _layers(nodes: Sequence[str], covers: Sequence[int]) -> tuple[tuple[str, ...], ...]:
-    """The node names by layer, bottom first: layer 0 holds the minimal
-    nodes, and a node sits one above its highest covering predecessor.
-
-    Peels the minimal nodes off with masks: a node joins the next layer
-    once its column of ``covers`` (its predecessors) has no bit left in
-    ``remaining``.  Only the nodes covering the layer just peeled can
-    become ready, so each layer tests only those, and the whole peel
-    costs O(c + E) mask operations for E edges.  The covers of an order
-    whose diagnostics pass are a subset of an acyclic strict order, so
-    the peel reaches every node.  Each layer's indices ascend, so its
-    names are natural-sorted.
-    """
-    down = transpose(covers, len(nodes))
-    remaining = (1 << len(nodes)) - 1
-    groups: list[tuple[str, ...]] = []
-    ready = [i for i, row in enumerate(down) if not row]
-    while ready:
-        groups.append(tuple(map(nodes.__getitem__, ready)))
-        remaining ^= sum(1 << i for i in ready)  # distinct bits of remaining: clears them
-        above = reduce(or_, map(covers.__getitem__, ready), 0)
-        ready = [j for j in bit_indices(above) if not down[j] & remaining]
-    return tuple(groups)
+def _layers(nodes: Sequence[str], masks: Sequence[int]) -> tuple[tuple[str, ...], ...]:
+    """The names of each layer mask's nodes, picked by ``compress`` on its
+    ``bit_flags``: ascending indices, so each layer is natural-sorted."""
+    return tuple(tuple(compress(nodes, bit_flags(mask))) for mask in masks)
 
 
 def check_partial_order(matrix: OrderMatrix) -> None:
@@ -102,11 +83,12 @@ def transitive_reduction(matrix: OrderMatrix) -> HasseDiagram:
 
 
 def assign_layers(diagram: HasseDiagram) -> tuple[tuple[str, ...], ...]:
-    """Recompute the layer groups from the diagram's covering rows, by the
-    routine that filled ``diagram.layers`` at construction.
+    """Name the layer masks of the diagram's order again, by the routine
+    that filled ``diagram.layers`` at construction.
 
     A node with no incoming edge sits at layer 0; otherwise one above its
-    highest covering prerequisite.
+    highest covering prerequisite.  The masks come from the order's axiom
+    pass (``OrderMatrix.layers``), so only the naming is redone.
     """
-    return _layers(diagram.nodes, diagram.covers)
+    return _layers(diagram.nodes, diagram.order.layers)
 

@@ -9,9 +9,10 @@ and is a genuine partial order: reflexive, anti-symmetric, transitive.
 """
 from __future__ import annotations
 
-from itertools import chain, compress, groupby, pairwise, repeat
+from functools import reduce
+from itertools import chain, compress, groupby, repeat
 from math import gcd
-from operator import getitem
+from operator import getitem, or_
 from typing import Iterable, Iterator, Sequence
 
 from .table import (
@@ -23,7 +24,7 @@ from .table import (
     bit_flags,
     bit_indices,
     check_masks,
-    natural_key,
+    check_natural_order,
     natural_sorted,
     or_selected,
     transpose,
@@ -42,15 +43,6 @@ __all__ = [
 
 class OrderAxiomError(RuntimeError):
     """An order matrix failed verification; this signals a bug, not bad data."""
-
-
-def check_natural_order(kind: str, names: Sequence[str]) -> None:
-    """Raise unless ``names`` are distinct and in natural order, so that
-    index order is natural order; ``kind`` names them in the error."""
-    for first, second in pairwise(map(natural_key, names)):
-        if first >= second:  # a natural key ends in the name itself
-            raise ValueError(f"{kind} must be distinct and natural-sorted: "
-                             f"{first[-1]!r} before {second[-1]!r}")
 
 
 def named_rows(items: Sequence[str], masks: Iterable[int]) -> Iterator[tuple[str, list[str]]]:
@@ -81,15 +73,7 @@ def _edge_holds(n2: int, n3: int, basis_points: int) -> bool:
       equal sizes force n3 = 0 and then n2 = 0.  A strict edge between
       different columns thus goes from a larger support to a smaller one.
 
-    ``order_matrix`` tests (*) by one of two kernels.  The size-order
-    kernel relies on the size order: it tests only pairs whose q has a
-    strictly smaller support, against ``_q_only_limits``, which is (*)
-    solved for n3.  The lane kernel tests (*) divided by g = gcd(10000 -
-    2*bp, bp), a*n3 + b*|S_q| <= b*|S_p| with a = (10000 - 2*bp)/g and b =
-    bp/g (a = 1, b = 0 at 0%), for every q at once.  It needs no size
-    order: for distinct columns the test holds on the diagonal and fails
-    for every q whose support is as large as S_p or larger, as then n3 >
-    0 and a >= 1.
+    ``order_matrix`` describes the two kernels that test (*).
     """
     return 10000 * n3 <= basis_points * (n2 + n3)
 
@@ -130,13 +114,17 @@ class OrderMatrix(Frozen):
     order: ascending bits of a row list its successors natural-sorted.
     ``rows[i]`` is row i as an int mask: bit j means reps[i] -> reps[j]
     (reps[i] is a prerequisite of reps[j]).  ``diagnostics`` is the result
-    of checking the order axioms and ``covers[i]`` the mask of the nodes
-    covering reps[i] (meaningful when ``diagnostics.ok``); both come from
-    one pass, at construction, so every matrix (also a hand-built one) is
-    checked exactly once.  ``classes`` carries the member lists behind
+    of checking the order axioms, ``covers[i]`` the mask of the nodes
+    covering reps[i] (meaningful when ``diagnostics.ok``) and
+    ``layers[k]`` the mask of the nodes whose longest chain below has k
+    edges (None unless ``diagnostics.ok``); all three come from one pass,
+    at construction, so every matrix (also a hand-built one) is checked
+    exactly once.  ``classes`` carries the member lists behind
     the representatives and must be labeled by ``reps``, so
     ``classes.blocks[i]`` holds the members of reps[i]; when it is not
-    given, each representative is its own singleton class.
+    given, each representative is its own singleton class.  A partition
+    checks the natural order of its labels itself, so ``reps`` that are
+    the labels of ``classes`` are not ranked again.
     """
 
     _fields = ("reps", "rows", "classes")
@@ -146,18 +134,20 @@ class OrderMatrix(Frozen):
         classes: EquivalenceClasses | None = None,
     ) -> None:
         reps, rows = tuple(reps), tuple(rows)
-        check_natural_order("representatives", reps)
+        labels = None if classes is None else classes.representatives
+        if labels != reps:  # a partition's labels are distinct and natural-sorted
+            check_natural_order("representatives", reps)
         if len(rows) != len(reps):
             raise ValueError(f"{len(rows)} rows for {len(reps)} representatives")
         check_masks("row", rows, len(reps))
         if classes is None:
-            classes = EquivalenceClasses(tuple(zip(reps)))
-        elif classes.representatives != reps:
-            raise ValueError(f"classes labeled {classes.representatives!r} "
-                             f"for representatives {reps!r}")
-        diagnostics, covers = _check_axioms(reps, rows)
+            classes = EquivalenceClasses._of_ordered(tuple(zip(reps)))
+        elif labels != reps:
+            raise ValueError(f"classes labeled {labels!r} for representatives {reps!r}")
+        diagnostics, covers, layers = _check_axioms(reps, rows)
         self.__dict__.update(
-            reps=reps, rows=rows, classes=classes, diagnostics=diagnostics, covers=covers
+            reps=reps, rows=rows, classes=classes, diagnostics=diagnostics, covers=covers,
+            layers=layers,
         )
 
     @property
@@ -243,9 +233,10 @@ class OrderDiagnostics(Frozen):
 
 def _check_axioms(
     reps: Sequence[str], up: Sequence[int]
-) -> tuple[OrderDiagnostics, tuple[int, ...]]:
+) -> tuple[OrderDiagnostics, tuple[int, ...], tuple[int, ...] | None]:
     """Check reflexivity, anti-symmetry and transitivity, and find the
-    covering successors of every node; never raises.
+    covering successors and the drawing layers of every node; never
+    raises.
 
     Each witness is the first failure in the scan order i, then j, then
     k.  Works on row bitmasks.  ``implied[i]`` is the OR of the strict
@@ -258,6 +249,20 @@ def _check_axioms(
     ``up[i]``: j's own bit is in ``up[i]``.  In a partial
     order, j covers i iff no k above i lies below j, so the covers of i
     are its strict row less ``implied[i]`` (Aho, Garey & Ullman 1972).
+
+    The layers are masks, bottom first: layer k holds the nodes of height
+    k, the length of a longest chain below them.  Let A_0 be every node
+    and A_(k+1) the OR of the strict rows over A_k: the nodes of height
+    > k, so layer k is A_k less A_(k+1).  Every node of A_(k+1) lies above
+    a node of layer k (the one at height k on a longest chain below it),
+    and every node above a node of layer k is in A_(k+1).  So the OR of
+    the strict rows over A_(k+1), which is A_(k+2), is the OR of
+    ``implied`` over layer k.  Starting from A_1, the OR of every strict
+    row, each step ORs in the ``implied`` rows of one layer: c ORs in
+    all, with no transpose, and each layer mask's ``bit_flags`` read once,
+    in C.  The
+    layers are None unless the diagnostics pass (on a cycle the sets
+    never shrink).
     """
     size = len(reps)
     strict = [row & ~(1 << i) for i, row in enumerate(up)]
@@ -282,7 +287,14 @@ def _check_axioms(
     covers = [row & ~implied_row for row, implied_row in zip(strict, implied)]
 
     diagnostics = OrderDiagnostics(reflexivity_witness, antisymmetry_witness, transitivity_witness)
-    return diagnostics, tuple(covers)
+    if not diagnostics.ok:
+        return diagnostics, tuple(covers), None
+    layers = []
+    level, above = (1 << size) - 1, reduce(or_, strict, 0)
+    while level:
+        layers.append(level & ~above)
+        level, above = above, reduce(or_, compress(implied, bit_flags(layers[-1])), 0)
+    return diagnostics, tuple(covers), tuple(layers)
 
 
 def verify_partial_order(matrix: OrderMatrix) -> OrderDiagnostics:
@@ -422,23 +434,31 @@ def order_matrix(
     the c distinct supports of the m models.  One of two kernels builds the
     rows:
 
-    - size order (``_size_order_rows``): the classes by ascending support
-      size, each tested against the strictly smaller ones, one popcount
-      per pair, about c²/2 tests of m-bit ints;
-    - lane sums (``_lane_rows``): a*|S_q - S_p| + b*|S_q| <= b*|S_p| for all
-      q at once, class q in lane q, k bits wide, of one int.  A row is
-      ⌈m/4⌉ sums of c*k-bit ints, one per block of 4 models.  Lane q then
-      holds a*n3 + b*|S_q| + 2**(k-1) - 1 - b*|S_p|, which lies in [0, 2**k)
-      as (a + b)*m < 2**(k-1), so its top (guard) bit is set exactly when
-      the test fails; the row is read off the guard bits.
+    - size order (``_size_order_rows``): it relies on the size order of
+      ``_edge_holds``, walking the classes by ascending support size and
+      testing each only against the strictly smaller ones, one popcount
+      of n3 per pair against ``_q_only_limits`` ((*) solved for n3),
+      about c²/2 tests of m-bit ints;
+    - lane sums (``_lane_rows``): (*) divided by g = gcd(10000 - 2*bp,
+      bp), a*|S_q - S_p| + b*|S_q| <= b*|S_p| with a = (10000 - 2*bp)/g
+      and b = bp/g (a = 1, b = 0 at 0%), for all q at once, class q in
+      lane q, k bits wide, of one int.  A row is ⌈m/4⌉ sums of c*k-bit
+      ints, one per block of 4 models.  Lane q then holds a*n3 + b*|S_q| +
+      2**(k-1) - 1 - b*|S_p|, which lies in [0, 2**k) as (a + b)*m <
+      2**(k-1), so its top (guard) bit is set exactly when the test
+      fails; the row is read off the guard bits.  It needs no size order:
+      for distinct columns the test holds on the diagonal and fails for
+      every q whose support is as large as S_p or larger, as then n3 > 0
+      and a >= 1.
 
     ``_lanes_win`` picks the kernel from c, m and k alone, by operation
     count (its constants are given there): lanes when the classes far
     outnumber the models, as at 400 × 40 or 4000 × 300, the size order
     when the models are many, as at 40 × 8000 or 1000 × 1000.  Both give
     the same rows, and everything after them is shared.  The result is
-    verified against the three order axioms; a failure is an internal bug
-    and is raised, never ignored.
+    verified against the three order axioms, by the one pass that also
+    finds its covers and drawing layers (``_check_axioms``); a failure is
+    an internal bug and is raised, never ignored.
     """
     classes = equivalence_classes(table)
     reps = classes.representatives

@@ -8,7 +8,7 @@ quantity is exact integer arithmetic on its support masks.
 from __future__ import annotations
 
 import re
-from itertools import chain, compress
+from itertools import chain, compress, pairwise
 from operator import or_
 from types import MappingProxyType
 from typing import ClassVar, Hashable, Iterable, Iterator, Sequence, TypeVar
@@ -74,6 +74,15 @@ def natural_ranks(names: Sequence[str]) -> tuple[int, ...]:
     for position, i in enumerate(order):
         rank[i] = position
     return tuple(rank)
+
+
+def check_natural_order(kind: str, names: Sequence[str]) -> None:
+    """Raise unless ``names`` are distinct and in natural order, so that
+    index order is natural order; ``kind`` names them in the error."""
+    for first, second in pairwise(map(natural_key, names)):
+        if first >= second:  # a natural key ends in the name itself
+            raise ValueError(f"{kind} must be distinct and natural-sorted: "
+                             f"{first[-1]!r} before {second[-1]!r}")
 
 
 # Maps the bytes 0/1 to the ASCII digits "0"/"1", and back.
@@ -247,35 +256,58 @@ class Frozen:
 _Partition = TypeVar("_Partition", bound="NamePartition")
 
 
+def _distinct_blocks(blocks: Sequence[Sequence[str]]) -> tuple[tuple[str, ...], ...]:
+    """``blocks`` as tuples; raise ``ValueError`` naming the first block
+    that is empty or holds a name held before (in it or in another)."""
+    blocks = tuple(map(tuple, blocks))
+    names = {name for block in blocks for name in block}
+    if len(names) != sum(map(len, blocks)) or not all(blocks):
+        # Only a failing partition is scanned, to name its first fault.
+        seen: dict[str, int] = {}
+        for k, block in enumerate(blocks):
+            if not block:
+                raise ValueError(f"partition block {k} is empty")
+            for name in block:
+                if name in seen:
+                    raise ValueError(f"partition blocks {seen[name]} and {k} both hold {name!r}")
+                seen[name] = k
+    return blocks
+
+
 class NamePartition(Frozen):
     """Unique names split into blocks, each natural-sorted and labeled by
     its member at position ``LABEL``; blocks are ordered by label.
 
-    Every partition is checked at construction: a block that is empty,
-    or a name held twice (in one block or in two), raises ``ValueError``
-    naming the block.  The two partitions of the pipeline differ only in
-    ``LABEL``: classes
-    of identical columns (``order.EquivalenceClasses``) are labeled by
-    their last member, concepts (``kst.ConceptPartition``) by their first.
+    Every partition is checked at construction, and a fault raises
+    ``ValueError`` naming its block: first a block that is empty or a
+    name held twice (in one block or in two), then a block whose members
+    are out of natural order, then labels out of natural order.  The two
+    partitions of the pipeline differ only in ``LABEL``: classes of
+    identical columns (``order.EquivalenceClasses``) are labeled by their
+    last member, concepts (``kst.ConceptPartition``) by their first.  The
+    base class has no ``LABEL``, so the order of its blocks is not
+    checked.
     """
 
     LABEL: ClassVar[int]
     _fields = ("blocks",)
 
     def __init__(self, blocks: Sequence[Sequence[str]]) -> None:
-        blocks = tuple(map(tuple, blocks))
-        names = {name for block in blocks for name in block}
-        if len(names) != sum(map(len, blocks)) or not all(blocks):
-            # Only a failing partition is scanned, to name its first fault.
-            seen: dict[str, int] = {}
-            for k, block in enumerate(blocks):
-                if not block:
-                    raise ValueError(f"partition block {k} is empty")
-                for name in block:
-                    if name in seen:
-                        raise ValueError(f"partition blocks {seen[name]} and {k} both hold {name!r}")
-                    seen[name] = k
+        blocks = _distinct_blocks(blocks)
+        for k, block in enumerate(blocks):
+            check_natural_order(f"partition block {k}", block)
+        if hasattr(self, "LABEL"):
+            check_natural_order("partition labels", [block[self.LABEL] for block in blocks])
         self.__dict__.update(blocks=blocks)
+
+    @classmethod
+    def _of_ordered(cls: type[_Partition], blocks: Sequence[Sequence[str]]) -> _Partition:
+        """The partition of ``blocks`` whose members and labels are known to
+        be in natural order: only the empty and repeated names are checked,
+        so no name is ranked again."""
+        partition = cls.__new__(cls)
+        partition.__dict__.update(blocks=_distinct_blocks(blocks))
+        return partition
 
     @classmethod
     def from_keys(
@@ -284,7 +316,8 @@ class NamePartition(Frozen):
         """The partition of ``names`` into blocks of equal ``keys``.
 
         Names are ranked once (``natural_ranks``), so ordering the members
-        and the blocks costs no name comparison.
+        and the blocks costs no name comparison, and the ordered blocks are
+        not ranked again.
         """
         groups: dict[Hashable, list[int]] = {}
         for j, key in enumerate(keys):
@@ -292,7 +325,7 @@ class NamePartition(Frozen):
         rank = natural_ranks(names)
         blocks = [sorted(group, key=rank.__getitem__) for group in groups.values()]
         blocks.sort(key=lambda block: rank[block[cls.LABEL]])
-        return cls(blocks=tuple(tuple(names[j] for j in block) for block in blocks))
+        return cls._of_ordered(tuple(tuple(names[j] for j in block) for block in blocks))
 
     @property
     def representatives(self) -> tuple[str, ...]:

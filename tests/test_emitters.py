@@ -57,6 +57,8 @@ SYNTH_20 = str(DATA_DIR / "synth-20x300-seed3.csv")
 # 120 targets x 16 models from bench/gen.py; its shape takes the lane
 # kernel of order_matrix (test_order, TestRowKernels).
 LANES = str(DATA_DIR / "lanes-120x16.csv")
+# A chain: 20 classes at density 1, one per layer.
+CHAIN_20 = str(DATA_DIR / "synth-20x400-seed5.csv")
 ALPHA = Flexibility(1000)
 # Legal names that JSON escapes or that look like numbers: tab, DEL and
 # other C0 controls, non-ASCII BMP letters, astral code points (written
@@ -96,6 +98,8 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
             "synth-20x300-seed3.analyze-30.json",
             ["analyze", SYNTH_20, "--json", "--flexibility", "30"],
         ),
+        ("synth-20x400-seed5.analyze.json", ["analyze", CHAIN_20, "--json"]),
+        ("synth-20x400-seed5.hasse.json", ["hasse", CHAIN_20, "--json"]),
     ],
 )
 def test_json_outputs_match_golden_bytes(golden, argv):
@@ -119,6 +123,10 @@ def test_json_outputs_match_golden_bytes(golden, argv):
         ),
         ("synth-20x300-seed3.hasse-30.dot", ["hasse", SYNTH_20, "--flexibility", "30"]),
         ("lanes-120x16.hasse-10.dot", ["hasse", LANES, "--flexibility", "10"]),
+        (
+            "synth-20x400-seed5.csv",
+            ["synth", "--targets", "20", "--models", "400", "--density", "1", "--seed", "5"],
+        ),
     ],
 )
 def test_dot_and_synth_outputs_match_golden_bytes(golden, argv):

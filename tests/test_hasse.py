@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+import surmise
 from surmise import (
     Flexibility,
     OrderMatrix,
@@ -138,6 +139,23 @@ class TestConstructionChecks:
             "not a partial order: reflexivity: pass; "
             "anti-symmetry: FAIL at ('a', 'b'); transitivity: pass"
         )
+
+    def test_layers_come_from_the_axiom_pass(self, twelve_models, monkeypatch):
+        # Building a diagram transposes nothing and ORs no rows: its layers
+        # name the masks the order's axiom pass already found.
+        matrix = order_matrix(twelve_models)
+        calls = []
+        for module in (surmise.table, surmise.order, surmise.hasse):
+            for name in ("transpose", "or_selected"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        diagram = transitive_reduction(matrix)
+        assert calls == []
+        assert diagram.layers == tuple(
+            tuple(name for name, bit in zip(matrix.reps, bin(mask)[:1:-1]) if bit == "1")
+            for mask in matrix.layers
+        )
+        assert assign_layers(diagram) == diagram.layers and calls == []
 
     def test_diagram_reads_the_order(self, twelve_models):
         matrix = order_matrix(twelve_models, Flexibility(2000))

@@ -331,6 +331,13 @@ class TestReductionChecksThePartition:
         with pytest.raises(ValueError, match="partition blocks 0 and 0 both hold 'a'"):
             ConceptPartition((("a", "a", "b"), ("c",)))
 
+    def test_a_block_out_of_natural_order(self):
+        # A concept is written by its first member: ("b", "a") would keep
+        # b, not a, so the partition itself refuses it.
+        with pytest.raises(ValueError, match=r"^partition block 0 must be distinct and "
+                           r"natural-sorted: 'b' before 'a'$"):
+            self.reduce_by(("b", "a"), ("c",))
+
     def test_unequal_columns_within_a_block(self):
         with pytest.raises(ValueError, match="partition block 0 is not the concept of 'c'"):
             self.reduce_by(("a", "b", "c"))

@@ -217,6 +217,45 @@ class TestVerifyPartialOrder:
             "classes labeled ('x', 'y') for representatives ('a', 'b')"
         )
 
+    def test_reps_are_checked_before_the_classes(self):
+        # Given classes, the representatives are checked only when they are
+        # not the classes' labels; every message is the same as without.
+        classes = EquivalenceClasses((("a",), ("b",)))
+        with pytest.raises(ValueError, match=r"^representatives must be distinct and "
+                           r"natural-sorted: 'b' before 'a'$"):
+            OrderMatrix(("b", "a"), (0b01, 0b10), classes=classes)
+        with pytest.raises(ValueError, match=r"^1 rows for 2 representatives$"):
+            OrderMatrix(("a", "b"), (0b01,), classes=classes)
+
+    def test_classes_out_of_natural_order_label_no_matrix(self):
+        # A class is labeled by its natural-last member: the block
+        # ("t10", "t2") would draw "t2 (=t10)", so it is refused.
+        with pytest.raises(ValueError, match=r"^partition block 1 must be distinct and "
+                           r"natural-sorted: 't10' before 't2'$"):
+            OrderMatrix(("a", "t2"), (0b01, 0b10), EquivalenceClasses((("a",), ("t10", "t2"))))
+
+    @pytest.fixture()
+    def ranked(self, monkeypatch):
+        names = []
+        for module in (surmise.table, surmise.order):
+            if hasattr(module, "natural_key"):
+                key = module.natural_key
+                monkeypatch.setattr(module, "natural_key", lambda name, key=key: names.append(name) or key(name))
+        return names
+
+    def test_order_matrix_ranks_each_target_once(self, twelve_models, ranked):
+        # equivalence_classes ranks every target; the matrix relies on the
+        # order of its classes instead of ranking the labels again.
+        matrix = order_matrix(twelve_models, ALPHA_20)
+        assert len(matrix.reps) < twelve_models.target_count
+        assert sorted(ranked) == sorted(twelve_models.target_names)
+
+    def test_a_matrix_without_classes_ranks_each_rep_once(self, ranked):
+        # Its singleton classes are labeled by the reps it checked.
+        matrix = OrderMatrix(("t2", "t10", "t11"), (0b001, 0b010, 0b100))
+        assert sorted(ranked) == ["t10", "t11", "t2"]
+        assert matrix.classes.blocks == (("t2",), ("t10",), ("t11",))
+
     def test_diagnostics_are_read_from_the_witnesses(self):
         assert OrderDiagnostics().ok
         failed = OrderDiagnostics(reflexivity_witness="a")
@@ -531,6 +570,18 @@ def node_names(size: int) -> tuple[str, ...]:
     return tuple(f"n{k}" for k in range(size))
 
 
+def longest_path_layer_masks(names, rows) -> tuple[int, ...]:
+    """The layer masks of a partial order by ``oracles.longest_path_layers``
+    over its strict pairs (a longest path takes covering edges only): bit
+    i of mask k is node i, whose longest chain below has k edges."""
+    strict = {(names[i], names[j]) for i, row in enumerate(rows) for j in bit_indices(row) if j != i}
+    level = oracles.longest_path_layers(names, strict)
+    masks = [0] * (max(level.values(), default=-1) + 1)
+    for i, name in enumerate(names):
+        masks[level[name]] |= 1 << i
+    return tuple(masks)
+
+
 class TestFusedAxiomCheck:
     @settings(max_examples=400, deadline=None)
     @given(relations())
@@ -539,9 +590,10 @@ class TestFusedAxiomCheck:
     @example((0b011, 0b110, 0b100))  # a -> b -> c without a -> c
     def test_diagnostics_match_reference_scan(self, rows):
         names = node_names(len(rows))
-        diagnostics, _ = _check_axioms(names, rows)
+        diagnostics, _, layers = _check_axioms(names, rows)
         assert diagnostics == oracles.check_axioms_reference(names, rows)
         assert OrderMatrix(reps=names, rows=rows).diagnostics == diagnostics
+        assert layers == (longest_path_layer_masks(names, rows) if diagnostics.ok else None)
 
     @settings(max_examples=300, deadline=None)
     @given(partial_orders())
@@ -560,7 +612,23 @@ class TestFusedAxiomCheck:
         # tables, and a last block of 1-7 rows is read; on corrupted
         # relations too, where every witness and the covers must agree.
         names = node_names(len(rows))
-        assert _check_axioms(names, rows) == oracles.check_axioms_loop_reference(names, rows)
+        diagnostics, covers, layers = _check_axioms(names, rows)
+        assert (diagnostics, covers) == oracles.check_axioms_loop_reference(names, rows)
+        assert layers == (longest_path_layer_masks(names, rows) if diagnostics.ok else None)
+
+    def test_a_non_order_gets_no_layer_masks(self):
+        two_cycle = OrderMatrix.from_pairs(["b", "a"], [("a", "b"), ("b", "a")])
+        assert not two_cycle.diagnostics.ok
+        assert two_cycle.layers is None
+        assert _check_axioms(("a", "b"), (0b11, 0b11))[2] is None
+
+    def test_layer_masks_of_a_verified_order(self):
+        # a < b < d and a < c: d has a longest chain of two edges below it.
+        matrix = OrderMatrix.from_pairs(
+            ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("a", "d"), ("b", "d")]
+        )
+        assert matrix.layers == (0b0001, 0b0110, 0b1000)
+        assert OrderMatrix((), ()).layers == ()
 
 
 @given(st.integers(0, 40).flatmap(

@@ -76,6 +76,7 @@ DERIVED = [
     (JudgmentTable, "_target_index"),
     (OrderMatrix, "diagnostics"),
     (OrderMatrix, "covers"),
+    (OrderMatrix, "layers"),
     (HasseDiagram, "nodes"),
     (HasseDiagram, "covers"),
     (HasseDiagram, "members"),

@@ -18,7 +18,10 @@ from surmise import (
     natural_sorted,
     parse_csv,
 )
-from surmise.table import _check_names, bit_flags, bit_indices, or_selected, transpose
+import surmise.table as table_module
+from surmise.table import (
+    NamePartition, _check_names, bit_flags, bit_indices, or_selected, transpose,
+)
 
 import oracles
 
@@ -433,6 +436,39 @@ class TestPartitionChecks:
         with pytest.raises(ValueError, match=r"^partition blocks 0 and 2 both hold 'b'$"):
             cls((("a", "b"), ("c",), ("b", "d")))
 
+    def test_members_out_of_natural_order(self, cls):
+        with pytest.raises(ValueError, match=r"^partition block 1 must be distinct and "
+                           r"natural-sorted: 't10' before 't2'$"):
+            cls((("a",), ("t10", "t2")))
+
+    def test_labels_out_of_natural_order(self, cls):
+        # Ordered by first members, but not by last: a < b while z > b.
+        blocks = (("a", "z"), ("b",))
+        if cls.LABEL == 0:
+            assert cls(blocks).representatives == ("a", "b")
+        else:
+            with pytest.raises(ValueError, match=r"^partition labels must be distinct and "
+                               r"natural-sorted: 'z' before 'b'$"):
+                cls(blocks)
+        with pytest.raises(ValueError, match=r"^partition labels must be distinct and "
+                           r"natural-sorted: 'b' before 'a'$"):
+            cls((("b",), ("a",)))
+
+    def test_emptiness_and_repeats_are_named_first(self, cls):
+        with pytest.raises(ValueError, match="^partition block 1 is empty$"):
+            cls((("t10", "t2"), ()))
+        with pytest.raises(ValueError, match=r"^partition blocks 0 and 1 both hold 'a'$"):
+            cls((("b", "a"), ("a",)))
+
+    def test_from_keys_ranks_each_name_once(self, cls, monkeypatch):
+        ranked = []
+        key = table_module.natural_key
+        monkeypatch.setattr(table_module, "natural_key", lambda name: ranked.append(name) or key(name))
+        names = ["t10", "t2", "a", "t1", "b"]
+        partition = cls.from_keys(names, [0, 0, 1, 0, 1])
+        assert sorted(ranked) == sorted(names)
+        assert partition.blocks == (("a", "b"), ("t1", "t2", "t10"))
+
     def test_a_partition_passes(self, cls):
         partition = cls((("a", "b"), ("c",)))
         assert partition.representatives == (("b", "c") if cls.LABEL == -1 else ("a", "c"))
@@ -443,6 +479,15 @@ class TestPartitionChecks:
         names = [f"t{j}" for j in range(len(keys))]
         partition = cls.from_keys(names, keys)
         assert sorted(name for block in partition.blocks for name in block) == sorted(names)
+        assert cls(partition.blocks) == partition  # in the order the constructor checks
+
+
+def test_base_partition_checks_members_but_not_block_order():
+    # The base class labels no block, so only its members' order is checked.
+    assert NamePartition((("b",), ("a",))).blocks == (("b",), ("a",))
+    with pytest.raises(ValueError, match=r"^partition block 0 must be distinct and "
+                       r"natural-sorted: 'b' before 'a'$"):
+        NamePartition((("b", "a"),))
 
 
 class TestFlexibility:
