@@ -1,11 +1,11 @@
 """Covering edges of a partial order and the layered drawing behind them."""
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 from .order import OrderMatrix, named_rows
-from .table import Frozen, bit_flags
+from .table import Frozen, picked
 
 __all__ = [
     "HasseDiagram",
@@ -59,9 +59,10 @@ class HasseDiagram(Frozen):
 
 
 def _layers(nodes: Sequence[str], masks: Sequence[int]) -> tuple[tuple[str, ...], ...]:
-    """The names of each layer mask's nodes, picked by ``compress`` on its
-    ``bit_flags``: ascending indices, so each layer is natural-sorted."""
-    return tuple(tuple(compress(nodes, bit_flags(mask))) for mask in masks)
+    """The names of each layer mask's nodes (``table.picked``): ascending
+    indices, so each layer is natural-sorted, and a chain of c nodes
+    reads c flag bytes in all."""
+    return tuple(tuple(picked(nodes, mask)) for mask in masks)
 
 
 def check_partial_order(matrix: OrderMatrix) -> None:

@@ -1,9 +1,10 @@
 """File formats: CSV tables in, CSV/JSON/DOT/text out.
 
-``parse_csv`` reads bytes, a str or an open binary file one block of
-whole lines at a time, so reading holds the table and one block, never
-the whole input; only an input that fails the block check is read again
-whole, to name its first fault.
+``parse_csv`` takes bytes, a str or an open binary file and reads it as
+one kind of source, a seekable binary stream, one block of whole lines
+at a time, so reading holds the table and one block, never the whole
+input; only an input that fails the block check is read again whole, to
+name its first fault.
 
 Every emitter is byte-deterministic for a given input: collections are
 natural-sorted, JSON key order is fixed, and all numbers are integers
@@ -30,6 +31,7 @@ printable ASCII names without quotes or backslashes.
 """
 from __future__ import annotations
 
+from io import BytesIO
 from itertools import compress, cycle, islice
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, Sequence
@@ -89,38 +91,32 @@ def _row_error(line: str, line_number: int, target_names: Sequence[str]) -> CsvE
     return None
 
 
-_BLOCK = 1 << 16  # bytes (characters, for str input) read per chunk
+_BLOCK = 1 << 16  # bytes read per chunk
 
 
-def _line_blocks(source: bytes | str | IO) -> Iterator[bytes | str]:
-    """The lines of the source, a block at a time: chunks of ``_BLOCK``
-    are cut at their last line break, the partial line after it carried
-    into the next chunk.  A block is its lines joined by line breaks."""
-    if isinstance(source, (bytes, str)):
-        carry = source[:0]
-        chunks = (source[k : k + _BLOCK] for k in range(0, len(source), _BLOCK))
-    else:
-        carry = empty = source.read(0)
-        chunks = iter(lambda: source.read(_BLOCK), empty)
-    newline = "\n" if isinstance(carry, str) else b"\n"
-    for chunk in chunks:
-        block, cut, carry = (carry + chunk).rpartition(newline)
+def _line_blocks(source: IO[bytes]) -> Iterator[bytes]:
+    """The lines of a binary stream, a block at a time: chunks of
+    ``_BLOCK`` bytes are cut at their last line break, the partial line
+    after it carried into the next chunk.  A block is its lines joined by
+    line breaks."""
+    carry = b""
+    for chunk in iter(lambda: source.read(_BLOCK), b""):
+        block, cut, carry = (carry + chunk).rpartition(b"\n")
         if cut:
             yield block
     if carry:
         yield carry
 
 
-def _block_table(source: bytes | str | IO) -> JudgmentTable | None:
+def _block_table(source: IO[bytes]) -> JudgmentTable | None:
     """The table, read block by block, or None when a block fails the
     body check, is not UTF-8 or lacks targets or rows."""
     digits, model_names, target_names = bytearray(), [], None
     for block in _line_blocks(source):
-        if isinstance(block, bytes):
-            try:
-                block = block.decode("utf-8")  # an LF byte never lies inside a UTF-8 sequence
-            except UnicodeDecodeError:
-                return None
+        try:
+            block = block.decode("utf-8")  # an LF byte never lies inside a UTF-8 sequence
+        except UnicodeDecodeError:
+            return None
         lines = block.split("\n")
         if "\r" in block:
             lines = [line.removesuffix("\r") for line in lines]
@@ -147,6 +143,12 @@ def parse_csv(source: bytes | str | IO) -> JudgmentTable:
     """Read a judgment table from CSV (UTF-8, LF or CRLF): bytes, str, or
     a binary file open for reading.
 
+    The source is made a seekable binary stream once, here: a str is
+    encoded to UTF-8 (a lone surrogate, which no UTF-8 text holds, is
+    written as its bytes and so fails as invalid UTF-8), and bytes, or a
+    file that cannot seek (a pipe), read whole, are wrapped in a
+    ``BytesIO``.
+
     Layout: the header's first cell is reserved (ignored), the rest are
     target names; each body row is a model name followed by "0"/"1"
     cells.  The ``JudgmentTable`` constructor checks the names, as it does
@@ -169,23 +171,22 @@ def parse_csv(source: bytes | str | IO) -> JudgmentTable:
     stood when given), and scanned line by line to name its first fault:
     invalid UTF-8 first, then an empty input, no targets or no rows, then
     cell and shape faults in line order.  Name faults come last, from the
-    constructor.  A file that cannot seek (a pipe) is read whole first.
+    constructor.
     """
-    if not isinstance(source, (bytes, str)) and not source.seekable():
-        source = source.read()
-    start = None if isinstance(source, (bytes, str)) else source.tell()
+    if isinstance(source, str):
+        source = source.encode("utf-8", "surrogatepass")
+    if isinstance(source, bytes) or not source.seekable():
+        source = BytesIO(source if isinstance(source, bytes) else source.read())
+    start = source.tell()
     table = _block_table(source)
     if table is not None:
         return table
-    if start is not None:
-        source.seek(start)
-        source = source.read()
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CsvError(f"input is not valid UTF-8: {exc}") from None
-    lines = [line.removesuffix("\r") for line in source.removesuffix("\n").split("\n")]
+    source.seek(start)
+    try:
+        text = source.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CsvError(f"input is not valid UTF-8: {exc}") from None
+    lines = [line.removesuffix("\r") for line in text.removesuffix("\n").split("\n")]
     if not any(lines):
         raise CsvError("empty CSV input")
     target_names = lines[0].split(",")[1:]

@@ -10,7 +10,7 @@ and is a genuine partial order: reflexive, anti-symmetric, transitive.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, compress, groupby, repeat
+from itertools import chain, compress, repeat
 from math import gcd
 from operator import getitem, or_
 from typing import Iterable, Iterator, Sequence
@@ -27,6 +27,7 @@ from .table import (
     check_natural_order,
     natural_sorted,
     or_selected,
+    picked,
     transpose,
 )
 
@@ -73,17 +74,10 @@ def _edge_holds(n2: int, n3: int, basis_points: int) -> bool:
       equal sizes force n3 = 0 and then n2 = 0.  A strict edge between
       different columns thus goes from a larger support to a smaller one.
 
-    ``order_matrix`` describes the two kernels that test (*).
+    Both row kernels of ``order_matrix`` test (*) in one form, (**) of
+    ``_lane_terms``.
     """
     return 10000 * n3 <= basis_points * (n2 + n3)
-
-
-def _q_only_limits(models: int, basis_points: int) -> list[int]:
-    """limit[d], for d in 0..models: the most q-only models an edge p -> q
-    tolerates when |S_p| - |S_q| = d.  As 10000 - 2*bp > 0, (*) of
-    ``_edge_holds`` holds iff n3 <= bp*d // (10000 - 2*bp)."""
-    scale = 10000 - 2 * basis_points
-    return [basis_points * d // scale for d in range(models + 1)]
 
 
 class EquivalenceClasses(NamePartition):
@@ -174,10 +168,14 @@ class OrderMatrix(Frozen):
         A repeated element, or a pair naming an element not in
         ``elements``, raises ``ValueError``; whether the result is a
         partial order is told by ``diagnostics`` (or verify_partial_order),
-        not raised.
+        not raised.  The elements are ranked once, to sort them: their
+        singleton classes are labeled by the sorted names, so the matrix
+        does not rank them again.
         """
         reps = tuple(natural_sorted(elements))
         index = {name: i for i, name in enumerate(reps)}
+        if len(index) < len(reps):
+            check_natural_order("representatives", reps)  # names the repeated element
         rows = [1 << i for i in range(len(reps))]
         for p, q in pairs:
             try:
@@ -186,7 +184,7 @@ class OrderMatrix(Frozen):
                 raise ValueError(
                     f"pair {(p, q)!r} names an unknown element {exc.args[0]!r}"
                 ) from None
-        return cls(reps=reps, rows=rows)
+        return cls(reps=reps, rows=rows, classes=EquivalenceClasses._of_ordered(tuple(zip(reps))))
 
 
 class OrderDiagnostics(Frozen):
@@ -259,8 +257,8 @@ def _check_axioms(
     the strict rows over A_(k+1), which is A_(k+2), is the OR of
     ``implied`` over layer k.  Starting from A_1, the OR of every strict
     row, each step ORs in the ``implied`` rows of one layer: c ORs in
-    all, with no transpose, and each layer mask's ``bit_flags`` read once,
-    in C.  The
+    all, with no transpose, each layer's rows picked in C by
+    ``table.picked``, which reads c flag bytes in all up a chain.  The
     layers are None unless the diagnostics pass (on a cycle the sets
     never shrink).
     """
@@ -293,7 +291,7 @@ def _check_axioms(
     level, above = (1 << size) - 1, reduce(or_, strict, 0)
     while level:
         layers.append(level & ~above)
-        level, above = above, reduce(or_, compress(implied, bit_flags(layers[-1])), 0)
+        level, above = above, reduce(or_, picked(implied, layers[-1]), 0)
     return diagnostics, tuple(covers), tuple(layers)
 
 
@@ -309,34 +307,40 @@ def _size_order_rows(
 ) -> list[int]:
     """The order rows over distinct supports by the size-order kernel.
 
-    A strict edge p -> q needs |S_q| < |S_p| (see ``_edge_holds``), so the
-    classes are walked by ascending support size and each is tested only
-    against the strictly smaller ones: n3 is the popcount of S_q less S_p,
-    and the edge holds iff n3 <= limit[|S_p| - |S_q|]."""
-    limit = _q_only_limits(models, basis_points)
+    Row p is every q with a*n3 + b*|S_q| <= b*|S_p|, (**) of
+    ``_lane_terms``, n3 the popcount of S_q less S_p.  As (**) fails for
+    every other q of a support as large as S_p's, the classes are walked
+    by ascending support size and each is tested only against the
+    classes before it."""
+    a, b, _ = _lane_terms(models, basis_points)
     every_model = (1 << models) - 1
     rows = [1 << i for i in range(len(masks))]
-    below: list[tuple[int, int, int]] = []  # (mask, size, row bit) of smaller supports
-    by_size = sorted(range(len(masks)), key=sizes.__getitem__)
-    for size_p, group in groupby(by_size, key=sizes.__getitem__):
-        group = list(group)
-        for p in group:
-            outside = every_model ^ masks[p]  # not ~masks[p]: & on a negative int is slower
-            hits = [
-                bit
-                for mask, size, bit in below
-                if (mask & outside).bit_count() <= limit[size_p - size]
-            ]
-            rows[p] |= sum(hits)  # distinct bits, so the sum is their OR
-        below.extend((masks[q], sizes[q], 1 << q) for q in group)
+    before: list[tuple[int, int, int]] = []  # (mask, b*size, row bit) of the classes before p
+    for p in sorted(range(len(masks)), key=sizes.__getitem__):
+        outside = every_model ^ masks[p]  # not ~masks[p]: & on a negative int is slower
+        bound = b * sizes[p]
+        hits = [
+            bit for mask, weight, bit in before
+            if a * (mask & outside).bit_count() + weight <= bound
+        ]
+        rows[p] |= sum(hits)  # distinct bits, so the sum is their OR
+        before.append((masks[p], bound, 1 << p))
     return rows
 
 
 def _lane_terms(models: int, basis_points: int) -> tuple[int, int, int]:
-    """(a, b, k) of the lane kernel: (*) of ``_edge_holds`` divided by
-    g = gcd(10000 - 2*bp, bp) reads a*n3 + b*|S_q| <= b*|S_p|, and k is
-    the smallest multiple of 8 with (a + b)*models < 2**(k - 1), so every
-    lane of ``_lane_rows`` stays below 2**k."""
+    """(a, b, k) of the edge test that both row kernels run: (*) of
+    ``_edge_holds`` divided by g = gcd(10000 - 2*bp, bp) reads
+
+        a*n3 + b*|S_q| <= b*|S_p|                                    (**)
+
+    with a = (10000 - 2*bp)/g >= 1 and b = bp/g.  At 0%, a = 1 and b = 0,
+    so (**) reads n3 = 0: support containment.  For distinct columns
+    with |S_q| >= |S_p|, S_q is not inside S_p, so a*n3 >= 1 and (**)
+    fails by itself: skipping such pairs (``_size_order_rows``) or
+    testing them (``_lane_rows``) gives the same rows.  k is the smallest
+    multiple of 8 with (a + b)*models < 2**(k - 1), so every lane of
+    ``_lane_rows`` stays below 2**k."""
     scale = 10000 - 2 * basis_points
     g = gcd(scale, basis_points)
     a, b = scale // g, basis_points // g
@@ -355,7 +359,7 @@ def _lane_rows(
 ) -> list[int]:
     """The order rows over distinct supports by the lane-sum kernel.
 
-    Row p is every q with a*|S_q - S_p| + b*|S_q| <= b*|S_p| (``_lane_terms``),
+    Row p is every q with (**) of ``_lane_terms``, n3 = |S_q - S_p|,
     tested for all q at once: class q is lane q, k bits wide, of one int.
     ``lanes[i]`` holds a in lane q when model i is in S_q, so n3 for every
     q, times a, is the sum of ``lanes[i]`` over the models i outside S_p.
@@ -430,26 +434,20 @@ def order_matrix(
 ) -> OrderMatrix:
     """The prerequisite order over class representatives.
 
-    Row p holds every class q with p -> q, by (*) of ``_edge_holds``, over
-    the c distinct supports of the m models.  One of two kernels builds the
-    rows:
+    Row p holds every class q with p -> q over the c distinct supports of
+    the m models: every q with a*n3 + b*|S_q| <= b*|S_p|, (**) of
+    ``_lane_terms``, which also says why no q of a support as large as
+    S_p's passes.  One of two kernels builds the rows:
 
-    - size order (``_size_order_rows``): it relies on the size order of
-      ``_edge_holds``, walking the classes by ascending support size and
-      testing each only against the strictly smaller ones, one popcount
-      of n3 per pair against ``_q_only_limits`` ((*) solved for n3),
-      about c²/2 tests of m-bit ints;
-    - lane sums (``_lane_rows``): (*) divided by g = gcd(10000 - 2*bp,
-      bp), a*|S_q - S_p| + b*|S_q| <= b*|S_p| with a = (10000 - 2*bp)/g
-      and b = bp/g (a = 1, b = 0 at 0%), for all q at once, class q in
+    - size order (``_size_order_rows``): the classes walked by ascending
+      support size, each tested against the classes before it, one
+      popcount of n3 per pair, about c²/2 tests of m-bit ints;
+    - lane sums (``_lane_rows``): (**) for all q at once, class q in
       lane q, k bits wide, of one int.  A row is ⌈m/4⌉ sums of c*k-bit
       ints, one per block of 4 models.  Lane q then holds a*n3 + b*|S_q| +
       2**(k-1) - 1 - b*|S_p|, which lies in [0, 2**k) as (a + b)*m <
       2**(k-1), so its top (guard) bit is set exactly when the test
-      fails; the row is read off the guard bits.  It needs no size order:
-      for distinct columns the test holds on the diagonal and fails for
-      every q whose support is as large as S_p or larger, as then n3 > 0
-      and a >= 1.
+      fails; the row is read off the guard bits.
 
     ``_lanes_win`` picks the kernel from c, m and k alone, by operation
     count (its constants are given there): lanes when the classes far

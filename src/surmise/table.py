@@ -154,6 +154,22 @@ def bit_flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode("ascii").translate(_DIGIT_VALUES)
 
 
+_Item = TypeVar("_Item")
+
+
+def picked(items: Sequence[_Item], mask: int) -> Iterator[_Item]:
+    """The items at the set bits of ``mask``, ascending: ``compress`` on
+    its ``bit_flags``.  A mask whose lowest set bit, ``low``, lies above
+    the middle of its bits reads its span only, the items from ``low`` to
+    its highest set bit against the flags of ``mask >> low``.  So one-bit
+    masks up a chain of c items read c flag bytes in all, not c²/2, while
+    a mask spread over the items copies no slice of them."""
+    low, high = (mask & -mask).bit_length() - 1, mask.bit_length()
+    if 2 * low > high:  # the slice skips more items than it keeps
+        return compress(items[low:high], bit_flags(mask >> low))
+    return compress(items, bit_flags(mask))
+
+
 def bit_indices(mask: int) -> list[int]:
     """Positions of the set bits of a non-negative int, ascending."""
     flags = bit_flags(mask)

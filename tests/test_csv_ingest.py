@@ -351,6 +351,17 @@ def test_invalid_utf8_in_a_late_block_wins_over_an_early_cell_fault():
     assert_same(data, block_sizes=(7, 64))
 
 
+@pytest.mark.parametrize("data", ["model,a\ud800\nM1,1\n", "model,a\nM\udc00,1\n"])
+def test_a_str_with_a_lone_surrogate_is_not_utf8(data):
+    # A str is encoded to UTF-8 first; a surrogate code point has no UTF-8
+    # form, so the text is refused as invalid UTF-8 at every block size.
+    for size in BLOCK_SIZES + (surmise.io._BLOCK,):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surmise.io, "_BLOCK", size)
+            with pytest.raises(CsvError, match="^input is not valid UTF-8: "):
+                parse_csv(data)
+
+
 def test_a_fault_only_in_a_late_block_is_named():
     lines = table_lines(8, 5000, INGEST_SEED)
     lines[-1] = lines[-1][:-1] + "x"

@@ -53,12 +53,6 @@ from conftest import DATA_DIR, FUZZ_ALPHAS, TWELVE_MODELS_PATH, WORKED_EXAMPLE_P
 from test_order import partial_orders
 
 TWELVE = str(TWELVE_MODELS_PATH)
-SYNTH_20 = str(DATA_DIR / "synth-20x300-seed3.csv")
-# 120 targets x 16 models from bench/gen.py; its shape takes the lane
-# kernel of order_matrix (test_order, TestRowKernels).
-LANES = str(DATA_DIR / "lanes-120x16.csv")
-# A chain: 20 classes at density 1, one per layer.
-CHAIN_20 = str(DATA_DIR / "synth-20x400-seed5.csv")
 ALPHA = Flexibility(1000)
 # Legal names that JSON escapes or that look like numbers: tab, DEL and
 # other C0 controls, non-ASCII BMP letters, astral code points (written
@@ -83,77 +77,58 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        ("twelve_models.analyze.json", ["analyze", TWELVE, "--json"]),
-        ("twelve_models.analyze-counts.json", ["analyze", TWELVE, "--json", "--counts"]),
-        (
-            "twelve_models.analyze-19.99.json",
-            ["analyze", TWELVE, "--json", "--flexibility", "19.99"],
-        ),
-        ("twelve_models.hasse.json", ["hasse", TWELVE, "--json"]),
-        # 20 classes: two full blocks of 8 in the covering pass, and one of 4.
-        (
-            "synth-20x300-seed3.analyze-30.json",
-            ["analyze", SYNTH_20, "--json", "--flexibility", "30"],
-        ),
-        ("synth-20x400-seed5.analyze.json", ["analyze", CHAIN_20, "--json"]),
-        ("synth-20x400-seed5.hasse.json", ["hasse", CHAIN_20, "--json"]),
-    ],
-)
+# One line per golden output: its file name in tests/data, then the CLI
+# arguments that write it, paths relative to the repository root.  CI
+# runs every line through both entry points, ``surmise`` and
+# ``python -m surmise``.  Among the inputs, lanes-120x16 (120 targets x
+# 16 models from bench/gen.py) takes the lane kernel of order_matrix,
+# synth-20x400-seed5 is a chain: 20 classes at density 1, one per layer,
+# and synth-20x300-seed3 at 30% has 20 classes: two full blocks of 8 in
+# the covering pass, and one of 4.
+GOLDEN_LIST = DATA_DIR / "goldens.list"
+GOLDEN_COMMANDS = [
+    (golden, [str(DATA_DIR.parents[1] / arg) if arg.startswith("tests/") else arg for arg in argv])
+    for golden, *argv in map(str.split, GOLDEN_LIST.read_text().splitlines())
+]
+SEVERAL_BLOCKS_GOLDEN = "synth-20x5000-seed3.analyze-5-counts.txt"
+
+
+def golden_commands(*suffixes: str) -> list[tuple[str, list[str]]]:
+    """The (golden, argv) lines of the list whose golden ends in one of
+    ``suffixes``, in list order."""
+    return [(golden, argv) for golden, argv in GOLDEN_COMMANDS if golden.endswith(suffixes)]
+
+
+def assert_matches_golden(golden: str, argv: list[str]) -> None:
+    result = run_cli(*argv)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (DATA_DIR / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden, argv", golden_commands(".json"))
 def test_json_outputs_match_golden_bytes(golden, argv):
-    result = run_cli(*argv)
-    assert (result.returncode, result.stderr) == (0, b"")
-    assert result.stdout == (DATA_DIR / golden).read_bytes()
+    assert_matches_golden(golden, argv)
 
 
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        ("twelve_models.hasse-20.dot", ["hasse", TWELVE, "--flexibility", "20"]),
-        (
-            "synth-12x40-seed7.csv",
-            ["synth", "--targets", "12", "--models", "40", "--seed", "7", "--noise", "0.1"],
-        ),
-        (
-            "synth-20x300-seed3.csv",
-            ["synth", "--targets", "20", "--models", "300", "--seed", "3",
-             "--density", "0.3", "--noise", "0.2"],
-        ),
-        ("synth-20x300-seed3.hasse-30.dot", ["hasse", SYNTH_20, "--flexibility", "30"]),
-        ("lanes-120x16.hasse-10.dot", ["hasse", LANES, "--flexibility", "10"]),
-        (
-            "synth-20x400-seed5.csv",
-            ["synth", "--targets", "20", "--models", "400", "--density", "1", "--seed", "5"],
-        ),
-    ],
-)
+@pytest.mark.parametrize("golden, argv", golden_commands(".dot", ".csv"))
 def test_dot_and_synth_outputs_match_golden_bytes(golden, argv):
-    result = run_cli(*argv)
-    assert (result.returncode, result.stderr) == (0, b"")
-    assert result.stdout == (DATA_DIR / golden).read_bytes()
+    assert_matches_golden(golden, argv)
 
 
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        ("twelve_models.analyze-10.txt", ["analyze", TWELVE, "--text", "--flexibility", "10"]),
-        ("worked_example.structure.txt", ["structure", str(WORKED_EXAMPLE_PATH)]),
-        (
-            "twelve_models.analyze-5-counts.txt",
-            ["analyze", TWELVE, "--text", "--counts", "--flexibility", "5"],
-        ),
-        ("twelve_models.structure-no-complete.txt", ["structure", TWELVE, "--no-complete"]),
-        ("twelve_models.counts-t6-t4.txt", ["counts", TWELVE, "--p", "t6", "--q", "t4"]),
-        ("synth-20x300-seed3.structure.txt", ["structure", SYNTH_20]),
-        ("lanes-120x16.analyze.txt", ["analyze", LANES, "--text"]),
-    ],
-)
+@pytest.mark.parametrize("golden, argv", golden_commands(".txt"))
 def test_text_outputs_match_golden_bytes(golden, argv):
-    result = run_cli(*argv)
-    assert (result.returncode, result.stderr) == (0, b"")
-    assert result.stdout == (DATA_DIR / golden).read_bytes()
+    assert_matches_golden(golden, argv)
+
+
+def test_the_golden_list_covers_every_golden():
+    # Each line is run by one of the three tests above, and names a file.
+    listed = {golden for golden, _ in GOLDEN_COMMANDS}
+    assert {golden.rsplit(".", 1)[-1] for golden in listed} <= {"json", "dot", "csv", "txt"}
+    assert all((DATA_DIR / golden).is_file() for golden in listed)
+    # Every output golden in tests/data is on the list, or is the golden
+    # of the several-blocks test below.
+    outputs = {path.name for path in DATA_DIR.iterdir() if path.suffix in (".json", ".txt", ".dot")}
+    assert outputs - listed == {SEVERAL_BLOCKS_GOLDEN}
 
 
 SYNTH_5000 = ["synth", "--targets", "20", "--models", "5000", "--seed", "3", "--noise", "0.1"]
@@ -168,7 +143,7 @@ def test_a_csv_of_several_blocks_matches_golden_bytes(tmp_path, ending):
     path.write_bytes(synth.stdout.replace(b"\n", ending))
     result = run_cli("analyze", str(path), "--text", "--counts", "--flexibility", "5")
     assert (result.returncode, result.stderr) == (0, b"")
-    assert result.stdout == (DATA_DIR / "synth-20x5000-seed3.analyze-5-counts.txt").read_bytes()
+    assert result.stdout == (DATA_DIR / SEVERAL_BLOCKS_GOLDEN).read_bytes()
 
 
 @pytest.mark.parametrize("data, code", [

@@ -110,6 +110,25 @@ class TestLayers:
         assert diagram.layers == tuple((n,) for n in nodes)
         assert assign_layers(diagram) == diagram.layers
 
+    def test_deep_chain_reads_few_flag_bytes(self, monkeypatch):
+        # Each layer of a chain is one node: picking it reads the flags of
+        # its span only, so the build reads about 2c flag bytes (layers in
+        # the axiom pass, then their names), not c²/2 for each.
+        size = 2000
+        nodes = tuple(f"n{k}" for k in range(size))
+        rows = tuple(((1 << size) - 1) >> i << i for i in range(size))
+        read = []
+
+        def counted(flags):
+            return lambda mask: read.append(flags(mask)) or read[-1]
+
+        for module in (surmise.table, surmise.order, surmise.hasse):
+            if hasattr(module, "bit_flags"):
+                monkeypatch.setattr(module, "bit_flags", counted(module.bit_flags))
+        diagram = transitive_reduction(OrderMatrix(reps=nodes, rows=rows))
+        assert diagram.layers == tuple((n,) for n in nodes)
+        assert sum(map(len, read)) < 3 * size
+
     def test_deep_chain_from_order_matrix(self):
         size = 300
         nodes = tuple(f"n{k}" for k in range(size))

@@ -27,7 +27,6 @@ from surmise.order import (
     _lane_rows,
     _lane_terms,
     _lanes_win,
-    _q_only_limits,
     _size_order_rows,
     named_rows,
 )
@@ -256,6 +255,15 @@ class TestVerifyPartialOrder:
         assert sorted(ranked) == ["t10", "t11", "t2"]
         assert matrix.classes.blocks == (("t2",), ("t10",), ("t11",))
 
+    def test_from_pairs_ranks_each_element_once(self, ranked):
+        # It sorts the elements once; the matrix takes the sorted names as
+        # the labels of its singleton classes and does not rank them again.
+        names = [f"t{k}" for k in range(40, 0, -1)]
+        matrix = OrderMatrix.from_pairs(names, [("t1", "t2")])
+        assert len(ranked) == len(names)
+        assert matrix.reps == tuple(reversed(names))
+        assert matrix.classes.blocks == tuple(zip(matrix.reps))
+
     def test_diagnostics_are_read_from_the_witnesses(self):
         assert OrderDiagnostics().ok
         failed = OrderDiagnostics(reflexivity_witness="a")
@@ -270,6 +278,9 @@ class TestVerifyPartialOrder:
     def test_from_pairs_rejects_repeated_element(self):
         with pytest.raises(ValueError, match="distinct"):
             OrderMatrix.from_pairs(["a", "a"], [])
+        with pytest.raises(ValueError, match=r"^representatives must be distinct and "
+                           r"natural-sorted: 't2' before 't2'$"):
+            OrderMatrix.from_pairs(["t10", "t2", "t1", "t2"], [])
 
     def test_from_pairs_rejects_unknown_element(self):
         for pair, unknown in ((("a", "z"), "z"), (("z", "b"), "z"), (("y", "z"), "y")):
@@ -330,12 +341,12 @@ class TestAxiomCheckRunsOnce:
         assert len(scans) == 1
 
     def test_order_matrix_raises_on_intransitive_edge_test(self, monkeypatch):
-        # Supports a > b > c, one model apart.  A rule that wants n3 = 0
-        # and a size gap d <= 1 keeps a -> b and b -> c but not a -> c.
+        # Supports a > b > c, one model apart, take the size-order kernel.
+        # A broken kernel that keeps a -> b and b -> c but not a -> c.
         monkeypatch.setattr(
             surmise.order,
-            "_q_only_limits",
-            lambda models, bp: [0, 0] + [-1] * (models - 1),
+            "_size_order_rows",
+            lambda masks, sizes, models, bp: [0b011, 0b110, 0b100],
         )
         table = build_table(
             ["a", "b", "c"], ["M1", "M2", "M3"], [[1, 1, 1], [1, 1, 0], [1, 0, 0]]
@@ -409,15 +420,21 @@ def kernel_input(table):
 class TestSizeOrderKernel:
     @pytest.mark.parametrize("bp", LIMIT_BASIS_POINTS)
     def test_limits_solve_the_edge_test(self, bp):
-        # n3 <= limit[d] iff the edge test holds with n2 = n3 + d: every n3
-        # for small d, and for d up to 3000 the two n3 on either side of
-        # the limit (the test is monotone in n3).
+        # (**) of _lane_terms, a*n3 + b*|S_q| <= b*|S_p|, holds iff the edge
+        # test does, with n2 = n3 + d for the size gap d = |S_p| - |S_q|:
+        # every n3 for small d, and for d up to 3000 the two n3 on either
+        # side of the limit b*d // a that (**) sets on n3 (the test is
+        # monotone in n3).  For d <= 0 and n3 >= 1 (distinct columns, S_q
+        # as large as S_p) both fail.
         models = 3000
-        limit = _q_only_limits(models, bp)
-        assert len(limit) == models + 1
-        for d in range(models + 1):
-            for n3 in range(60) if d < 60 else (limit[d], limit[d] + 1):
-                assert (n3 <= limit[d]) == _edge_holds(n3 + d, n3, bp), (d, n3)
+        a, b, _ = _lane_terms(models, bp)
+        for d in range(-59, models + 1):
+            limit = b * d // a
+            for n3 in range(max(0, -d), 60) if d < 60 else (limit, limit + 1):
+                size_q = n3 + d % 7  # any size with room for the n3 q-only models
+                holds = a * n3 + b * size_q <= b * (size_q + d)
+                assert holds == _edge_holds(n3 + d, n3, bp), (d, n3)
+                assert not holds or d > 0 or n3 == 0, (d, n3)
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_tables(), st.one_of(st.sampled_from((0, 1, 4999)), st.integers(0, 4999)))
@@ -452,6 +469,29 @@ def kernel_cases(draw):
     return draw(kernel_tables(models)), bp
 
 
+@st.composite
+def few_size_tables(draw):
+    """Tables over 1-10 models whose columns all hold k or k + 1 ones:
+    classes that share few support sizes, so most pairs the size-order
+    kernel tests are of equal size, where (**) of ``_lane_terms`` must
+    reject them by itself."""
+    models = draw(st.integers(1, 10))
+    k = draw(st.integers(0, models))
+    columns = []
+    for _ in range(draw(st.integers(1, 10))):
+        ones = draw(st.permutations(range(models)))[: draw(st.sampled_from((k, k + 1)))]
+        columns.append(sum(1 << i for i in ones))
+    return JudgmentTable(
+        [f"M{i}" for i in range(models)], [f"t{j}" for j in range(len(columns))], columns
+    )
+
+
+# Every 3-subset of 6 models: 20 distinct columns of one size.
+ALL_3_OF_6 = JudgmentTable(
+    [f"M{i}" for i in range(6)],
+    [f"t{j}" for j in range(20)],
+    [mask for mask in range(64) if mask.bit_count() == 3],
+)
 ONE_MODEL = build_table(["a", "b", "c"], ["M1"], [[1, 0, 1]])
 ONE_CLASS = build_table(["a"], ["M1", "M2", "M3"], [[1], [0], [1]])
 IDENTICAL_COLUMNS = build_table(["a", "b", "c"], ["M1", "M2"], [[1, 1, 1], [0, 0, 0]])
@@ -487,6 +527,15 @@ class TestRowKernels:
         table, bp = case
         masks, sizes = kernel_input(table)
         assert_rows_match_oracles(table, bp, kernel(masks, sizes, table.model_count, bp))
+
+    @pytest.mark.parametrize("bp", KERNEL_BASIS_POINTS)
+    @settings(max_examples=40, deadline=None)
+    @given(table=few_size_tables())
+    @example(table=ALL_3_OF_6)
+    def test_both_kernels_on_classes_of_few_sizes(self, bp, table):
+        masks, sizes = kernel_input(table)
+        for kernel in (_size_order_rows, _lane_rows):
+            assert_rows_match_oracles(table, bp, kernel(masks, sizes, table.model_count, bp))
 
     @pytest.mark.parametrize("models", [32767, 32768])
     def test_both_kernels_across_the_widest_step_at_zero(self, models):

@@ -20,7 +20,7 @@ from surmise import (
 )
 import surmise.table as table_module
 from surmise.table import (
-    NamePartition, _check_names, bit_flags, bit_indices, or_selected, transpose,
+    NamePartition, _check_names, bit_flags, bit_indices, or_selected, picked, transpose,
 )
 
 import oracles
@@ -251,6 +251,21 @@ class TestMasks:
     @given(st.integers(0, 2**1100))
     def test_bit_flags_are_the_bits_up_to_the_highest(self, mask):
         assert bit_flags(mask) == bytes(mask >> i & 1 for i in range(max(mask.bit_length(), 1)))
+
+    @given(
+        st.one_of(
+            st.integers(0, 2**300 - 1),
+            st.integers(0, 299).flatmap(
+                lambda low: st.integers(0, 2 ** min(20, 300 - low) - 1).map(lambda run: run << low)
+            ),
+        )
+    )
+    def test_picked_is_compress_on_the_flags(self, mask):
+        # Masks anywhere in 300 items, and runs of bits shifted up them, so
+        # both the whole-mask and the span reading are taken.
+        items = list(range(300))
+        assert list(picked(items, mask)) == bit_indices(mask)
+        assert list(picked(tuple(items), mask)) == bit_indices(mask)
 
     @given(
         st.integers(0, 40).flatmap(
