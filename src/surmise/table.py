@@ -159,15 +159,12 @@ _Item = TypeVar("_Item")
 
 def picked(items: Sequence[_Item], mask: int) -> Iterator[_Item]:
     """The items at the set bits of ``mask``, ascending: ``compress`` on
-    its ``bit_flags``.  A mask whose lowest set bit, ``low``, lies above
-    the middle of its bits reads its span only, the items from ``low`` to
-    its highest set bit against the flags of ``mask >> low``.  So one-bit
-    masks up a chain of c items read c flag bytes in all, not c²/2, while
-    a mask spread over the items copies no slice of them."""
-    low, high = (mask & -mask).bit_length() - 1, mask.bit_length()
-    if 2 * low > high:  # the slice skips more items than it keeps
-        return compress(items[low:high], bit_flags(mask >> low))
-    return compress(items, bit_flags(mask))
+    the flags of the mask's span only, the items from its lowest set bit,
+    ``low``, to its highest against ``bit_flags(mask >> low)``.  So
+    one-bit masks up a chain of c items read c flag bytes in all, not
+    c²/2."""
+    low = max((mask & -mask).bit_length() - 1, 0)  # mask 0 reads no items
+    return compress(items[low : mask.bit_length()], bit_flags(mask >> low))
 
 
 def bit_indices(mask: int) -> list[int]:

@@ -262,7 +262,7 @@ class TestMasks:
     )
     def test_picked_is_compress_on_the_flags(self, mask):
         # Masks anywhere in 300 items, and runs of bits shifted up them, so
-        # both the whole-mask and the span reading are taken.
+        # spans start low and high.
         items = list(range(300))
         assert list(picked(items, mask)) == bit_indices(mask)
         assert list(picked(tuple(items), mask)) == bit_indices(mask)
