@@ -24,7 +24,7 @@ from .io import (
 )
 from .kst import structure_from_table
 from .order import order_matrix
-from .synth import SynthSpec, check_poset_size, random_poset, sample_models
+from .synth import check_poset_size, random_poset, sample_models
 from .table import Flexibility, FlexibilityFormatError, TableError
 
 EXIT_OK = 0
@@ -76,10 +76,7 @@ def _cmd_structure(args: argparse.Namespace) -> Iterable[str]:
 def _cmd_synth(args: argparse.Namespace) -> Iterable[str]:
     check_poset_size(args.targets)  # before the O(N^2) poset is drawn
     poset = random_poset(args.targets, args.density, args.seed)
-    spec = SynthSpec(
-        poset=poset, model_count=args.models, noise=args.noise, seed=args.seed
-    )
-    return csv_chunks(sample_models(spec))
+    return csv_chunks(sample_models(poset, args.models, args.noise, args.seed))
 
 
 def build_parser() -> _Parser:
@@ -155,7 +152,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         # the output, not the run.  What is still buffered goes to devnull
         # at exit instead of raising the same error again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    except (_UsageError, FlexibilityFormatError) as exc:
+    except FlexibilityFormatError as exc:
         # Non-numeric flexibility is a usage problem; a numeric one out of
         # range (or too precise) violates the < 50% contract (exit 3).
         print(f"error: {exc}", file=sys.stderr)

@@ -98,14 +98,18 @@ def _line_blocks(source: IO[bytes]) -> Iterator[bytes]:
     """The lines of a binary stream, a block at a time: chunks of
     ``_BLOCK`` bytes are cut at their last line break, the partial line
     after it carried into the next chunk.  A block is its lines joined by
-    line breaks."""
-    carry = b""
+    line breaks.  Only the new chunk is searched for a line break, and the
+    carried partial line is a list of chunks joined once, when its line
+    ends, so a line of any length costs time linear in its length."""
+    carry: list[bytes] = []
     for chunk in iter(lambda: source.read(_BLOCK), b""):
-        block, cut, carry = (carry + chunk).rpartition(b"\n")
+        head, cut, tail = chunk.rpartition(b"\n")
         if cut:
-            yield block
-    if carry:
-        yield carry
+            yield b"".join([*carry, head])
+            carry = []
+        carry.append(tail)
+    if any(carry):
+        yield b"".join(carry)
 
 
 def _block_table(source: IO[bytes]) -> JudgmentTable | None:
@@ -246,10 +250,9 @@ def _json_string(name: str) -> str:
     """``name`` as a JSON string literal, as ``json.dumps`` writes it.
     ``json.dumps`` escapes only ``"``, ``\\`` and the characters outside
     printable ASCII, so a printable ASCII name with neither is written
-    between quotes as it is.  Both characters are tested because names
-    from ``OrderMatrix.from_pairs`` never pass the table's alphabet
-    check.  Any other name is quoted by ``json``, imported here on first
-    use, so a run whose names need no escape never loads it."""
+    between quotes as it is.  Any other name is quoted by ``json``,
+    imported here on first use, so a run whose names need no escape never
+    loads it."""
     if name.isascii() and name.isprintable() and '"' not in name and "\\" not in name:
         return '"' + name + '"'
     import json

@@ -15,8 +15,9 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
-from .table import Frozen, JudgmentTable, NamePartition, check_masks, natural_ranks, transpose
-from .table import _check_name
+from .table import (
+    Frozen, JudgmentTable, NamePartition, _check_names, check_masks, natural_ranks, transpose,
+)
 
 __all__ = [
     "KnowledgeStructure",
@@ -34,35 +35,29 @@ class KnowledgeStructure(Frozen):
     Each state is an int mask: bit j is set iff the state contains
     ``ground[j]``.  Ground names obey the rules of target names (a
     non-empty str without a quote, comma, line break or backslash), so
-    every rendering of a state is unambiguous.  ``completed`` records
-    that the empty state and the full state were guaranteed at
-    construction (the conventional closure that makes the family a
-    genuine knowledge structure).  ``rank[j]`` is the position of
-    ``ground[j]`` in natural order, derived once at construction together
-    with the read-only name -> index map, so ordering a state costs no
-    name comparison.
+    every rendering of a state is unambiguous; they are checked as the
+    table checks its names, and a fault raises ``TableError``.
+    ``rank[j]`` is the position of ``ground[j]`` in natural order, derived
+    once at construction together with the read-only name -> index map,
+    so ordering a state costs no name comparison.
     """
 
-    _fields = ("ground", "states", "completed")
+    _fields = ("ground", "states")
 
-    def __init__(
-        self, ground: Sequence[str], states: Iterable[int], completed: bool = False
-    ) -> None:
+    def __init__(self, ground: Sequence[str], states: Iterable[int]) -> None:
         ground, states = tuple(ground), frozenset(states)
-        index: dict[str, int] = {}
-        for j, name in enumerate(ground):
-            _check_name("ground", j, name)
-            if name in index:
-                raise ValueError(f"duplicate ground name {name!r}")
-            index[name] = j
+        _check_names("ground", "positions", ground)
         check_masks("state", states, len(ground))
-        if completed:
-            if 0 not in states or (1 << len(ground)) - 1 not in states:
-                raise ValueError("completed structure must contain {} and the full set")
         self.__dict__.update(
-            ground=ground, states=states, completed=completed, rank=natural_ranks(ground),
-            _index=MappingProxyType(index),
+            ground=ground, states=states, rank=natural_ranks(ground),
+            _index=MappingProxyType({name: j for j, name in enumerate(ground)}),
         )
+
+    @property
+    def completed(self) -> bool:
+        """Whether the family holds the empty state and the full one, which
+        makes it a knowledge structure proper (Doignon & Falmagne 1985)."""
+        return 0 in self.states and (1 << len(self.ground)) - 1 in self.states
 
     def index_of(self, name: str) -> int:
         if name not in self._index:
@@ -73,13 +68,14 @@ class KnowledgeStructure(Frozen):
 def structure_from_table(table: JudgmentTable, complete: bool = True) -> KnowledgeStructure:
     """The distinct rows of the table, read as target subsets.
 
-    With ``complete`` the empty and full states are added when absent;
-    duplicate model rows collapse to one state either way.
+    With ``complete`` the empty and full states are added when absent, so
+    the result is ``completed``; duplicate model rows collapse to one
+    state either way.
     """
     states = set(table.row_masks)
     if complete:
         states |= {0, (1 << table.target_count) - 1}
-    return KnowledgeStructure(ground=table.target_names, states=states, completed=complete)
+    return KnowledgeStructure(ground=table.target_names, states=states)
 
 
 def surmise_from_structure(
@@ -139,7 +135,9 @@ def discriminative_reduction(
     ground order); each state maps to the set of concepts it meets.  A
     state meets a concept iff it contains the concept's representative,
     so the reduced states are the transpose of the representatives'
-    columns.  The result is always discriminative.
+    columns.  The result is always discriminative, and ``completed``
+    exactly when the structure is: a state meets no concept iff it is
+    empty, and every concept iff it is full.
 
     >>> s = KnowledgeStructure(("a", "b", "c"), frozenset({0b000, 0b011, 0b111}))
     >>> reduced = discriminative_reduction(s, equally_informative(s))
@@ -160,8 +158,4 @@ def discriminative_reduction(
         raise ValueError(f"no partition block holds {missing[0]!r}")
     new_ground = tuple(sorted(partition.representatives, key=structure.index_of))
     kept = [columns[structure.index_of(name)] for name in new_ground]
-    return KnowledgeStructure(
-        ground=new_ground,
-        states=transpose(kept, len(structure.states)),
-        completed=structure.completed,
-    )
+    return KnowledgeStructure(ground=new_ground, states=transpose(kept, len(structure.states)))

@@ -21,8 +21,8 @@ from .table import (
     JudgmentTable,
     NamePartition,
     ZERO_FLEXIBILITY,
+    _check_names,
     bit_flags,
-    bit_indices,
     check_masks,
     check_natural_order,
     natural_sorted,
@@ -118,7 +118,9 @@ class OrderMatrix(Frozen):
     ``classes.blocks[i]`` holds the members of reps[i]; when it is not
     given, each representative is its own singleton class.  A partition
     checks the natural order of its labels itself, so ``reps`` that are
-    the labels of ``classes`` are not ranked again.
+    the labels of ``classes`` are not ranked again; ``reps`` the matrix
+    ranks itself are also checked as a table checks its names
+    (``TableError`` on a forbidden character or an empty name).
     """
 
     _fields = ("reps", "rows", "classes")
@@ -129,8 +131,9 @@ class OrderMatrix(Frozen):
     ) -> None:
         reps, rows = tuple(reps), tuple(rows)
         labels = None if classes is None else classes.representatives
-        if labels != reps:  # a partition's labels are distinct and natural-sorted
+        if labels != reps:  # a partition's labels are checked names, natural-sorted
             check_natural_order("representatives", reps)
+            _check_names("representative", "positions", reps)
         if len(rows) != len(reps):
             raise ValueError(f"{len(rows)} rows for {len(reps)} representatives")
         check_masks("row", rows, len(reps))
@@ -166,7 +169,8 @@ class OrderMatrix(Frozen):
         """Build a matrix from strict pairs plus the reflexive diagonal.
 
         A repeated element, or a pair naming an element not in
-        ``elements``, raises ``ValueError``; whether the result is a
+        ``elements``, raises ``ValueError``, and an element that breaks
+        the table's name rules ``TableError``; whether the result is a
         partial order is told by ``diagnostics`` (or verify_partial_order),
         not raised.  The elements are ranked once, to sort them: their
         singleton classes are labeled by the sorted names, so the matrix
@@ -176,6 +180,7 @@ class OrderMatrix(Frozen):
         index = {name: i for i, name in enumerate(reps)}
         if len(index) < len(reps):
             check_natural_order("representatives", reps)  # names the repeated element
+        _check_names("element", "positions", elements)
         rows = [1 << i for i in range(len(reps))]
         for p, q in pairs:
             try:
@@ -274,13 +279,13 @@ def _check_axioms(
     antisymmetry_witness = None
     i = next((i for i in range(size) if implied[i] >> i & 1), None)
     if i is not None:
-        j = next(j for j in bit_indices(strict[i]) if strict[j] >> i & 1)
+        j = next(j for j in picked(range(size), strict[i]) if strict[j] >> i & 1)
         antisymmetry_witness = (reps[i], reps[j])
     transitivity_witness = None
     i = next((i for i in range(size) if implied[i] & ~up[i]), None)
     if i is not None:
-        j = next(j for j in bit_indices(up[i]) if up[j] & ~up[i])
-        k = bit_indices(up[j] & ~up[i])[0]
+        j = next(j for j in picked(range(size), up[i]) if up[j] & ~up[i])
+        k = next(picked(range(size), up[j] & ~up[i]))
         transitivity_witness = (reps[i], reps[j], reps[k])
     covers = [row & ~implied_row for row, implied_row in zip(strict, implied)]
 

@@ -16,11 +16,10 @@ from operator import or_
 from .hasse import check_partial_order
 from .kst import KnowledgeStructure
 from .order import OrderMatrix
-from .table import Frozen, JudgmentTable, bit_indices, transpose
+from .table import JudgmentTable, picked, transpose
 
 __all__ = [
     "MAX_POSET_ELEMENTS",
-    "SynthSpec",
     "all_downsets",
     "sample_models",
     "random_poset",
@@ -29,19 +28,6 @@ __all__ = [
 # Downsets are enumerated explicitly, which is exponential in the worst
 # case; the guard keeps that enumeration at desk scale.
 MAX_POSET_ELEMENTS = 20
-
-
-class SynthSpec(Frozen):
-    _fields = ("poset", "model_count", "noise", "seed")
-
-    def __init__(
-        self, poset: OrderMatrix, model_count: int, noise: float = 0.0, seed: int = 0
-    ) -> None:
-        if model_count < 1:
-            raise ValueError(f"model_count must be >= 1, got {model_count}")
-        if not 0.0 <= noise <= 1.0:
-            raise ValueError(f"noise must lie in [0, 1], got {noise}")
-        self.__dict__.update(poset=poset, model_count=model_count, noise=noise, seed=seed)
 
 
 def check_poset_size(size: int) -> None:
@@ -71,14 +57,23 @@ def all_downsets(poset: OrderMatrix) -> KnowledgeStructure:
     states = [0]
     for j in sorted(range(size), key=lambda j: below[j].bit_count()):
         states += [state | 1 << j for state in states if not below[j] & ~state]
-    return KnowledgeStructure(ground=poset.reps, states=states, completed=True)
+    return KnowledgeStructure(ground=poset.reps, states=states)
 
 
-def sample_models(spec: SynthSpec) -> JudgmentTable:
-    """Sample each model row uniformly from the poset's downsets, then
-    flip cells independently with the configured noise probability."""
-    ground = spec.poset.reps
-    structure = all_downsets(spec.poset)
+def sample_models(
+    poset: OrderMatrix, model_count: int, noise: float = 0.0, seed: int = 0
+) -> JudgmentTable:
+    """A table of ``model_count`` models M1, M2, ... over the poset's
+    elements: each row is drawn uniformly from the poset's downsets, then
+    each cell is flipped with probability ``noise``, all from one
+    ``random.Random(seed)``.  A ``model_count`` below 1, or a ``noise``
+    outside [0, 1], raises ``ValueError``."""
+    if model_count < 1:
+        raise ValueError(f"model_count must be >= 1, got {model_count}")
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"noise must lie in [0, 1], got {noise}")
+    ground = poset.reps
+    structure = all_downsets(poset)
     # By size, then by the ascending lists of member indices.  For equal
     # sizes that list order is the descending order of the mask with its
     # len(ground) bits reversed, an int key that builds no list.
@@ -87,14 +82,14 @@ def sample_models(spec: SynthSpec) -> JudgmentTable:
         structure.states,
         key=lambda s: (s.bit_count(), -int(format(s, "b").zfill(n)[::-1], 2)),
     )
-    rng = random.Random(spec.seed)
+    rng = random.Random(seed)
     rows = []
-    for _ in range(spec.model_count):
+    for _ in range(model_count):
         row = downsets[rng.randrange(len(downsets))]
-        if spec.noise > 0.0:
-            row ^= sum(1 << j for j in range(len(ground)) if rng.random() < spec.noise)
+        if noise > 0.0:
+            row ^= sum(1 << j for j in range(len(ground)) if rng.random() < noise)
         rows.append(row)
-    model_names = [f"M{i + 1}" for i in range(spec.model_count)]
+    model_names = [f"M{i + 1}" for i in range(model_count)]
     return JudgmentTable(model_names, ground, transpose(rows, len(ground)))
 
 
@@ -115,5 +110,5 @@ def random_poset(n: int, density: float, seed: int) -> OrderMatrix:
     sampled = [sum(1 << j for j in range(i + 1, n) if rng.random() < density) for i in range(n)]
     up = [0] * n
     for i in reversed(range(n)):
-        up[i] = reduce(or_, map(up.__getitem__, bit_indices(sampled[i])), 1 << i)
+        up[i] = reduce(or_, picked(up, sampled[i]), 1 << i)
     return OrderMatrix(tuple(f"t{k}" for k in range(n)), up)

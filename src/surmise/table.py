@@ -45,18 +45,28 @@ _DIGIT_RUNS = re.compile(r"(\d+)")
 def natural_key(name: str) -> tuple:
     """Sort key that orders digit runs numerically: t2 before t10.
 
-    The raw name is appended as a tiebreak so that names with equal
-    numeric value ("t01" vs "t1") still sort deterministically.  Runs are
-    tested with ``isdecimal``, which is exactly what ``\\d`` matches;
-    ``isdigit`` would also accept superscripts such as "²", which
-    ``int`` rejects.
+    A digit run is keyed by its value as ``(0, len(v), v)``, ``v`` its
+    digits in ASCII less the leading zeros: of two such strings the
+    longer is the larger number, and equal lengths compare digit by
+    digit.  So a run of any length has a key; ``int`` refuses runs of
+    over 4300 digits.  Runs are tested with ``isdecimal``, which is
+    exactly what ``\\d`` matches (``isdigit`` would also accept
+    superscripts such as "²"), and a non-ASCII run is read one digit at a
+    time by ``int``, which takes a decimal digit of any script.  A text
+    run is keyed ``(1, run)``, after every digit run.  The raw name is
+    appended as a tiebreak so that names with equal numeric value ("t01"
+    vs "t1") still sort deterministically.
     """
-    runs = tuple(
-        (0, int(run)) if run.isdecimal() else (1, run)
-        for run in _DIGIT_RUNS.split(name)
-        if run
-    )
-    return (runs, name)
+    runs = []
+    for run in _DIGIT_RUNS.split(name):
+        if run.isdecimal():
+            if not run.isascii():
+                run = "".join([str(int(digit)) for digit in run])
+            run = run.lstrip("0")
+            runs.append((0, len(run), run))
+        elif run:
+            runs.append((1, run))
+    return (tuple(runs), name)
 
 
 def natural_sorted(names: Iterable[str]) -> list[str]:
@@ -167,58 +177,40 @@ def picked(items: Sequence[_Item], mask: int) -> Iterator[_Item]:
     return compress(items[low : mask.bit_length()], bit_flags(mask >> low))
 
 
-def bit_indices(mask: int) -> list[int]:
-    """Positions of the set bits of a non-negative int, ascending."""
-    flags = bit_flags(mask)
-    return list(compress(range(len(flags)), flags))
-
-
 # Names feed unescaped into CSV and DOT output, so the alphabet is
 # restricted up front instead of escaping later.  A line break would end
 # a CSV line inside a name; a backslash would escape the closing quote of
 # a DOT string, or start a label escape such as \N.
 _FORBIDDEN_CHARS = ('"', ",", "\n", "\r", "\\")
-
-
-def _check_name(kind: str, position: int, name: str) -> None:
-    if not isinstance(name, str) or not name:
-        raise TableError(f"{kind} name at position {position} is empty")
-    for ch in _FORBIDDEN_CHARS:
-        if ch in name:
-            raise TableError(
-                f"{kind} name {name!r} at position {position} contains "
-                f"forbidden character {ch!r}"
-            )
-
-
 _STR = frozenset((str,))
 
 
-def _check_names(target_names: Sequence[str], model_names: Sequence[str]) -> None:
-    """Reject empty names, forbidden characters and duplicates, targets
-    first, each axis in order.  An axis of unique, non-empty ``str`` names
-    whose concatenation holds no forbidden character passes by tests that
-    run in C; only an axis that fails them is scanned name by name, to
-    name its first fault."""
-    for kind, axis, names in (
-        ("target", "columns", target_names),
-        ("model", "rows", model_names),
+def _check_names(kind: str, axis: str, names: Sequence[str]) -> None:
+    """Reject an empty name, a forbidden character or a duplicate among
+    ``names``, raising ``TableError`` that names the first fault in order;
+    ``kind`` names a name and ``axis`` its positions in the message.
+    Unique, non-empty ``str`` names whose concatenation holds no forbidden
+    character pass by tests that run in C; only names that fail them are
+    scanned one by one, to name the first fault."""
+    if (
+        _STR.issuperset(map(type, names))
+        and "" not in names
+        and len(set(names)) == len(names)
+        and not any(map("".join(names).__contains__, _FORBIDDEN_CHARS))
     ):
-        if (
-            _STR.issuperset(map(type, names))
-            and "" not in names
-            and len(set(names)) == len(names)
-            and not any(map("".join(names).__contains__, _FORBIDDEN_CHARS))
-        ):
-            continue
-        seen: dict[str, int] = {}
-        for k, name in enumerate(names):
-            _check_name(kind, k, name)
-            if name in seen:
+        return
+    seen: dict[str, int] = {}
+    for k, name in enumerate(names):
+        if not isinstance(name, str) or not name:
+            raise TableError(f"{kind} name at position {k} is empty")
+        for ch in _FORBIDDEN_CHARS:
+            if ch in name:
                 raise TableError(
-                    f"duplicate {kind} name {name!r} ({axis} {seen[name]} and {k})"
+                    f"{kind} name {name!r} at position {k} contains forbidden character {ch!r}"
                 )
-            seen[name] = k
+        if name in seen:
+            raise TableError(f"duplicate {kind} name {name!r} ({axis} {seen[name]} and {k})")
+        seen[name] = k
 
 
 class Frozen:
@@ -294,7 +286,9 @@ class NamePartition(Frozen):
     Every partition is checked at construction, and a fault raises
     ``ValueError`` naming its block: first a block that is empty or a
     name held twice (in one block or in two), then a block whose members
-    are out of natural order, then labels out of natural order.  The two
+    are out of natural order, then labels out of natural order.  Last,
+    the members are checked as a table checks its names, read block by
+    block (``TableError`` at a member's position in that reading).  The two
     partitions of the pipeline differ only in ``LABEL``: classes of
     identical columns (``order.EquivalenceClasses``) are labeled by their
     last member, concepts (``kst.ConceptPartition``) by their first.  The
@@ -311,6 +305,7 @@ class NamePartition(Frozen):
             check_natural_order(f"partition block {k}", block)
         if hasattr(self, "LABEL"):
             check_natural_order("partition labels", [block[self.LABEL] for block in blocks])
+        _check_names("member", "positions", tuple(chain.from_iterable(blocks)))
         self.__dict__.update(blocks=blocks)
 
     @classmethod
@@ -345,13 +340,29 @@ class NamePartition(Frozen):
         return tuple(block[self.LABEL] for block in self.blocks)
 
 
+def _percent_text(whole: str, cents: str) -> str:
+    """A percentage as canonical decimal text, from the digits of its whole
+    part and of its fraction: ("025", "50") -> "25.5"."""
+    whole, cents = whole.lstrip("0") or "0", cents.rstrip("0")
+    return f"{whole}.{cents}" if cents else whole
+
+
+def _out_of_range(sign: str, whole: str, cents: str) -> FlexibilityError:
+    return FlexibilityError(
+        f"flexibility must lie in [0%, 50%), got {sign}{_percent_text(whole, cents)}%"
+    )
+
+
 class Flexibility(Frozen):
     """Tolerated share of counterexample models, stored in basis points.
 
     25.5% is stored as 2550.  Keeping the value integral lets every
     threshold decision be an exact cross-multiplication, so no order
     edge can flip due to floating-point rounding.  Values at or above
-    50% are rejected: the order's anti-symmetry depends on it.
+    50% are rejected: the order's anti-symmetry depends on it.  A
+    non-integer raises "basis points must be an integer"; the message of
+    a value out of range writes it exactly, sign first, from its digits
+    (no float, which overflows past 10**308).
     """
 
     _fields = ("basis_points",)
@@ -362,10 +373,8 @@ class Flexibility(Frozen):
                 f"basis points must be an integer, got {basis_points!r}"
             )
         if not 0 <= basis_points < 5000:
-            raise FlexibilityError(
-                f"flexibility must lie in [0%, 50%), got "
-                f"{basis_points / 100:g}%"
-            )
+            whole, cents = divmod(abs(basis_points), 100)
+            raise _out_of_range("-" if basis_points < 0 else "", str(whole), f"{cents:02d}")
         self.__dict__.update(basis_points=basis_points)
 
     @classmethod
@@ -373,7 +382,10 @@ class Flexibility(Frozen):
         """Parse a percentage with at most two decimal digits ("19.99"), in
         ASCII: ``\\d`` would also take Unicode decimals such as "１０".  Only
         ASCII spaces and tabs around it are ignored; ``strip()`` would also
-        drop Unicode spaces and separator controls such as "\\u3000"."""
+        drop Unicode spaces and separator controls such as "\\u3000".  A
+        whole part of more than two significant digits is 100% or more, so
+        it is rejected from its text, before ``int`` reads it (``int``
+        refuses over 4300 digits)."""
         m = re.fullmatch(
             r"(?P<sign>-?)(?P<whole>[0-9]+)(?:\.(?P<frac>[0-9]+))?", text.strip(" \t")
         )
@@ -384,7 +396,10 @@ class Flexibility(Frozen):
             raise FlexibilityError(
                 f"flexibility {text!r} has more than two decimal digits"
             )
-        value = int(m["whole"]) * 100 + int(frac.ljust(2, "0") or "0")
+        whole = m["whole"].lstrip("0") or "0"
+        if len(whole) > 2:
+            raise _out_of_range(m["sign"], whole, frac)
+        value = int(whole) * 100 + int(frac.ljust(2, "0") or "0")
         if m["sign"]:
             value = -value
         return cls(value)
@@ -393,11 +408,7 @@ class Flexibility(Frozen):
     def percent_text(self) -> str:
         """Canonical decimal rendering: 2550 -> "25.5", 1999 -> "19.99"."""
         whole, cents = divmod(self.basis_points, 100)
-        if cents == 0:
-            return str(whole)
-        if cents % 10 == 0:
-            return f"{whole}.{cents // 10}"
-        return f"{whole}.{cents:02d}"
+        return _percent_text(str(whole), f"{cents:02d}")
 
 
 ZERO_FLEXIBILITY = Flexibility(0)
@@ -421,7 +432,8 @@ class JudgmentTable(Frozen):
     def __init__(
         self, model_names: Sequence[str], target_names: Sequence[str], support_masks: Sequence[int]
     ) -> None:
-        _check_names(target_names, model_names)
+        _check_names("target", "columns", target_names)
+        _check_names("model", "rows", model_names)
         if len(support_masks) != len(target_names):
             raise TableError(
                 f"{len(support_masks)} support masks for {len(target_names)} targets"
@@ -519,7 +531,8 @@ def build_table(
         and _BIT_TYPES.issuperset(map(type, cells))
         and _BITS.issuperset(cells)
     ):
-        _check_names(target_names, model_names)
+        _check_names("target", "columns", target_names)
+        _check_names("model", "rows", model_names)
         if len(rows) != len(model_names):
             raise TableError(f"expected {len(model_names)} rows of cells, got {len(rows)}")
         for i, row in enumerate(rows):

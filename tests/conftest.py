@@ -11,7 +11,6 @@ import pytest
 from surmise import (
     Flexibility,
     JudgmentTable,
-    SynthSpec,
     build_table,
     parse_csv,
     random_poset,
@@ -62,13 +61,12 @@ def make_fuzz_table(rng: random.Random, index: int) -> JudgmentTable:
     style = index % 4
     if style == 1:
         poset = random_poset(u, rng.uniform(0.2, 0.7), seed=rng.randrange(2**32))
-        spec = SynthSpec(
-            poset=poset,
+        return sample_models(
+            poset,
             model_count=v,
             noise=rng.choice([0.0, 0.05, 0.15]),
             seed=rng.randrange(2**32),
         )
-        return sample_models(spec)
     rows = _random_rows(rng, v, u)
     if style == 2 and u >= 2:
         src, dst = rng.sample(range(u), 2)

@@ -48,9 +48,14 @@ from surmise.table import (
     JudgmentTable,
     TableError,
     bit_flags,
-    bit_indices,
     transpose,
 )
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, ascending, by one
+    bit test per position."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def pack_bits(flags) -> int:
@@ -541,6 +546,19 @@ def check_names_reference(target_names, model_names) -> None:
                 f"duplicate model name {name!r} (rows {seen[name]} and {i})"
             )
         seen[name] = i
+
+
+def line_blocks_reference(source, block_size: int):
+    """The blocks of ``io._line_blocks`` as it read them before it carried
+    the partial line as a list of chunks: each chunk is appended to the
+    carried bytes, and the whole is cut at its last line break."""
+    carry = b""
+    for chunk in iter(lambda: source.read(block_size), b""):
+        block, cut, carry = (carry + chunk).rpartition(b"\n")
+        if cut:
+            yield block
+    if carry:
+        yield carry
 
 
 def parse_csv_reference(data: bytes | str):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from surmise import parse_csv
 from surmise.cli import cli_main
 
@@ -153,6 +155,34 @@ class TestNonDecimalDigits:
         code, out, err = run(capsys, "structure", str(csv))
         assert (code, err) == (0, "")
         assert "states (3):\n  {}\n  {t1\u00b2}\n  {t1\u00b2,t2}\n" in out
+
+
+class TestDigitStringsOfAnyLength:
+    """Digit runs past a float's range (309 digits) and past int's
+    4300-digit string limit end in a result or a located message, never
+    in a traceback or the interpreter's own limit message."""
+
+    @pytest.mark.parametrize("digits", [309, 4301, 5000])
+    def test_flexibility_out_of_range(self, capsys, digits):
+        for text in ("9" * digits, "-" + "9" * digits + ".5"):
+            code, out, err = run(capsys, "analyze", TWELVE, "--flexibility", text)
+            assert (code, out) == (3, "")
+            assert err.startswith("error: flexibility must lie in [0%, 50%), got ")
+
+    def test_leading_zeros_are_not_significant(self, capsys):
+        code, out, err = run(capsys, "analyze", TWELVE, "--flexibility", "0" * 5000 + "19.99")
+        assert (code, err) == (0, "")
+        assert "flexibility: 19.99%" in out
+
+    def test_target_name_with_a_long_digit_run(self, capsys, tmp_path):
+        long = "a" + "1" * 5000
+        csv = tmp_path / "long.csv"
+        csv.write_text(f"model,{long},a2\nM1,0,1\nM2,1,1\n", encoding="utf-8")
+        for command in ("analyze", "structure", "hasse"):
+            code, out, err = run(capsys, command, str(csv))
+            assert (code, err) == (0, "")
+        code, out, _ = run(capsys, "analyze", str(csv))
+        assert f"hasse (1):\n  a2 -> {long}\n" in out
 
 
 class TestSynth:

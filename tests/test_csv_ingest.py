@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -420,3 +421,35 @@ def test_reading_a_file_holds_about_one_block_beside_the_table(tmp_path):
             tracemalloc.stop()
     assert (table.model_count, len(table.target_names)) == (8000, 40)
     assert peak < 1.75e6, peak
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.text(alphabet="ab,\r", max_size=12), min_size=1, max_size=8),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+    st.integers(1, 8),
+)
+def test_line_blocks_match_the_rejoining_reader(lines, ending, trailing, size):
+    """The blocks are those of the reader that appended every chunk to the
+    carried partial line and cut the whole again, at every block size,
+    with and without a final line break, in LF and in CRLF."""
+    data = render(lines, ending, trailing)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(surmise.io, "_BLOCK", size)
+        blocks = list(surmise.io._line_blocks(io.BytesIO(data)))
+    assert blocks == list(oracles.line_blocks_reference(io.BytesIO(data), size))
+
+
+def test_a_long_line_is_read_in_time_linear_in_its_length(monkeypatch):
+    """One 8 MiB line in 1 KiB chunks: carried as a list of chunks and
+    joined once, it takes about 10 ms; searched and joined again at every
+    chunk, as before, it took seconds (the cost grew with the square of
+    the line length).  A CSV saved with CR-only line ends is one line."""
+    monkeypatch.setattr(surmise.io, "_BLOCK", 1 << 10)
+    data = b"m" + b",0" * (1 << 22)
+    start = time.perf_counter()
+    blocks = list(surmise.io._line_blocks(io.BytesIO(data)))
+    elapsed = time.perf_counter() - start
+    assert blocks == [data]
+    assert elapsed < 1.0, elapsed

@@ -18,6 +18,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +29,6 @@ from surmise import (
     HasseDiagram,
     JudgmentTable,
     OrderMatrix,
-    SynthSpec,
     analyze,
     assign_layers,
     build_table,
@@ -71,9 +71,10 @@ NAME = st.one_of(
 )
 
 
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
+def run_cli(*argv: str, input: bytes | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "surmise", *argv], capture_output=True, env=dict(os.environ)
+        [sys.executable, "-m", "surmise", *argv],
+        input=input, capture_output=True, env=dict(os.environ),
     )
 
 
@@ -129,6 +130,22 @@ def test_the_golden_list_covers_every_golden():
     # of the several-blocks test below.
     outputs = {path.name for path in DATA_DIR.iterdir() if path.suffix in (".json", ".txt", ".dot")}
     assert outputs - listed == {SEVERAL_BLOCKS_GOLDEN}
+
+
+@pytest.mark.parametrize("golden, argv", [
+    (golden, argv) for golden, argv in GOLDEN_COMMANDS if any(arg.endswith(".csv") for arg in argv)
+])
+def test_goldens_read_in_crlf_from_a_pipe(golden, argv):
+    """Each golden of a CSV input, that CSV given in CRLF on a pipe, which
+    cannot seek and so is read whole: CI runs the same lines through
+    ``/dev/stdin``."""
+    csv = next(arg for arg in argv if arg.endswith(".csv"))
+    result = run_cli(
+        *["/dev/stdin" if arg == csv else arg for arg in argv],
+        input=Path(csv).read_bytes().replace(b"\n", b"\r\n"),
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (DATA_DIR / golden).read_bytes()
 
 
 SYNTH_5000 = ["synth", "--targets", "20", "--models", "5000", "--seed", "3", "--noise", "0.1"]
@@ -402,8 +419,8 @@ def test_cli_stdout_equals_library_string(capsys, tmp_path, output, source):
 
 def test_synth_stdout_equals_library_string(capsys):
     code = cli_main(["synth", "--targets", "6", "--models", "9", "--seed", "3"])
-    spec = SynthSpec(poset=random_poset(6, 0.5, 3), model_count=9, noise=0.0, seed=3)
-    assert (code, capsys.readouterr().out) == (0, emit_csv(sample_models(spec)))
+    table = sample_models(random_poset(6, 0.5, 3), model_count=9, noise=0.0, seed=3)
+    assert (code, capsys.readouterr().out) == (0, emit_csv(table))
 
 
 def big_table_csv(tmp_path, targets: int, models: int) -> str:

@@ -8,7 +8,6 @@ import pytest
 from surmise import (
     CsvError,
     Flexibility,
-    SynthSpec,
     TableError,
     analyze,
     build_table,
@@ -151,7 +150,7 @@ class TestParseCsv:
 class TestEmitCsv:
     def test_round_trips_synthetic_table(self):
         poset = random_poset(5, 0.5, seed=17)
-        table = sample_models(SynthSpec(poset=poset, model_count=8, seed=17))
+        table = sample_models(poset, model_count=8, seed=17)
         again = parse_csv(emit_csv(table))
         assert again.support_masks == table.support_masks
         assert again.target_names == table.target_names

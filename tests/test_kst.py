@@ -40,12 +40,12 @@ WORKED_SURMISE = {
 }
 
 
-def make_structure(ground, state_names, completed=False):
+def make_structure(ground, state_names):
     index = {name: j for j, name in enumerate(ground)}
     states = frozenset(
         sum(1 << index[n] for n in names) for names in state_names
     )
-    return KnowledgeStructure(ground=tuple(ground), states=states, completed=completed)
+    return KnowledgeStructure(ground=tuple(ground), states=states)
 
 
 def reduce_(structure):
@@ -69,7 +69,7 @@ def is_discriminative(structure):
 
 @pytest.fixture()
 def worked():
-    return make_structure(GROUND, WORKED_STATES, completed=True)
+    return make_structure(GROUND, WORKED_STATES)
 
 
 def structures(max_ground=6):
@@ -133,7 +133,7 @@ class TestStructureFromTable:
         assert str(raised.value) == message
 
     def test_duplicate_ground_name_rejected(self):
-        with pytest.raises(ValueError, match=r"^duplicate ground name 'a'$"):
+        with pytest.raises(TableError, match=r"^duplicate ground name 'a' \(positions 0 and 2\)$"):
             KnowledgeStructure(ground=("a", "b", "a"), states=frozenset({0}))
 
     def test_set_state_rejected_by_name(self):
@@ -142,11 +142,15 @@ class TestStructureFromTable:
         ):
             KnowledgeStructure(ground=("a", "b"), states=frozenset({frozenset({0})}))
 
-    def test_completed_flag_requires_both_states(self):
-        with pytest.raises(ValueError, match="completed"):
-            KnowledgeStructure(
-                ground=("a",), states=frozenset({0b1}), completed=True
-            )
+    @given(structures())
+    @example(KnowledgeStructure(ground=("a",), states=frozenset({0b1})))
+    @example(KnowledgeStructure(ground=("a", "b"), states=frozenset({0, 0b11})))
+    def test_completed_flag_requires_both_states(self, structure):
+        # ``completed`` is read from the states: true exactly when the empty
+        # and the full state are among them, and kept by the reduction.
+        full = (1 << len(structure.ground)) - 1
+        assert structure.completed == (0 in structure.states and full in structure.states)
+        assert reduce_(structure).completed == structure.completed
 
 
 class TestStatesContaining:
@@ -212,7 +216,6 @@ class TestSurmise:
         completed = KnowledgeStructure(
             ground=structure.ground,
             states=structure.states | {0, (1 << len(structure.ground)) - 1},
-            completed=True,
         )
         assert surmise_from_structure(structure) == surmise_from_structure(completed)
 

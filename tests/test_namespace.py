@@ -24,6 +24,8 @@ DELETED_FUNCTIONS = (
     "PlantedPoset",  # a planted poset is an OrderMatrix
     "transitive_closure",
     "predecessor_masks",
+    "SynthSpec",  # a record: sample_models takes the poset and its parameters
+    "bit_indices",  # masks are read by compress on their flags (table.picked)
 )
 
 DELETED_MEMBERS = [

@@ -13,6 +13,7 @@ from surmise import (
     OrderAxiomError,
     OrderDiagnostics,
     OrderMatrix,
+    TableError,
     analyze,
     build_table,
     equivalence_classes,
@@ -30,7 +31,6 @@ from surmise.order import (
     _size_order_rows,
     named_rows,
 )
-from surmise.table import bit_indices
 
 import oracles
 from conftest import DATA_DIR
@@ -170,6 +170,32 @@ class TestOrderMatrix:
                 if previous is not None:
                     assert previous <= pairs
                 previous = pairs
+
+
+@pytest.mark.parametrize("char", ['"', ",", "\n", "\r", "\\"])
+@pytest.mark.parametrize("entry", ["OrderMatrix", "from_pairs", "NamePartition"])
+def test_names_entering_without_a_table_are_checked(entry, char):
+    """A name that reaches a matrix or a partition without passing a
+    table's check is checked where it enters, as a table checks its
+    names: a quote or a backslash would break the DOT string it is
+    written into, a comma or a line break a CSV line or a text row."""
+    name = f"b{char}c"
+    build, kind = {
+        "OrderMatrix": (lambda: OrderMatrix(("a", name), (0b01, 0b10)), "representative"),
+        "from_pairs": (lambda: OrderMatrix.from_pairs(["a", name], [("a", name)]), "element"),
+        "NamePartition": (lambda: EquivalenceClasses((("a",), (name,))), "member"),
+    }[entry]
+    with pytest.raises(TableError) as raised:
+        build()
+    assert str(raised.value) == (
+        f"{kind} name {name!r} at position 1 contains forbidden character {char!r}"
+    )
+
+
+def test_an_unchecked_name_no_longer_reaches_dot():
+    # Written into DOT it gave the line  "a"b" -> "c\";  which no reader parses.
+    with pytest.raises(TableError, match="forbidden character"):
+        OrderMatrix.from_pairs(['a"b', "c\\", "d\ne"], [('a"b', "c\\")])
 
 
 class TestVerifyPartialOrder:
@@ -595,7 +621,7 @@ def partial_orders(draw, max_size=9, thinning=0):
     rows = [0] * size
     grid = [[row >> j & 1 for j in range(size)] for row in upward]
     for i, row in enumerate(map(oracles.pack_bits, oracles.transitive_closure_reference(grid))):
-        rows[place[i]] = sum(1 << place[j] for j in bit_indices(row | 1 << i))
+        rows[place[i]] = sum(1 << place[j] for j in oracles.bit_indices(row | 1 << i))
     return tuple(rows)
 
 
@@ -623,7 +649,9 @@ def longest_path_layer_masks(names, rows) -> tuple[int, ...]:
     """The layer masks of a partial order by ``oracles.longest_path_layers``
     over its strict pairs (a longest path takes covering edges only): bit
     i of mask k is node i, whose longest chain below has k edges."""
-    strict = {(names[i], names[j]) for i, row in enumerate(rows) for j in bit_indices(row) if j != i}
+    strict = {
+        (names[i], names[j]) for i, row in enumerate(rows) for j in oracles.bit_indices(row) if j != i
+    }
     level = oracles.longest_path_layers(names, strict)
     masks = [0] * (max(level.values(), default=-1) + 1)
     for i, name in enumerate(names):

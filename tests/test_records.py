@@ -19,9 +19,9 @@ from surmise import (
     KnowledgeStructure,
     OrderDiagnostics,
     OrderMatrix,
-    SynthSpec,
     analyze,
     order_matrix,
+    sample_models,
 )
 from surmise.table import Frozen, NamePartition
 
@@ -51,8 +51,7 @@ ARGUMENTS = {
     OrderMatrix: lambda: (("a", "b"), (0b11, 0b10), EquivalenceClasses((("a",), ("b",)))),
     OrderDiagnostics: lambda: (None, ("a", "b"), ("a", "b", "c")),
     HasseDiagram: lambda: (OrderMatrix(("a", "b"), (0b11, 0b10)),),
-    KnowledgeStructure: lambda: (("a", "b"), frozenset({0, 0b01, 0b11}), True),
-    SynthSpec: lambda: (OrderMatrix(*POSET), 5, 0.25, 3),
+    KnowledgeStructure: lambda: (("a", "b"), frozenset({0, 0b01, 0b11})),
     AnalysisReport: lambda: _report(True),
 }
 
@@ -65,8 +64,7 @@ CHANGED = {
     OrderMatrix: lambda: (("a", "b"), (0b01, 0b10)),
     OrderDiagnostics: lambda: (None, ("a", "c"), ("a", "b", "c")),
     HasseDiagram: lambda: (OrderMatrix(("a", "b"), (0b01, 0b10)),),
-    KnowledgeStructure: lambda: (("a", "b"), frozenset({0, 0b10, 0b11}), True),
-    SynthSpec: lambda: (OrderMatrix(*POSET), 5, 0.25, 4),
+    KnowledgeStructure: lambda: (("a", "b"), frozenset({0, 0b10, 0b11})),
     AnalysisReport: lambda: _report(False),
 }
 
@@ -173,7 +171,7 @@ LIST_BUILT = {
     JudgmentTable: lambda: (list(TABLE[0]), list(TABLE[1]), list(TABLE[2])),
     OrderMatrix: lambda: (["a", "b"], [0b11, 0b10], EquivalenceClasses((("a",), ("b",)))),
     HasseDiagram: lambda: (OrderMatrix(["a", "b"], [0b11, 0b10]),),
-    KnowledgeStructure: lambda: (["a", "b"], {0, 0b01, 0b11}, True),
+    KnowledgeStructure: lambda: (["a", "b"], {0, 0b01, 0b11}),
 }
 
 
@@ -219,14 +217,17 @@ class TestDefaults:
         assert order_matrix(_table()).diagnostics == diagnostics
 
     def test_knowledge_structure_completed(self):
+        # Read from the states: neither a field nor a parameter.
         structure = KnowledgeStructure(("a", "b"), frozenset({0b01}))
         assert structure.completed is False
-        assert structure == KnowledgeStructure(("a", "b"), frozenset({0b01}), completed=False)
+        assert structure == KnowledgeStructure(ground=("a", "b"), states=frozenset({0b01}))
+        with pytest.raises(TypeError):
+            KnowledgeStructure(("a", "b"), frozenset({0b01}), completed=False)
 
     def test_synth_spec_noise_and_seed(self):
-        spec = SynthSpec(OrderMatrix(*POSET), 5)
-        assert (spec.noise, spec.seed) == (0.0, 0)
-        assert spec == SynthSpec(poset=OrderMatrix(*POSET), model_count=5, noise=0.0, seed=0)
+        # The synth parameters are sample_models' own, with these defaults.
+        table = sample_models(OrderMatrix(*POSET), 5)
+        assert table == sample_models(poset=OrderMatrix(*POSET), model_count=5, noise=0.0, seed=0)
 
     def test_analysis_report_counts(self):
         report = AnalysisReport(*_report(True)[:3])

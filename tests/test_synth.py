@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from surmise import (
     OrderMatrix,
-    SynthSpec,
     all_downsets,
     order_matrix,
     random_poset,
@@ -16,7 +15,6 @@ from surmise import (
 )
 
 import oracles
-from surmise.table import bit_indices
 from test_order import partial_orders
 
 
@@ -46,7 +44,7 @@ class TestPlantedPoset:
         with pytest.raises(ValueError, match="^not a partial order: "):
             all_downsets(cycle)
         with pytest.raises(ValueError, match="^not a partial order: "):
-            sample_models(SynthSpec(poset=cycle, model_count=3))
+            sample_models(poset=cycle, model_count=3)
 
     def test_cycle_named_by_the_diagnostics_summary(self):
         cycle = OrderMatrix.from_pairs(("a", "b", "c"), (("c", "a"), ("a", "c"), ("a", "b")))
@@ -117,18 +115,17 @@ class TestAllDownsets:
 
 class TestSampleModels:
     def test_same_spec_same_table(self):
-        spec = SynthSpec(poset=chain("a", "b", "c"), model_count=9, seed=5)
-        assert sample_models(spec) == sample_models(spec)
+        args = dict(poset=chain("a", "b", "c"), model_count=9, seed=5)
+        assert sample_models(**args) == sample_models(**args)
 
     def test_different_seed_differs(self):
         poset = chain("a", "b", "c")
-        one = sample_models(SynthSpec(poset=poset, model_count=20, seed=1))
-        two = sample_models(SynthSpec(poset=poset, model_count=20, seed=2))
+        one = sample_models(poset=poset, model_count=20, seed=1)
+        two = sample_models(poset=poset, model_count=20, seed=2)
         assert one.support_masks != two.support_masks
 
     def test_noise_free_rows_are_downsets(self):
-        spec = SynthSpec(poset=chain("a", "b"), model_count=50, seed=3)
-        table = sample_models(spec)
+        table = sample_models(poset=chain("a", "b"), model_count=50, seed=3)
         for row in oracles.cells_of(table):
             assert not (row[1] and not row[0])
 
@@ -136,8 +133,7 @@ class TestSampleModels:
         # With all downsets of the chain present among the sampled rows,
         # the zero-flexibility order equals the planted one.
         poset = chain("a", "b", "c")
-        spec = SynthSpec(poset=poset, model_count=60, seed=11)
-        table = sample_models(spec)
+        table = sample_models(poset=poset, model_count=60, seed=11)
         sampled_states = {oracles.pack_bits(row) for row in oracles.cells_of(table)}
         assert sampled_states == all_downsets(poset).states
         assert surmise_from_structure(structure_from_table(table)) == frozenset(relation(poset))
@@ -148,7 +144,7 @@ class TestSampleModels:
         # Noise-free, with every downset sampled, the mined order is the
         # planted record itself.
         poset = random_poset(6, 0.5, seed=99)
-        table = sample_models(SynthSpec(poset=poset, model_count=400, seed=2))
+        table = sample_models(poset=poset, model_count=400, seed=2)
         assert set(structure_from_table(table, complete=False).states) == all_downsets(poset).states
         matrix = order_matrix(table)
         assert (matrix.reps, matrix.rows) == (poset.reps, poset.rows)
@@ -160,26 +156,24 @@ class TestSampleModels:
         # member indices, and each noise-free row is one draw from them.
         poset = OrderMatrix(tuple(f"e{k}" for k in range(len(rows))), rows)
         downsets = sorted(
-            oracles.downsets_reference(rows), key=lambda s: (s.bit_count(), bit_indices(s))
+            oracles.downsets_reference(rows), key=lambda s: (s.bit_count(), oracles.bit_indices(s))
         )
         rng = random.Random(seed)
         expected = tuple(downsets[rng.randrange(len(downsets))] for _ in range(30))
-        table = sample_models(SynthSpec(poset=poset, model_count=30, seed=seed))
+        table = sample_models(poset=poset, model_count=30, seed=seed)
         assert table.row_masks == expected
 
     def test_spec_validation(self):
         poset = chain("a", "b")
         with pytest.raises(ValueError, match="model_count"):
-            SynthSpec(poset=poset, model_count=0)
+            sample_models(poset=poset, model_count=0)
         with pytest.raises(ValueError, match="noise"):
-            SynthSpec(poset=poset, model_count=1, noise=1.5)
+            sample_models(poset=poset, model_count=1, noise=1.5)
 
     def test_noise_flips_cells(self):
         poset = planted(("a", "b"))
-        clean = sample_models(SynthSpec(poset=poset, model_count=30, seed=4))
-        noisy = sample_models(
-            SynthSpec(poset=poset, model_count=30, noise=0.5, seed=4)
-        )
+        clean = sample_models(poset=poset, model_count=30, seed=4)
+        noisy = sample_models(poset=poset, model_count=30, noise=0.5, seed=4)
         assert clean.support_masks != noisy.support_masks
 
 

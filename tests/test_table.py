@@ -20,7 +20,7 @@ from surmise import (
 )
 import surmise.table as table_module
 from surmise.table import (
-    NamePartition, _check_names, bit_flags, bit_indices, or_selected, picked, transpose,
+    NamePartition, _check_names, bit_flags, or_selected, picked, transpose,
 )
 
 import oracles
@@ -104,6 +104,12 @@ class TestBuildTable:
             build_table([], ["M1"], [[]])
         with pytest.raises(TableError, match="no models"):
             build_table(["a"], [], [])
+
+    def test_rows_of_cells_counted_against_the_models(self):
+        with pytest.raises(TableError, match=r"^expected 2 rows of cells, got 1$"):
+            build_table(["a"], ["M1", "M2"], [[1]])
+        with pytest.raises(TableError, match=r"^expected 1 rows of cells, got 2$"):
+            build_table(["a"], ["M1"], [[1], [0]])
 
     def test_ragged_rows(self):
         with pytest.raises(TableError, match=r"row 1.*1 cells.*expected 2"):
@@ -213,7 +219,7 @@ class TestConstruction:
             surmise.table, "_check_names", lambda *names: calls.append(names) or check(*names)
         )
         build_table(["a", "b"], ["M1"], [[1, 0]])
-        assert len(calls) == 1
+        assert calls == [("target", "columns", ("a", "b")), ("model", "rows", ("M1",))]
         with pytest.raises(TableError, match="duplicate target"):
             build_table(["a", "a"], ["M1", "M2"], [[1, 0]])
 
@@ -240,14 +246,14 @@ def test_check_names_matches_reference(target_names, model_names):
             return str(exc)
         return None
 
-    assert outcome(_check_names) == outcome(oracles.check_names_reference)
+    def check_axes(target_names, model_names):
+        _check_names("target", "columns", target_names)
+        _check_names("model", "rows", model_names)
+
+    assert outcome(check_axes) == outcome(oracles.check_names_reference)
 
 
 class TestMasks:
-    @given(st.integers(0, 2**1100))
-    def test_bit_indices_matches_bit_scan(self, mask):
-        assert bit_indices(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
-
     @given(st.integers(0, 2**1100))
     def test_bit_flags_are_the_bits_up_to_the_highest(self, mask):
         assert bit_flags(mask) == bytes(mask >> i & 1 for i in range(max(mask.bit_length(), 1)))
@@ -264,8 +270,8 @@ class TestMasks:
         # Masks anywhere in 300 items, and runs of bits shifted up them, so
         # spans start low and high.
         items = list(range(300))
-        assert list(picked(items, mask)) == bit_indices(mask)
-        assert list(picked(tuple(items), mask)) == bit_indices(mask)
+        assert list(picked(items, mask)) == oracles.bit_indices(mask)
+        assert list(picked(tuple(items), mask)) == oracles.bit_indices(mask)
 
     @given(
         st.integers(0, 40).flatmap(
@@ -344,10 +350,10 @@ class TestTab:
 
 class TestSupport:
     def test_twelve_models_t7_only_m12(self, twelve_models):
-        assert bit_indices(twelve_models.support_masks[7]) == [11]
+        assert oracles.bit_indices(twelve_models.support_masks[7]) == [11]
 
     def test_twelve_models_t0_all_models(self, twelve_models):
-        assert bit_indices(twelve_models.support_masks[0]) == list(range(12))
+        assert oracles.bit_indices(twelve_models.support_masks[0]) == list(range(12))
 
     def test_all_zero_column(self):
         table = build_table(["a", "b"], ["M1", "M2"], [[1, 0], [1, 0]])
@@ -365,7 +371,7 @@ class TestPairCounts:
         for j in range(twelve_models.target_count):
             n1, n2, n3, _ = twelve_models.pair_counts(j, j)
             assert n2 == 0 and n3 == 0
-            assert n1 == len(bit_indices(twelve_models.support_masks[j]))
+            assert n1 == len(oracles.bit_indices(twelve_models.support_masks[j]))
 
     def test_out_of_range(self, twelve_models):
         with pytest.raises(IndexError):
@@ -430,6 +436,32 @@ class TestNaturalOrder:
 
     def test_key_orders_t0_before_t1(self):
         assert natural_key("t0") < natural_key("t1")
+
+    @given(
+        st.lists(
+            st.text(alphabet="0123456789٠١٢٣٤٥٦٧٨٩ab²", max_size=10), min_size=2, max_size=2
+        )
+    )
+    @example(["t010", "t9"])
+    @example(["a٠٣", "a3"])
+    @example(["٣b", "3"])
+    def test_key_orders_as_the_int_key(self, names):
+        # Digit runs within int's 4300-digit limit: the same order as
+        # keying each run by its int value, ties included.
+        first, second = map(natural_key, names)
+        expected = tuple(map(oracles.natural_name_key, names))
+        assert (first < second, first == second) == (
+            expected[0] < expected[1], expected[0] == expected[1]
+        )
+
+    def test_digit_runs_of_any_length(self):
+        # Past 4300 digits int() refuses the run; the key compares it by
+        # length and then digit by digit, leading zeros aside.
+        big, bigger = "9" * 5000, "1" + "0" * 5000
+        names = [f"a{bigger}", f"a{big}", "a2", f"a0{big}", "٣" * 5000, "b"]
+        assert natural_sorted(names) == [
+            "٣" * 5000, "a2", f"a0{big}", f"a{big}", f"a{bigger}", "b"
+        ]
 
 
 @pytest.mark.parametrize("cls", [EquivalenceClasses, ConceptPartition], ids=lambda c: c.__name__)
@@ -538,6 +570,35 @@ class TestFlexibility:
     def test_constructor_range(self, bp):
         with pytest.raises(FlexibilityError):
             Flexibility(bp)
+
+    @pytest.mark.parametrize("bp", [1.5, 2550.0, "2550", None])
+    def test_basis_points_must_be_an_integer(self, bp):
+        with pytest.raises(FlexibilityError, match=r"^basis points must be an integer, got "):
+            Flexibility(bp)
+
+    @given(st.one_of(st.integers(-10**6 + 1, -1), st.integers(5000, 10**6 - 1)))
+    @example(-1)
+    @example(5000)
+    @example(5050)
+    @example(-123456)
+    def test_out_of_range_message_as_formatted_by_g(self, bp):
+        # Below 10**4 % in size, ``:g`` wrote every value as a plain, exact
+        # decimal, and the message built from the integer reads the same.
+        with pytest.raises(FlexibilityError) as raised:
+            Flexibility(bp)
+        assert str(raised.value) == f"flexibility must lie in [0%, 50%), got {bp / 100:g}%"
+
+    @pytest.mark.parametrize("digits", [309, 4301, 5000])
+    def test_out_of_range_message_of_any_size(self, digits):
+        # A float overflows past 10**308, and int() refuses over 4300 digits.
+        whole = "1" + "0" * (digits - 1)
+        for text, written in ((whole, whole), (f"-0{whole}.50", f"-{whole}.5")):
+            with pytest.raises(FlexibilityError) as raised:
+                Flexibility.parse(text)
+            assert str(raised.value) == f"flexibility must lie in [0%, 50%), got {written}%"
+        with pytest.raises(FlexibilityError) as raised:
+            Flexibility(10 ** min(digits, 4000) + 1)
+        assert str(raised.value).endswith("0.01%")
 
     @pytest.mark.parametrize(
         "bp,text", [(0, "0"), (2000, "20"), (2550, "25.5"), (1999, "19.99"), (5, "0.05")]
