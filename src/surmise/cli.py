@@ -43,6 +43,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_table(path: str):
+    """The table in the CSV file at ``path``, or on stdin for ``-``."""
+    if path == "-":
+        return parse_csv(sys.stdin.buffer)
     with open(path, "rb") as handle:
         return parse_csv(handle)
 

@@ -12,13 +12,14 @@ natural-sorted, JSON key order is fixed, and all numbers are integers
 re-round it).  Each output has one writer, a generator of text chunks
 (``report_chunks``, ``dot_chunks``, ``hasse_json_chunks``,
 ``structure_chunks``, ``csv_chunks``) that the CLI streams to stdout;
-``emit_report``, ``emit_dot``, ``hasse_json``, ``structure_report`` and
-``emit_csv`` join its chunks.  A section is one chunk, except the
+only ``emit_report`` and ``structure_report`` join the chunks of theirs,
+as the benchmark harness calls them.  A section is one chunk, except the
 sections that can grow quadratically or with the models: the pair lists
 (relation and covering edges) are one chunk per row, all pairs with the
 same first element, read straight from the row masks of the order
 matrix and of the Hasse diagram by one row walker
-(``order.named_rows``); the counts are one chunk per row of
+(``order.named_rows``) and written, in every format, by one pair-line
+writer (``_pair_lines``); the counts are one chunk per row of
 ``JudgmentTable.count_rows``; each ``K_<name>`` line is its own chunk;
 and so is each CSV row.  A row's names are picked from a list by
 ``compress`` on the row's ``table.bit_flags``, never through a list of
@@ -47,6 +48,7 @@ from .table import (
     _DIGIT_VALUES,
     _read_columns,
     bit_flags,
+    natural_ranks,
     transpose,
 )
 
@@ -54,10 +56,7 @@ __all__ = [
     "CsvError",
     "AnalysisReport",
     "parse_csv",
-    "emit_csv",
-    "emit_dot",
     "emit_report",
-    "hasse_json",
     "structure_report",
     "dot_chunks",
     "report_chunks",
@@ -215,10 +214,6 @@ def csv_chunks(table: JudgmentTable) -> Iterator[str]:
         yield f"{name},{','.join(digits[start::m])}\n"
 
 
-def emit_csv(table: JudgmentTable) -> str:
-    return "".join(csv_chunks(table))
-
-
 def _array_chunks(runs: Iterable[str], depth: int) -> Iterator[str]:
     """A JSON array at nesting ``depth``, laid out as ``json.dumps(...,
     indent=2)`` lays it out ("[]" when empty, else one element per line,
@@ -237,13 +232,17 @@ def _array(elements: Iterable[str], depth: int) -> str:
     return "".join(_array_chunks(elements, depth))
 
 
-def _pair_runs(rows: Iterable[tuple[str, Sequence[str]]]) -> Iterator[str]:
-    """The rendered [p, q] pairs of each non-empty row (p, [q, ...]) of
-    JSON string literals, as one run per row."""
+def _pair_lines(
+    rows: Iterable[tuple[str, Sequence[str]]], head: str, tail: str, sep: str = ""
+) -> Iterator[str]:
+    """The pairs of each non-empty row (p, [q, ...]), one chunk per row:
+    each pair is ``head.format(p)``, then q, then ``tail``, and ``sep``
+    goes between two pairs of a row.  Every pair list is written here:
+    the text and DOT lines, and the JSON runs of [p, q] arrays."""
     for p, successors in rows:
         if successors:
-            head = f"[\n      {p},\n      "
-            yield head + ("\n    ],\n    " + head).join(successors) + "\n    ]"
+            prefix = head.format(p)
+            yield prefix + (tail + sep + prefix).join(successors) + tail
 
 
 def _json_string(name: str) -> str:
@@ -280,7 +279,8 @@ class _JsonNames(dict):
         by the row walker (``order.named_rows``), so no pair costs a
         lookup."""
         quoted = list(map(self.__getitem__, nodes))
-        return _array_chunks(_pair_runs(named_rows(quoted, masks)), 1)
+        runs = _pair_lines(named_rows(quoted, masks), "[\n      {},\n      ", "\n    ]", ",\n    ")
+        return _array_chunks(runs, 1)
 
     def blocks(self, key: str, blocks: Iterable[tuple[str, Sequence[str]]]) -> str:
         return _array((f'{{\n      "{key}": {self[label]},\n      "members": '
@@ -297,15 +297,8 @@ def dot_chunks(diagram: HasseDiagram) -> Iterator[str]:
     yield "digraph hierarchy {\n  rankdir=BT;\n"
     yield "".join([f'  "{n}" [label="{_node_label(n, members)}"];\n'
                    for n, members in zip(diagram.nodes, diagram.members)])
-    for lower, uppers in diagram.successors():
-        if uppers:
-            prefix = f'  "{lower}" -> "'
-            yield prefix + ('";\n' + prefix).join(uppers) + '";\n'
+    yield from _pair_lines(diagram.successors(), '  "{}" -> "', '";\n')
     yield "}\n"
-
-
-def emit_dot(diagram: HasseDiagram) -> str:
-    return "".join(dot_chunks(diagram))
 
 
 class AnalysisReport(Frozen):
@@ -397,10 +390,7 @@ def _text_pairs(
     one chunk per non-empty row.  ``masks`` are the row masks the rows
     are read from; the count is their total popcount."""
     yield f"{key} ({sum(mask.bit_count() for mask in masks)}):\n"
-    for p, successors in rows:
-        if successors:
-            prefix = f"  {p} -> "
-            yield prefix + ("\n" + prefix).join(successors) + "\n"
+    yield from _pair_lines(rows, "  {} -> ", "\n")
 
 
 def _report_text(report: AnalysisReport) -> Iterator[str]:
@@ -448,14 +438,10 @@ def hasse_json_chunks(diagram: HasseDiagram) -> Iterator[str]:
     yield ',\n  "layers": ' + layers + "\n}\n"
 
 
-def hasse_json(diagram: HasseDiagram) -> str:
-    return "".join(hasse_json_chunks(diagram))
-
-
 def _rendered_states(structure: KnowledgeStructure) -> tuple[list[int], list[str]]:
     """The states ordered by size, then by the ascending lists of their
-    members' natural-order ranks (``KnowledgeStructure.rank``), and the
-    "{a,b}" text of each.
+    members' natural-order ranks (``natural_ranks`` of the ground, taken
+    once per rendered structure), and the "{a,b}" text of each.
 
     The state matrix is transposed, its columns are put in descending rank
     order and it is transposed back, so bit u - 1 - r of ``keys[i]`` says
@@ -468,7 +454,8 @@ def _rendered_states(structure: KnowledgeStructure) -> tuple[list[int], list[str
     u = len(structure.ground)
     states = list(structure.states)
     # One (rank, name, column) per target; ranks are distinct, so nothing else is compared.
-    by_rank = sorted(zip(structure.rank, structure.ground, transpose(states, u)))
+    ranks = natural_ranks(structure.ground)
+    by_rank = sorted(zip(ranks, structure.ground, transpose(states, u)))
     keys = transpose([column for _, _, column in reversed(by_rank)], len(states))
     full = (1 << u) - 1
     sort_keys = [key.bit_count() << u | full ^ key for key in keys]
@@ -491,7 +478,8 @@ def structure_chunks(structure: KnowledgeStructure) -> Iterator[str]:
     discriminative flag.  A discriminative structure (every
     concept one target) is its own reduction, so its state lines are
     written again as the reduction's; only a structure that is not
-    discriminative is reduced and rendered a second time.  Each
+    discriminative is reduced (``discriminative_reduction``, which finds
+    its concepts itself) and rendered a second time.  Each
     ``K_<name>`` line is a chunk of its own: a line can list every state,
     so the lines together can be far larger than the rendered states.
     """
@@ -506,7 +494,7 @@ def structure_chunks(structure: KnowledgeStructure) -> Iterator[str]:
     discriminative = len(partition.blocks) == len(structure.ground)
     reduced, reduced_lines = structure, lines
     if not discriminative:
-        reduced = discriminative_reduction(structure, partition)
+        reduced = discriminative_reduction(structure)
         reduced_lines = "".join([f"  {text}\n" for text in _rendered_states(reduced)[1]])
     yield (
         f"concepts: {concepts}\ndiscriminative: {'true' if discriminative else 'false'}\n"

@@ -3,7 +3,9 @@
 A knowledge state is the subset of targets some model handles correctly;
 a structure is a family of such states over a fixed ground list.  This
 module gives the classical machinery: the surmise relation,
-equally-informative targets, and the discriminative reduction.
+equally-informative targets, and the discriminative reduction, which is
+a function of the structure alone: it groups the targets into concepts
+as ``equally_informative`` does.
 
 A state is an int mask whose bit j says whether it contains ``ground[j]``.
 The derivations work on the transposed state matrix (``table.transpose``):
@@ -12,12 +14,9 @@ one fixed iteration of the family, contains it.
 """
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Iterable, Sequence
 
-from .table import (
-    Frozen, JudgmentTable, NamePartition, _check_names, check_masks, natural_ranks, transpose,
-)
+from .table import Frozen, JudgmentTable, NamePartition, _check_names, check_masks, transpose
 
 __all__ = [
     "KnowledgeStructure",
@@ -36,10 +35,9 @@ class KnowledgeStructure(Frozen):
     ``ground[j]``.  Ground names obey the rules of target names (a
     non-empty str without a quote, comma, line break or backslash), so
     every rendering of a state is unambiguous; they are checked as the
-    table checks its names, and a fault raises ``TableError``.
-    ``rank[j]`` is the position of ``ground[j]`` in natural order, derived
-    once at construction together with the read-only name -> index map,
-    so ordering a state costs no name comparison.
+    table checks its names, and a fault raises ``TableError``.  A
+    structure is its ground and its states; whether it is ``completed`` is
+    read from the states.
     """
 
     _fields = ("ground", "states")
@@ -48,21 +46,13 @@ class KnowledgeStructure(Frozen):
         ground, states = tuple(ground), frozenset(states)
         _check_names("ground", "positions", ground)
         check_masks("state", states, len(ground))
-        self.__dict__.update(
-            ground=ground, states=states, rank=natural_ranks(ground),
-            _index=MappingProxyType({name: j for j, name in enumerate(ground)}),
-        )
+        self.__dict__.update(ground=ground, states=states)
 
     @property
     def completed(self) -> bool:
         """Whether the family holds the empty state and the full one, which
         makes it a knowledge structure proper (Doignon & Falmagne 1985)."""
         return 0 in self.states and (1 << len(self.ground)) - 1 in self.states
-
-    def index_of(self, name: str) -> int:
-        if name not in self._index:
-            raise ValueError(f"unknown target {name!r}")
-        return self._index[name]
 
 
 def structure_from_table(table: JudgmentTable, complete: bool = True) -> KnowledgeStructure:
@@ -118,44 +108,28 @@ def equally_informative(structure: KnowledgeStructure) -> ConceptPartition:
     return ConceptPartition.from_keys(structure.ground, columns)
 
 
-def discriminative_reduction(
-    structure: KnowledgeStructure, partition: ConceptPartition
-) -> KnowledgeStructure:
-    """Quotient the structure by equal informativeness, given its concept
-    partition (``equally_informative(structure)``, which the caller
-    usually needs as well).
+def discriminative_reduction(structure: KnowledgeStructure) -> KnowledgeStructure:
+    """Quotient the structure by equal informativeness.
 
-    The partition is checked, in O(u) column comparisons, on the columns
-    of the state matrix that the quotient reads: every ground name lies in
-    a block (in one at most, as every ``NamePartition`` checks), the
-    columns within a block are equal and those of different blocks
-    differ.  Else ``ValueError`` names the first fault.
-
-    The new ground lists one representative per concept (in original
-    ground order); each state maps to the set of concepts it meets.  A
-    state meets a concept iff it contains the concept's representative,
-    so the reduced states are the transpose of the representatives'
-    columns.  The result is always discriminative, and ``completed``
-    exactly when the structure is: a state meets no concept iff it is
-    empty, and every concept iff it is full.
+    The columns of the state matrix are grouped as ``equally_informative``
+    groups them, and the new ground lists one label per concept (its first
+    member), in original ground order; each state maps to the set of
+    concepts it meets.  A state meets a concept iff it contains the
+    concept's label, so the reduced states are the transpose of the
+    labels' columns.  The result is always discriminative, and
+    ``completed`` exactly when the structure is: a state meets no concept
+    iff it is empty, and every concept iff it is full.
 
     >>> s = KnowledgeStructure(("a", "b", "c"), frozenset({0b000, 0b011, 0b111}))
-    >>> reduced = discriminative_reduction(s, equally_informative(s))
+    >>> reduced = discriminative_reduction(s)
     >>> reduced.ground, sorted(reduced.states)
     (('a', 'c'), [0, 1, 3])
     """
-    columns = transpose(structure.states, len(structure.ground))
-    concept_of: dict[int, int] = {}  # a column -> the block whose column it is
-    for k, block in enumerate(partition.blocks):
-        head = columns[structure.index_of(block[0])]
-        for name in block:
-            column = columns[structure.index_of(name)]
-            if column != head or concept_of.setdefault(column, k) != k:
-                raise ValueError(f"partition block {k} is not the concept of {name!r}")
-    held = {name for block in partition.blocks for name in block}
-    missing = [name for name in structure.ground if name not in held]
-    if missing:
-        raise ValueError(f"no partition block holds {missing[0]!r}")
-    new_ground = tuple(sorted(partition.representatives, key=structure.index_of))
-    kept = [columns[structure.index_of(name)] for name in new_ground]
-    return KnowledgeStructure(ground=new_ground, states=transpose(kept, len(structure.states)))
+    ground = structure.ground
+    columns = transpose(structure.states, len(ground))
+    labels = set(ConceptPartition.from_keys(ground, columns).representatives)
+    kept = [j for j, name in enumerate(ground) if name in labels]
+    return KnowledgeStructure(
+        ground=[ground[j] for j in kept],
+        states=transpose([columns[j] for j in kept], len(structure.states)),
+    )

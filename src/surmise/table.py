@@ -8,6 +8,7 @@ quantity is exact integer arithmetic on its support masks.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import chain, compress, pairwise
 from operator import or_
 from types import MappingProxyType
@@ -347,10 +348,8 @@ def _percent_text(whole: str, cents: str) -> str:
     return f"{whole}.{cents}" if cents else whole
 
 
-def _out_of_range(sign: str, whole: str, cents: str) -> FlexibilityError:
-    return FlexibilityError(
-        f"flexibility must lie in [0%, 50%), got {sign}{_percent_text(whole, cents)}%"
-    )
+def _out_of_range(sign: str, value: str) -> FlexibilityError:
+    return FlexibilityError(f"flexibility must lie in [0%, 50%), got {sign}{value}%")
 
 
 class Flexibility(Frozen):
@@ -362,7 +361,9 @@ class Flexibility(Frozen):
     50% are rejected: the order's anti-symmetry depends on it.  A
     non-integer raises "basis points must be an integer"; the message of
     a value out of range writes it exactly, sign first, from its digits
-    (no float, which overflows past 10**308).
+    (no float, which overflows past 10**308), or, for a whole part of more
+    digits than ``str`` writes (``sys.get_int_max_str_digits``), as that
+    limit: "(over 4300 digits)".
     """
 
     _fields = ("basis_points",)
@@ -373,8 +374,13 @@ class Flexibility(Frozen):
                 f"basis points must be an integer, got {basis_points!r}"
             )
         if not 0 <= basis_points < 5000:
+            sign = "-" if basis_points < 0 else ""
             whole, cents = divmod(abs(basis_points), 100)
-            raise _out_of_range("-" if basis_points < 0 else "", str(whole), f"{cents:02d}")
+            try:
+                digits = str(whole)
+            except ValueError:  # more digits than int-to-str conversion allows
+                raise _out_of_range(sign, f"(over {sys.get_int_max_str_digits()} digits)") from None
+            raise _out_of_range(sign, _percent_text(digits, f"{cents:02d}"))
         self.__dict__.update(basis_points=basis_points)
 
     @classmethod
@@ -398,7 +404,7 @@ class Flexibility(Frozen):
             )
         whole = m["whole"].lstrip("0") or "0"
         if len(whole) > 2:
-            raise _out_of_range(m["sign"], whole, frac)
+            raise _out_of_range(m["sign"], _percent_text(whole, frac))
         value = int(whole) * 100 + int(frac.ljust(2, "0") or "0")
         if m["sign"]:
             value = -value

@@ -429,16 +429,17 @@ def natural_name_key(name: str) -> tuple:
 
 def rendered_states_reference(structure) -> tuple[list[int], list[str]]:
     """The states ordered by size, then member names, and the "{a,b}" text
-    of each.  A state's members are read once, as natural-order ranks
-    (``KnowledgeStructure.rank``), which give both the sort key and the
-    text: the names by rank are ``rank`` inverted, with no name compared."""
-    rank = structure.rank
+    of each.  The ground is sorted once by ``natural_name_key``; a state's
+    members are read once, as their positions in that order, which give
+    both the sort key and the text, with no name compared again."""
+    by_rank = sorted(structure.ground, key=natural_name_key)
+    position = {name: r for r, name in enumerate(by_rank)}
+    rank = [position[name] for name in structure.ground]
     keyed = []
     for state in structure.states:
         ranks = sorted(compress(rank, bit_flags(state)))
         keyed.append((len(ranks), ranks, state))
     keyed.sort()
-    by_rank = [name for _, name in sorted(zip(rank, structure.ground))]  # ranks are distinct
     texts = ["{" + ",".join([by_rank[r] for r in ranks]) + "}" for _, ranks, _ in keyed]
     return [state for _, _, state in keyed], texts
 

@@ -19,7 +19,7 @@ from surmise import (
     OrderMatrix,
     all_downsets,
     analyze,
-    emit_dot,
+    dot_chunks,
     emit_report,
     order_matrix,
     random_poset,
@@ -283,7 +283,7 @@ def test_criterion_7_determinism(fuzz_corpus):
         def render(table) -> str:
             report = analyze(table, alpha, include_counts=True)
             diagram = transitive_reduction(order_matrix(table, alpha))
-            return emit_report(report, "json") + emit_dot(diagram)
+            return emit_report(report, "json") + "".join(dot_chunks(diagram))
 
         serial = [render(t) for t in fuzz_corpus]
         with ThreadPoolExecutor(max_workers=8) as pool:

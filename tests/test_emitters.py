@@ -32,10 +32,10 @@ from surmise import (
     analyze,
     assign_layers,
     build_table,
-    emit_csv,
-    emit_dot,
+    csv_chunks,
+    dot_chunks,
     emit_report,
-    hasse_json,
+    hasse_json_chunks,
     order_matrix,
     parse_csv,
     random_poset,
@@ -132,9 +132,12 @@ def test_the_golden_list_covers_every_golden():
     assert outputs - listed == {SEVERAL_BLOCKS_GOLDEN}
 
 
-@pytest.mark.parametrize("golden, argv", [
+CSV_GOLDEN_COMMANDS = [
     (golden, argv) for golden, argv in GOLDEN_COMMANDS if any(arg.endswith(".csv") for arg in argv)
-])
+]
+
+
+@pytest.mark.parametrize("golden, argv", CSV_GOLDEN_COMMANDS)
 def test_goldens_read_in_crlf_from_a_pipe(golden, argv):
     """Each golden of a CSV input, that CSV given in CRLF on a pipe, which
     cannot seek and so is read whole: CI runs the same lines through
@@ -144,6 +147,16 @@ def test_goldens_read_in_crlf_from_a_pipe(golden, argv):
         *["/dev/stdin" if arg == csv else arg for arg in argv],
         input=Path(csv).read_bytes().replace(b"\n", b"\r\n"),
     )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (DATA_DIR / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden, argv", CSV_GOLDEN_COMMANDS)
+def test_goldens_read_from_stdin_as_dash(golden, argv):
+    """Each golden of a CSV input, that CSV piped to stdin and named by
+    ``-``: CI runs the same lines through ``-``."""
+    csv = next(arg for arg in argv if arg.endswith(".csv"))
+    result = run_cli(*["-" if arg == csv else arg for arg in argv], input=Path(csv).read_bytes())
     assert (result.returncode, result.stderr) == (0, b"")
     assert result.stdout == (DATA_DIR / golden).read_bytes()
 
@@ -202,8 +215,8 @@ def assert_json_matches_oracles(table, alpha, counts: bool) -> None:
     assert emit_report(report, "json") == oracles.report_json_reference(report)
     assert emit_report(report, "text") == oracles.report_text_reference(report)
     diagram = transitive_reduction(order_matrix(table, alpha))
-    assert hasse_json(diagram) == oracles.hasse_json_reference(diagram)
-    assert emit_dot(diagram) == oracles.dot_reference(diagram)
+    assert "".join(hasse_json_chunks(diagram)) == oracles.hasse_json_reference(diagram)
+    assert "".join(dot_chunks(diagram)) == oracles.dot_reference(diagram)
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,7 +251,7 @@ def test_json_string_is_json_dumps(name):
 
 def test_empty_diagram_matches_json_dumps():
     diagram = transitive_reduction(OrderMatrix((), ()))
-    assert hasse_json(diagram) == oracles.hasse_json_reference(diagram)
+    assert "".join(hasse_json_chunks(diagram)) == oracles.hasse_json_reference(diagram)
 
 
 def test_long_arrays_match_json_dumps():
@@ -271,8 +284,8 @@ def assert_pair_sections_match_oracles(diagram: HasseDiagram) -> None:
     assert "".join(_text_pairs("hasse", diagram.covers, diagram.successors())) == (
         oracles.pairs_text_reference("hasse", edges)
     )
-    assert emit_dot(diagram) == oracles.dot_reference(diagram)
-    assert hasse_json(diagram) == oracles.hasse_json_reference(diagram)
+    assert "".join(dot_chunks(diagram)) == oracles.dot_reference(diagram)
+    assert "".join(hasse_json_chunks(diagram)) == oracles.hasse_json_reference(diagram)
 
 
 @settings(max_examples=300, deadline=None)
@@ -299,7 +312,7 @@ def test_edges_listed_out_of_order_render_natural_sorted():
     assert assign_layers(diagram) == diagram.layers
     assert diagram.edges == (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))
     assert_pair_sections_match_oracles(diagram)
-    assert emit_dot(diagram).count("->") == 4
+    assert "".join(dot_chunks(diagram)).count("->") == 4
 
 
 @pytest.mark.parametrize("counts", [False, True])
@@ -388,11 +401,11 @@ OUTPUTS = {
     ),
     "hasse --dot": (
         ["hasse", "--dot", "--flexibility", "10"],
-        lambda t: emit_dot(transitive_reduction(order_matrix(t, ALPHA))),
+        lambda t: "".join(dot_chunks(transitive_reduction(order_matrix(t, ALPHA)))),
     ),
     "hasse --json": (
         ["hasse", "--json", "--flexibility", "10"],
-        lambda t: hasse_json(transitive_reduction(order_matrix(t, ALPHA))),
+        lambda t: "".join(hasse_json_chunks(transitive_reduction(order_matrix(t, ALPHA)))),
     ),
     "structure": (["structure"], lambda t: structure_report(structure_from_table(t))),
     "structure --no-complete": (
@@ -420,7 +433,7 @@ def test_cli_stdout_equals_library_string(capsys, tmp_path, output, source):
 def test_synth_stdout_equals_library_string(capsys):
     code = cli_main(["synth", "--targets", "6", "--models", "9", "--seed", "3"])
     table = sample_models(random_poset(6, 0.5, 3), model_count=9, noise=0.0, seed=3)
-    assert (code, capsys.readouterr().out) == (0, emit_csv(table))
+    assert (code, capsys.readouterr().out) == (0, "".join(csv_chunks(table)))
 
 
 def big_table_csv(tmp_path, targets: int, models: int) -> str:

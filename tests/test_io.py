@@ -11,10 +11,10 @@ from surmise import (
     TableError,
     analyze,
     build_table,
-    emit_csv,
-    emit_dot,
+    csv_chunks,
+    dot_chunks,
     emit_report,
-    hasse_json,
+    hasse_json_chunks,
     order_matrix,
     parse_csv,
     random_poset,
@@ -151,24 +151,24 @@ class TestEmitCsv:
     def test_round_trips_synthetic_table(self):
         poset = random_poset(5, 0.5, seed=17)
         table = sample_models(poset, model_count=8, seed=17)
-        again = parse_csv(emit_csv(table))
+        again = parse_csv("".join(csv_chunks(table)))
         assert again.support_masks == table.support_masks
         assert again.target_names == table.target_names
         assert again.model_names == table.model_names
 
     def test_canonical_file_round_trips_bytes(self):
         raw = TWELVE_MODELS_PATH.read_text()
-        assert emit_csv(parse_csv(raw)) == raw
+        assert "".join(csv_chunks(parse_csv(raw))) == raw
 
 
 class TestEmitDot:
     def test_twelve_models_exact_bytes(self, twelve_models):
         diagram = transitive_reduction(order_matrix(twelve_models))
-        assert emit_dot(diagram) == TWELVE_MODELS_DOT
+        assert "".join(dot_chunks(diagram)) == TWELVE_MODELS_DOT
 
     def test_single_target(self):
         table = build_table(["solo"], ["M1"], [[1]])
-        got = emit_dot(transitive_reduction(order_matrix(table)))
+        got = "".join(dot_chunks(transitive_reduction(order_matrix(table))))
         assert got == (
             'digraph hierarchy {\n  rankdir=BT;\n  "solo" [label="solo"];\n}\n'
         )
@@ -177,7 +177,7 @@ class TestEmitDot:
         table = build_table(
             ["a", "b", "c"], ["M1", "M2"], [[1, 1, 1], [1, 1, 0]]
         )
-        got = emit_dot(transitive_reduction(order_matrix(table)))
+        got = "".join(dot_chunks(transitive_reduction(order_matrix(table))))
         assert '"b" [label="b (=a)"];' in got
 
 
@@ -272,7 +272,7 @@ class TestReports:
 class TestHasseJson:
     def test_twelve_models(self, twelve_models):
         diagram = transitive_reduction(order_matrix(twelve_models))
-        obj = json.loads(hasse_json(diagram))
+        obj = json.loads("".join(hasse_json_chunks(diagram)))
         assert list(obj) == ["nodes", "edges", "layers"]
         assert obj["nodes"][0] == {"name": "t1", "members": ["t0", "t1"]}
         assert obj["edges"] == [list(e) for e in diagram.edges]

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from surmise import (
-    ConceptPartition,
     KnowledgeStructure,
     TableError,
     build_table,
@@ -46,11 +45,6 @@ def make_structure(ground, state_names):
         sum(1 << index[n] for n in names) for names in state_names
     )
     return KnowledgeStructure(ground=tuple(ground), states=states)
-
-
-def reduce_(structure):
-    """The discriminative reduction, given the structure's own concepts."""
-    return discriminative_reduction(structure, equally_informative(structure))
 
 
 def report_line(structure, label):
@@ -150,7 +144,7 @@ class TestStructureFromTable:
         # and the full state are among them, and kept by the reduction.
         full = (1 << len(structure.ground)) - 1
         assert structure.completed == (0 in structure.states and full in structure.states)
-        assert reduce_(structure).completed == structure.completed
+        assert discriminative_reduction(structure).completed == structure.completed
 
 
 class TestStatesContaining:
@@ -229,11 +223,6 @@ def test_mask_derivations_match_set_references(structure):
     assert [list(block) for block in equally_informative(structure).blocks] == (
         oracles.concept_blocks_reference(ground, sets)
     )
-    reduced = reduce_(structure)
-    new_ground, new_states = oracles.reduction_reference(ground, sets)
-    assert reduced.ground == new_ground
-    assert reduced.states == oracles.state_masks(new_states)
-    assert reduced.completed == structure.completed
 
 
 class TestEquallyInformative:
@@ -261,8 +250,24 @@ class TestEquallyInformative:
 
 
 class TestDiscriminativeReduction:
+    @given(structures(max_ground=8))
+    @example(KnowledgeStructure(ground=("q0", "q1"), states=frozenset()))
+    @example(make_structure(("t10", "t2", "a"), [frozenset(), frozenset({"t10", "t2"})]))
+    def test_matches_reference(self, structure):
+        # The reduction finds its own concepts: it matches the set-based
+        # reference, keeps ``completed``, and returns a discriminative
+        # structure equal to itself.
+        sets = oracles.state_sets(structure.states)
+        new_ground, new_states = oracles.reduction_reference(structure.ground, sets)
+        reduced = discriminative_reduction(structure)
+        assert reduced.ground == new_ground
+        assert reduced.states == oracles.state_masks(new_states)
+        assert reduced.completed == structure.completed
+        if new_ground == structure.ground:
+            assert reduced == structure
+
     def test_worked_reduction(self, worked):
-        reduced = reduce_(worked)
+        reduced = discriminative_reduction(worked)
         assert reduced.ground == ("a", "b", "d", "e")
         index = {name: j for j, name in enumerate(reduced.ground)}
 
@@ -286,68 +291,29 @@ class TestDiscriminativeReduction:
         # A structure that is not discriminative is replaced by its
         # reduction, which is; the report reuses a discriminative
         # structure's own states as its reduction's on this identity.
-        partition = equally_informative(structure)
-        if len(partition.blocks) != len(structure.ground):
-            structure = discriminative_reduction(structure, partition)
-        reduced = reduce_(structure)
+        if len(equally_informative(structure).blocks) != len(structure.ground):
+            structure = discriminative_reduction(structure)
+        reduced = discriminative_reduction(structure)
         assert reduced.ground == structure.ground
         assert len(reduced.states) == len(structure.states)
         assert reduced == structure
 
     def test_two_target_collapse(self):
         structure = make_structure(("a", "b"), [frozenset(), frozenset({"a", "b"})])
-        reduced = reduce_(structure)
+        reduced = discriminative_reduction(structure)
         assert reduced.ground == ("a",)
         assert reduced.states == frozenset({0b0, 0b1})
 
     @given(structures())
     def test_reduction_is_discriminative(self, structure):
-        assert is_discriminative(reduce_(structure))
+        assert is_discriminative(discriminative_reduction(structure))
 
     @given(structures())
     def test_reduction_preserves_state_count(self, structure):
         # Distinct states can merge only when they differ solely inside
         # blocks, which equal informativeness forbids.
-        reduced = reduce_(structure)
+        reduced = discriminative_reduction(structure)
         assert len(reduced.states) == len(structure.states)
-
-
-class TestReductionChecksThePartition:
-    """``discriminative_reduction`` takes the concept partition as given
-    and checks it against the columns it reads anyway; a name held twice
-    is rejected earlier, by the partition itself.  Here a and b are
-    one concept, c another: the states are {}, {a, b} and {a, b, c}."""
-
-    STRUCTURE = KnowledgeStructure(("a", "b", "c"), {0, 0b011, 0b111})
-
-    def reduce_by(self, *blocks):
-        return discriminative_reduction(self.STRUCTURE, ConceptPartition(blocks))
-
-    def test_a_name_in_no_block(self):
-        with pytest.raises(ValueError, match="no partition block holds 'b'"):
-            self.reduce_by(("a",))
-
-    def test_a_name_in_two_blocks(self):
-        # Caught when the partition is built, before any reduction reads it.
-        with pytest.raises(ValueError, match="partition blocks 0 and 1 both hold 'a'"):
-            ConceptPartition((("a", "b"), ("a", "c")))
-        with pytest.raises(ValueError, match="partition blocks 0 and 0 both hold 'a'"):
-            ConceptPartition((("a", "a", "b"), ("c",)))
-
-    def test_a_block_out_of_natural_order(self):
-        # A concept is written by its first member: ("b", "a") would keep
-        # b, not a, so the partition itself refuses it.
-        with pytest.raises(ValueError, match=r"^partition block 0 must be distinct and "
-                           r"natural-sorted: 'b' before 'a'$"):
-            self.reduce_by(("b", "a"), ("c",))
-
-    def test_unequal_columns_within_a_block(self):
-        with pytest.raises(ValueError, match="partition block 0 is not the concept of 'c'"):
-            self.reduce_by(("a", "b", "c"))
-
-    def test_equal_columns_across_blocks(self):
-        with pytest.raises(ValueError, match="partition block 1 is not the concept of 'b'"):
-            self.reduce_by(("a",), ("b",), ("c",))
 
 
 class TestIsDiscriminative:
@@ -355,7 +321,7 @@ class TestIsDiscriminative:
         assert not is_discriminative(worked)
 
     def test_worked_reduction_is(self, worked):
-        assert is_discriminative(reduce_(worked))
+        assert is_discriminative(discriminative_reduction(worked))
 
     def test_single_target(self):
         structure = make_structure(("a",), [frozenset({"a"})])
@@ -382,7 +348,7 @@ def test_antisymmetry_on_discriminative_structures():
         ground = tuple(f"q{j}" for j in range(size))
         masks = {rng.randrange(2**size) for _ in range(rng.randint(1, 10))}
         structure = KnowledgeStructure(ground=ground, states=frozenset(masks))
-        reduced = reduce_(structure)
+        reduced = discriminative_reduction(structure)
         relation = surmise_from_structure(reduced)
         for p, q in relation:
             if (q, p) in relation:

@@ -26,6 +26,9 @@ DELETED_FUNCTIONS = (
     "predecessor_masks",
     "SynthSpec",  # a record: sample_models takes the poset and its parameters
     "bit_indices",  # masks are read by compress on their flags (table.picked)
+    "emit_dot",  # the writers are their *_chunks generators; join those
+    "hasse_json",
+    "emit_csv",
 )
 
 DELETED_MEMBERS = [
@@ -46,6 +49,7 @@ DELETED_MEMBERS = [
     (order.OrderMatrix, "member_map"),  # classes are always set: read classes.blocks
     (order.EquivalenceClasses, "members_of"),
     (hasse.HasseDiagram, "layer_groups"),  # layers are stored as groups
+    (kst.KnowledgeStructure, "index_of"),  # the reduction finds its own concepts
 ]
 
 
@@ -79,3 +83,5 @@ def test_deleted_lookup_dicts_are_not_built():
     matrix = order.OrderMatrix(("a", "b"), (0b11, 0b10))
     assert "_model_index" not in vars(built)
     assert "_index" not in vars(matrix)
+    structure = kst.KnowledgeStructure(("a", "b"), {0, 0b11})
+    assert "_index" not in vars(structure) and "rank" not in vars(structure)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -22,6 +23,8 @@ from surmise import (
     transitive_reduction,
     verify_partial_order,
 )
+from surmise.io import report_chunks
+from surmise.table import natural_sorted, transpose
 from surmise.order import (
     _check_axioms,
     _edge_holds,
@@ -601,6 +604,134 @@ class TestRowKernels:
         matrix = order_matrix(table, Flexibility(bp))
         assert len(matrix.reps) > 60
         assert matrix.rows == oracles.pairwise_order_rows(table, Flexibility(bp))
+
+
+def complemented(table):
+    """The table with every cell flipped: n2 and n3 of every pair swap
+    places, and equal columns stay equal."""
+    every_model = (1 << table.model_count) - 1
+    return JudgmentTable(
+        table.model_names, table.target_names, [every_model ^ m for m in table.support_masks]
+    )
+
+
+def remodeled(table, picks):
+    """The table whose model n is ``table``'s model ``picks[n]``."""
+    rows = table.row_masks
+    return JudgmentTable(
+        [f"M{n}" for n in range(len(picks))], table.target_names,
+        transpose([rows[i] for i in picks], table.target_count),
+    )
+
+
+def order_by(kernel, table, bp):
+    """The order matrix of ``table`` at ``bp`` basis points, its rows built
+    by ``kernel``, or by the kernel ``order_matrix`` picks."""
+    if kernel is order_matrix:
+        return order_matrix(table, Flexibility(bp))
+    classes = equivalence_classes(table)
+    masks, sizes = kernel_input(table)
+    return OrderMatrix(
+        classes.representatives, kernel(masks, sizes, table.model_count, bp), classes
+    )
+
+
+@st.composite
+def natural_renamings(draw, names):
+    """A map from ``names`` to new names in the same natural order: "q"
+    and a drawn number, increasing with the name's natural rank, so the
+    new names' plain string order differs from their natural order."""
+    numbers = sorted(draw(st.sets(st.integers(0, 10**6), min_size=len(names), max_size=len(names))))
+    return dict(zip(natural_sorted(names), [f"q{n}" for n in numbers]))
+
+
+def renamed(table, mapping):
+    return JudgmentTable(
+        table.model_names, [mapping[name] for name in table.target_names], table.support_masks
+    )
+
+
+# The kernel that builds the original order, then the one that builds the
+# transformed table's: each law is a property of the order, whichever
+# kernel computes either side, so a fault in one kernel breaks the mixed
+# pairs even where that kernel alone would keep the law.
+KERNEL_PAIRS = [
+    (first, second)
+    for first in (_size_order_rows, _lane_rows)
+    for second in (_size_order_rows, _lane_rows)
+] + [(order_matrix, order_matrix)]
+
+
+@pytest.mark.parametrize(
+    "first, second", KERNEL_PAIRS, ids=lambda kernel: kernel.__name__.strip("_")
+)
+class TestOrderSymmetries:
+    """Laws of the edge test, at every flexibility.  Complementing every
+    cell swaps n2 and n3 of every pair, so the order of the complement is
+    the transpose of the order, and so are its covers.  The test reads
+    counts of models only, so shuffling the models changes nothing, nor
+    does repeating each of them three times (which scales every count
+    and can move the lane width k), nor renaming the targets by a map
+    that keeps their natural order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=kernel_cases())
+    @example(case=(ONE_MODEL, 4999))
+    @example(case=(IDENTICAL_COLUMNS, 3333))
+    def test_complement_transposes_rows_and_covers(self, first, second, case):
+        table, bp = case
+        order, dual = order_by(first, table, bp), order_by(second, complemented(table), bp)
+        assert dual.reps == order.reps
+        assert dual.rows == transpose(order.rows, len(order.reps))
+        assert dual.covers == transpose(order.covers, len(order.reps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=kernel_cases(), rng=st.randoms(use_true_random=False))
+    def test_shuffling_the_models_keeps_the_rows(self, first, second, case, rng):
+        table, bp = case
+        picks = list(range(table.model_count))
+        rng.shuffle(picks)
+        assert order_by(second, remodeled(table, picks), bp) == order_by(first, table, bp)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=kernel_cases())
+    def test_repeating_every_model_keeps_the_rows(self, first, second, case):
+        table, bp = case
+        picks = [i for i in range(table.model_count) for _ in range(3)]
+        assert order_by(second, remodeled(table, picks), bp) == order_by(first, table, bp)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=kernel_cases(), data=st.data())
+    def test_renaming_by_natural_order_keeps_the_rows(self, first, second, case, data):
+        table, bp = case
+        mapping = data.draw(natural_renamings(table.target_names))
+        order = order_by(first, table, bp)
+        again = order_by(second, renamed(table, mapping), bp)
+        assert again.reps == tuple(mapping[name] for name in order.reps)
+        assert (again.rows, again.covers) == (order.rows, order.covers)
+
+
+def rename_strings(value, mapping):
+    """``value``, a parsed JSON document, with every string in ``mapping``
+    replaced."""
+    if isinstance(value, dict):
+        return {key: rename_strings(item, mapping) for key, item in value.items()}
+    if isinstance(value, list):
+        return [rename_strings(item, mapping) for item in value]
+    return mapping.get(value, value) if isinstance(value, str) else value
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=kernel_cases(), counts=st.booleans(), data=st.data())
+def test_renamed_report_is_the_report_with_the_names_replaced(case, counts, data):
+    table, bp = case
+    mapping = data.draw(natural_renamings(table.target_names))
+    alpha = Flexibility(bp)
+
+    def report(table):
+        return json.loads("".join(report_chunks(analyze(table, alpha, counts))))
+
+    assert report(renamed(table, mapping)) == rename_strings(report(table), mapping)
 
 
 @st.composite

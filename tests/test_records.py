@@ -79,8 +79,6 @@ DERIVED = [
     (HasseDiagram, "covers"),
     (HasseDiagram, "members"),
     (HasseDiagram, "layers"),
-    (KnowledgeStructure, "rank"),
-    (KnowledgeStructure, "_index"),
 ]
 
 RECORDS = list(ARGUMENTS)

@@ -15,16 +15,9 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from surmise import (
-    ConceptPartition,
-    KnowledgeStructure,
-    build_table,
-    discriminative_reduction,
-    equally_informative,
-    structure_from_table,
-    structure_report,
-)
+from surmise import KnowledgeStructure, build_table, structure_from_table, structure_report
 from surmise.io import _rendered_states
+from surmise.table import natural_ranks
 
 import oracles
 from test_bitset import latent_rows
@@ -129,23 +122,12 @@ def test_state_order_and_texts_match_sorted_rank_lists(structure):
 
 
 def test_ranks_follow_natural_order_and_stay_out_of_equality():
+    # The renderer ranks the ground itself; a structure stores no ranks.
     structure = KnowledgeStructure(ground=ODD_NAMES, states=frozenset({0b111}))
-    by_rank = sorted(ODD_NAMES, key=lambda n: structure.rank[ODD_NAMES.index(n)])
+    rank = natural_ranks(structure.ground)
+    by_rank = sorted(ODD_NAMES, key=lambda n: rank[ODD_NAMES.index(n)])
     assert by_rank == sorted(ODD_NAMES, key=oracles.natural_name_key)
-    members = sorted(ODD_NAMES[:3], key=lambda n: structure.rank[ODD_NAMES.index(n)])
-    assert members == ["t01", "t2", "t10"]
+    assert _rendered_states(structure)[1] == ["{t01,t2,t10}"]
     twin = KnowledgeStructure(ground=ODD_NAMES, states=frozenset({0b100 | 0b010 | 0b001}))
     assert twin == structure and hash(twin) == hash(structure)
-    assert "rank" not in repr(structure) and "_index" not in repr(structure)
-
-
-def test_lookups_reject_unknown_names_alike():
-    structure = KnowledgeStructure(ground=ODD_NAMES, states=frozenset({0}))
-    partition = equally_informative(structure)
-    assert structure.index_of("b9c30") == 5
-    assert partition.blocks == (tuple(sorted(ODD_NAMES, key=oracles.natural_name_key)),)
-    assert partition.representatives == ("a",)
-    foreign = ConceptPartition((("t3",),))
-    for lookup in (structure.index_of, lambda _: discriminative_reduction(structure, foreign)):
-        with pytest.raises(ValueError, match=r"^unknown target 't3'$"):
-            lookup("t3")
+    assert set(vars(structure)) == {"ground", "states"}

@@ -1,5 +1,6 @@
 import enum
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -599,6 +600,27 @@ class TestFlexibility:
         with pytest.raises(FlexibilityError) as raised:
             Flexibility(10 ** min(digits, 4000) + 1)
         assert str(raised.value).endswith("0.01%")
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_out_of_range_message_past_the_str_limit(self, sign, limit):
+        # str() refuses a whole part past the limit, which the caller can
+        # move; the message then gives the limit instead of the digits.
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            with pytest.raises(FlexibilityError) as raised:
+                Flexibility(sign * 10 ** (limit + 2))
+            minus = "-" if sign < 0 else ""
+            assert str(raised.value) == (
+                f"flexibility must lie in [0%, 50%), got {minus}(over {limit} digits)%"
+            )
+            whole = "1" + "0" * (limit - 1)  # exactly at the limit: written out
+            with pytest.raises(FlexibilityError) as raised:
+                Flexibility(sign * (10 ** (limit + 1) + 1))
+            assert str(raised.value) == f"flexibility must lie in [0%, 50%), got {minus}{whole}.01%"
+        finally:
+            sys.set_int_max_str_digits(old)
 
     @pytest.mark.parametrize(
         "bp,text", [(0, "0"), (2000, "20"), (2550, "25.5"), (1999, "19.99"), (5, "0.05")]
