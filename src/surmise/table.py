@@ -386,27 +386,27 @@ class Flexibility(Frozen):
     @classmethod
     def parse(cls, text: str) -> "Flexibility":
         """Parse a percentage with at most two decimal digits ("19.99"), in
-        ASCII: ``\\d`` would also take Unicode decimals such as "１０".  Only
-        ASCII spaces and tabs around it are ignored; ``strip()`` would also
-        drop Unicode spaces and separator controls such as "\\u3000".  A
-        whole part of more than two significant digits is 100% or more, so
-        it is rejected from its text, before ``int`` reads it (``int``
-        refuses over 4300 digits)."""
-        m = re.fullmatch(
-            r"(?P<sign>-?)(?P<whole>[0-9]+)(?:\.(?P<frac>[0-9]+))?", text.strip(" \t")
-        )
-        if m is None:
+        ASCII: ``isdigit`` alone would also take Unicode digits such as
+        "１０" and "²".  Only ASCII spaces and tabs around it are ignored;
+        ``strip()`` would also drop Unicode spaces and separator controls
+        such as "\\u3000".  A whole part of more than two significant digits
+        is 100% or more, so it is rejected from its text, before ``int``
+        reads it (``int`` refuses over 4300 digits)."""
+        body = text.strip(" \t")
+        sign = "-" if body[:1] == "-" else ""
+        whole, dot, frac = body[len(sign) :].partition(".")
+        digits = whole + frac
+        if not (whole and (frac or not dot) and digits.isascii() and digits.isdigit()):
             raise FlexibilityFormatError(f"flexibility {text!r} is not a decimal percentage")
-        frac = m["frac"] or ""
         if len(frac) > 2:
             raise FlexibilityError(
                 f"flexibility {text!r} has more than two decimal digits"
             )
-        whole = m["whole"].lstrip("0") or "0"
+        whole = whole.lstrip("0") or "0"
         if len(whole) > 2:
-            raise _out_of_range(m["sign"], _percent_text(whole, frac))
+            raise _out_of_range(sign, _percent_text(whole, frac))
         value = int(whole) * 100 + int(frac.ljust(2, "0") or "0")
-        if m["sign"]:
+        if sign:
             value = -value
         return cls(value)
 

@@ -25,10 +25,16 @@ were ORed by Four Russians (one ``reduce`` over a list of bit indices
 per row), and so is the row walker that named a row through such a list.
 The structure view's state order is kept as it was before it was read
 from one int key per state: one sorted list of member ranks per state,
-compared as lists.
+compared as lists.  The command line is read by the argparse parser
+the CLI was built on before it read its own command table, and a
+flexibility's text by the regular expression it was matched with before
+it was read by ``str`` methods.
 """
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import re
 from collections import deque
@@ -37,6 +43,7 @@ from functools import reduce
 from itertools import compress
 from operator import or_
 
+from surmise import cli
 from surmise.io import CsvError
 from surmise.order import (
     OrderDiagnostics,
@@ -45,8 +52,12 @@ from surmise.order import (
 )
 from surmise.table import (
     Flexibility,
+    FlexibilityError,
+    FlexibilityFormatError,
     JudgmentTable,
     TableError,
+    _out_of_range,
+    _percent_text,
     bit_flags,
     transpose,
 )
@@ -743,3 +754,103 @@ def dot_reference(diagram) -> str:
         text += f'  "{node}" [label="{label}"];\n'
     text += "".join(f'  "{lower}" -> "{upper}";\n' for lower, upper in diagram.edges)
     return text + "}\n"
+
+
+class ReferenceUsageError(Exception):
+    pass
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message: str) -> None:  # type: ignore[override]
+        raise ReferenceUsageError(message)
+
+
+def build_parser() -> _ReferenceParser:
+    """The argparse parser of the CLI, with each command's handler as
+    ``func``; a usage error raises ReferenceUsageError."""
+    parser = _ReferenceParser(
+        prog="surmise",
+        description="Mine the prerequisite hierarchy among judgment targets "
+        "from a models-by-targets 0/1 table.",
+    )
+    sub = parser.add_subparsers(dest="command", parser_class=_ReferenceParser)
+
+    p_analyze = sub.add_parser("analyze", help="full report: classes, order, hasse, layers")
+    p_analyze.add_argument("csv")
+    p_analyze.add_argument("--flexibility", default="0", metavar="P")
+    p_analyze.add_argument("--counts", action="store_true", help="include per-pair response counts")
+    fmt = p_analyze.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--text", action="store_true")
+    p_analyze.set_defaults(func=cli._cmd_analyze)
+
+    p_hasse = sub.add_parser("hasse", help="covering edges as DOT (default) or JSON")
+    p_hasse.add_argument("csv")
+    p_hasse.add_argument("--flexibility", default="0", metavar="P")
+    fmt = p_hasse.add_mutually_exclusive_group()
+    fmt.add_argument("--dot", action="store_true")
+    fmt.add_argument("--json", action="store_true")
+    p_hasse.set_defaults(func=cli._cmd_hasse)
+
+    p_counts = sub.add_parser("counts", help="response-pattern counts for one target pair")
+    p_counts.add_argument("csv")
+    p_counts.add_argument("--p", required=True, metavar="NAME")
+    p_counts.add_argument("--q", required=True, metavar="NAME")
+    p_counts.set_defaults(func=cli._cmd_counts)
+
+    p_structure = sub.add_parser(
+        "structure", help="knowledge states, per-target families, concepts, reduction"
+    )
+    p_structure.add_argument("csv")
+    p_structure.add_argument(
+        "--no-complete",
+        action="store_true",
+        help="do not add the empty and full states",
+    )
+    p_structure.set_defaults(func=cli._cmd_structure)
+
+    p_synth = sub.add_parser("synth", help="emit a CSV sampled from a random planted poset")
+    p_synth.add_argument("--targets", type=int, required=True, metavar="N")
+    p_synth.add_argument("--models", type=int, required=True, metavar="M")
+    p_synth.add_argument("--seed", type=int, required=True, metavar="S")
+    p_synth.add_argument("--noise", type=float, default=0.0, metavar="P")
+    p_synth.add_argument("--density", type=float, default=0.5, metavar="D")
+    p_synth.set_defaults(func=cli._cmd_synth)
+
+    return parser
+
+
+def parse_reference(argv: list[str]) -> tuple:
+    """How the argparse CLI took argv: ("help",) for help printed and exit
+    0, ("error", message) for a usage error (exit 1, also with no command
+    given), or ("ok", handler, arguments) with the arguments by name."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = build_parser().parse_args(argv)
+    except ReferenceUsageError as exc:
+        return ("error", str(exc))
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+        return ("help",)
+    values = vars(args)
+    if values.pop("command") is None:
+        return ("error", "no command given (try --help)")
+    return ("ok", values.pop("func"), values)
+
+
+def flexibility_parse_reference(text: str) -> Flexibility:
+    """``Flexibility.parse`` by one regular expression over the text with
+    ASCII spaces and tabs stripped."""
+    m = re.fullmatch(
+        r"(?P<sign>-?)(?P<whole>[0-9]+)(?:\.(?P<frac>[0-9]+))?", text.strip(" \t")
+    )
+    if m is None:
+        raise FlexibilityFormatError(f"flexibility {text!r} is not a decimal percentage")
+    frac = m["frac"] or ""
+    if len(frac) > 2:
+        raise FlexibilityError(f"flexibility {text!r} has more than two decimal digits")
+    whole = m["whole"].lstrip("0") or "0"
+    if len(whole) > 2:
+        raise _out_of_range(m["sign"], _percent_text(whole, frac))
+    value = int(whole) * 100 + int(frac.ljust(2, "0") or "0")
+    return Flexibility(-value if m["sign"] else value)

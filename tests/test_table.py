@@ -567,6 +567,24 @@ class TestFlexibility:
             Flexibility.parse(text)
         assert isinstance(caught.value, FlexibilityFormatError) == not_a_number
 
+    @given(st.text(alphabet="0123456789.-+ \t\u3000\u2009\x1c\uff11\u0665\u00b2abe", max_size=12))
+    @example("-0049.99")
+    @example(" -1.\t")
+    @example("1.2.3")
+    @example("--1")
+    @example("+1")
+    @example("1²")
+    @example("1.00")
+    @example("0" * 40 + "123.5")
+    def test_parse_matches_reference(self, text):
+        def outcome(parse):
+            try:
+                return parse(text).basis_points
+            except FlexibilityError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(Flexibility.parse) == outcome(oracles.flexibility_parse_reference)
+
     @pytest.mark.parametrize("bp", [-1, 5000, 6000])
     def test_constructor_range(self, bp):
         with pytest.raises(FlexibilityError):
