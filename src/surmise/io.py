@@ -1,10 +1,10 @@
 """File formats: CSV tables in, CSV/JSON/DOT/text out.
 
-``parse_csv`` takes bytes, a str or an open binary file and reads it as
-one kind of source, a seekable binary stream, one block of whole lines
+``parse_csv`` takes bytes, a str or an open binary file, also one that
+cannot seek, and reads it once, front to back, one block of whole lines
 at a time, so reading holds the table and one block, never the whole
-input; only an input that fails the block check is read again whole, to
-name its first fault.
+input; a block that fails the block check is scanned where it is read,
+to name its first fault.
 
 Every emitter is byte-deterministic for a given input: collections are
 natural-sorted, JSON key order is fixed, and all numbers are integers
@@ -95,62 +95,42 @@ _BLOCK = 1 << 16  # bytes read per chunk
 
 def _line_blocks(source: IO[bytes]) -> Iterator[bytes]:
     """The lines of a binary stream, a block at a time: chunks of
-    ``_BLOCK`` bytes are cut at their last line break, the partial line
-    after it carried into the next chunk.  A block is its lines joined by
-    line breaks.  Only the new chunk is searched for a line break, and the
-    carried partial line is a list of chunks joined once, when its line
-    ends, so a line of any length costs time linear in its length."""
+    ``_BLOCK`` bytes are cut after their last line break, the partial line
+    after it carried into the next chunk.  A block is its lines, each with
+    its line break (the input's last line without one, when it has none),
+    so it starts and ends at a character boundary.  Only the new chunk is
+    searched for a line break, and the carried partial line is a list of
+    chunks joined once, when its line ends, so a line of any length costs
+    time linear in its length."""
     carry: list[bytes] = []
     for chunk in iter(lambda: source.read(_BLOCK), b""):
         head, cut, tail = chunk.rpartition(b"\n")
         if cut:
-            yield b"".join([*carry, head])
+            yield b"".join([*carry, head, cut])
             carry = []
         carry.append(tail)
     if any(carry):
         yield b"".join(carry)
 
 
-def _block_table(source: IO[bytes]) -> JudgmentTable | None:
-    """The table, read block by block, or None when a block fails the
-    body check, is not UTF-8 or lacks targets or rows."""
-    digits, model_names, target_names = bytearray(), [], None
-    for block in _line_blocks(source):
-        try:
-            block = block.decode("utf-8")  # an LF byte never lies inside a UTF-8 sequence
-        except UnicodeDecodeError:
-            return None
-        lines = block.split("\n")
-        if "\r" in block:
-            lines = [line.removesuffix("\r") for line in lines]
-        if target_names is None:
-            target_names = lines.pop(0).split(",")[1:]
-            width = 2 * len(target_names)
-        tails = "".join(map(itemgetter(slice(-width, None)), lines))
-        names = list(map(itemgetter(slice(None, -width)), lines))
-        block_digits = tails[1::2].encode("ascii", "replace")  # "?" fails the 0/1 test
-        if not width or len(tails) != width * len(lines) or "," in "".join(names):
-            return None
-        if block_digits.translate(None, b"01") or tails.count(",") != len(block_digits):
-            return None
-        digits += block_digits
-        model_names += names
-    if not model_names:
-        return None
-    columns = _read_columns(digits, len(target_names))
-    del digits  # the constructor's name checks need room of their own
-    return JudgmentTable(tuple(model_names), tuple(target_names), columns)
+def _utf8_error(exc: UnicodeDecodeError, offset: int) -> CsvError:
+    """The fault of a block that is not UTF-8 and starts ``offset`` bytes
+    into the input, worded as ``str(exc)`` words it for the whole input."""
+    start, end = exc.start + offset, exc.end + offset
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end - start == 1
+             else f"bytes in position {start}-{end - 1}")
+    return CsvError(f"input is not valid UTF-8: '{exc.encoding}' codec can't decode {where}: "
+                    f"{exc.reason}")
 
 
 def parse_csv(source: bytes | str | IO) -> JudgmentTable:
     """Read a judgment table from CSV (UTF-8, LF or CRLF): bytes, str, or
-    a binary file open for reading.
+    a binary file open for reading, read from where it stands.
 
-    The source is made a seekable binary stream once, here: a str is
-    encoded to UTF-8 (a lone surrogate, which no UTF-8 text holds, is
-    written as its bytes and so fails as invalid UTF-8), and bytes, or a
-    file that cannot seek (a pipe), read whole, are wrapped in a
-    ``BytesIO``.
+    A str is encoded to UTF-8 (a lone surrogate, which no UTF-8 text
+    holds, is written as its bytes and so fails as invalid UTF-8), and
+    bytes are wrapped in a ``BytesIO``; a file, also one that cannot seek
+    (a pipe), is read as it is, front to back, once.
 
     Layout: the header's first cell is reserved (ignored), the rest are
     target names; each body row is a model name followed by "0"/"1"
@@ -159,10 +139,12 @@ def parse_csv(source: bytes | str | IO) -> JudgmentTable:
 
     The input is read one block of whole lines at a time
     (``_line_blocks``), so beside the table only one block is held.  Each
-    block is checked at once, by string methods that run in C.  With u
-    targets, a line is valid iff it ends in u cells, each a comma and a
-    "0"/"1" digit, and the name before them holds no comma.  So a block is
-    valid iff the last 2u characters of its lines, joined, are 2u
+    block is decoded on its own, and a block that is not UTF-8 raises at
+    once: it holds the input's first invalid byte, at its offset in the
+    input.  Each block is then checked by string methods that run in C.
+    With u targets, a line is valid iff it ends in u cells, each a comma
+    and a "0"/"1" digit, and the name before them holds no comma.  So a
+    block is valid iff the last 2u characters of its lines, joined, are 2u
     characters per line with only "0"/"1" at the odd positions and only
     commas at the even ones, and the names hold no comma; each tail is one
     line's own, so the blocks pass exactly when the whole body would.  The
@@ -170,35 +152,58 @@ def parse_csv(source: bytes | str | IO) -> JudgmentTable:
     all blocks are joined, and each column is one strided read of them
     (``table._read_columns``).
 
-    Only an input that fails is read again, whole (a file from where it
-    stood when given), and scanned line by line to name its first fault:
-    invalid UTF-8 first, then an empty input, no targets or no rows, then
-    cell and shape faults in line order.  Name faults come last, from the
-    constructor.
+    A block that fails the check is scanned line by line, at once, to name
+    its first fault, which is kept; later blocks are only decoded, since
+    invalid UTF-8 anywhere wins.  So the faults rank: invalid UTF-8, then
+    an empty input, no targets or no rows, then cell and shape faults in
+    line order.  Name faults come last, from the constructor.
     """
     if isinstance(source, str):
         source = source.encode("utf-8", "surrogatepass")
-    if isinstance(source, bytes) or not source.seekable():
-        source = BytesIO(source if isinstance(source, bytes) else source.read())
-    start = source.tell()
-    table = _block_table(source)
-    if table is not None:
-        return table
-    source.seek(start)
-    try:
-        text = source.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CsvError(f"input is not valid UTF-8: {exc}") from None
-    lines = [line.removesuffix("\r") for line in text.removesuffix("\n").split("\n")]
-    if not any(lines):
+    if isinstance(source, bytes):
+        source = BytesIO(source)
+    digits, model_names, target_names = bytearray(), [], None
+    # The kept fault, whether a line is not blank, the bytes read before
+    # the block, and the line number of its first body line.
+    fault, filled, offset, number = None, False, 0, 2
+    for block in _line_blocks(source):
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(exc, offset) from None
+        offset += len(block)
+        lines = text.removesuffix("\n").split("\n")
+        if "\r" in text:
+            lines = [line.removesuffix("\r") for line in lines]
+        filled = filled or any(lines)
+        if fault:
+            continue
+        if target_names is None:
+            target_names = lines.pop(0).split(",")[1:]
+            width = 2 * len(target_names)
+            if not width:
+                fault = CsvError("header row declares no targets")
+                continue
+        tails = "".join(map(itemgetter(slice(-width, None)), lines))
+        names = list(map(itemgetter(slice(None, -width)), lines))
+        block_digits = tails[1::2].encode("ascii", "replace")  # "?" fails the 0/1 test
+        if (len(tails) != width * len(lines) or "," in "".join(names)
+                or block_digits.translate(None, b"01") or tails.count(",") != len(block_digits)):
+            errors = (_row_error(line, n, target_names) for n, line in enumerate(lines, number))
+            fault = next(filter(None, errors), AssertionError("the body check found no faulty line"))
+        else:
+            digits += block_digits
+            model_names += names
+            number += len(lines)
+    if not filled:
         raise CsvError("empty CSV input")
-    target_names = lines[0].split(",")[1:]
-    if not target_names:
-        raise CsvError("header row declares no targets")
-    if len(lines) == 1:
+    if fault:
+        raise fault
+    if not model_names:
         raise CsvError("CSV has a header but no model rows")
-    errors = (_row_error(line, n, target_names) for n, line in enumerate(lines[1:], start=2))
-    raise next(filter(None, errors), AssertionError("the body check found no faulty line"))
+    columns = _read_columns(digits, len(target_names))
+    del digits  # the constructor's name checks need room of their own
+    return JudgmentTable(tuple(model_names), tuple(target_names), columns)
 
 
 def csv_chunks(table: JudgmentTable) -> Iterator[str]:

@@ -22,6 +22,7 @@ from .table import (
     NamePartition,
     ZERO_FLEXIBILITY,
     _check_names,
+    _check_strs,
     bit_flags,
     check_masks,
     check_natural_order,
@@ -120,7 +121,8 @@ class OrderMatrix(Frozen):
     checks the natural order of its labels itself, so ``reps`` that are
     the labels of ``classes`` are not ranked again; ``reps`` the matrix
     ranks itself are also checked as a table checks its names
-    (``TableError`` on a forbidden character or an empty name).
+    (``TableError`` on a forbidden character or an empty name, and, before
+    they are ranked, on a name that is not a ``str``).
     """
 
     _fields = ("reps", "rows", "classes")
@@ -132,6 +134,7 @@ class OrderMatrix(Frozen):
         reps, rows = tuple(reps), tuple(rows)
         labels = None if classes is None else classes.representatives
         if labels != reps:  # a partition's labels are checked names, natural-sorted
+            _check_strs("representative", reps)
             check_natural_order("representatives", reps)
             _check_names("representative", "positions", reps)
         if len(rows) != len(reps):
@@ -170,12 +173,14 @@ class OrderMatrix(Frozen):
 
         A repeated element, or a pair naming an element not in
         ``elements``, raises ``ValueError``, and an element that breaks
-        the table's name rules ``TableError``; whether the result is a
+        the table's name rules ``TableError`` (one that is not a ``str``
+        before any is ranked); whether the result is a
         partial order is told by ``diagnostics`` (or verify_partial_order),
         not raised.  The elements are ranked once, to sort them: their
         singleton classes are labeled by the sorted names, so the matrix
         does not rank them again.
         """
+        _check_strs("element", elements)
         reps = tuple(natural_sorted(elements))
         index = {name: i for i, name in enumerate(reps)}
         if len(index) < len(reps):

@@ -67,7 +67,8 @@ def sample_models(
     elements: each row is drawn uniformly from the poset's downsets, then
     each cell is flipped with probability ``noise``, all from one
     ``random.Random(seed)``.  A ``model_count`` below 1, or a ``noise``
-    outside [0, 1], raises ``ValueError``."""
+    outside [0, 1], raises ``ValueError``, and a poset with no elements
+    ``TableError``, as a table has a target at least."""
     if model_count < 1:
         raise ValueError(f"model_count must be >= 1, got {model_count}")
     if not 0.0 <= noise <= 1.0:

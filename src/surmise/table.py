@@ -186,13 +186,24 @@ _FORBIDDEN_CHARS = ('"', ",", "\n", "\r", "\\")
 _STR = frozenset((str,))
 
 
+def _check_strs(kind: str, names: Sequence[str]) -> None:
+    """Reject a name that is not a ``str``, raising ``TableError`` at the
+    first; called before names are ranked, as ``natural_key`` reads only
+    a ``str``."""
+    if not _STR.issuperset(map(type, names)):
+        for k, name in enumerate(names):
+            if not isinstance(name, str):
+                raise TableError(f"{kind} name at position {k} is not a str")
+
+
 def _check_names(kind: str, axis: str, names: Sequence[str]) -> None:
-    """Reject an empty name, a forbidden character or a duplicate among
-    ``names``, raising ``TableError`` that names the first fault in order;
-    ``kind`` names a name and ``axis`` its positions in the message.
-    Unique, non-empty ``str`` names whose concatenation holds no forbidden
-    character pass by tests that run in C; only names that fail them are
-    scanned one by one, to name the first fault."""
+    """Reject a name that is not a ``str`` (``_check_strs``, before any
+    other fault), then an empty name, a forbidden character or a duplicate
+    among ``names``, raising ``TableError`` that names the first fault in
+    order; ``kind`` names a name and ``axis`` its positions in the
+    message.  Unique, non-empty ``str`` names whose concatenation holds no
+    forbidden character pass by tests that run in C; only names that fail
+    them are scanned one by one, to name the first fault."""
     if (
         _STR.issuperset(map(type, names))
         and "" not in names
@@ -200,9 +211,10 @@ def _check_names(kind: str, axis: str, names: Sequence[str]) -> None:
         and not any(map("".join(names).__contains__, _FORBIDDEN_CHARS))
     ):
         return
+    _check_strs(kind, names)
     seen: dict[str, int] = {}
     for k, name in enumerate(names):
-        if not isinstance(name, str) or not name:
+        if not name:
             raise TableError(f"{kind} name at position {k} is empty")
         for ch in _FORBIDDEN_CHARS:
             if ch in name:
@@ -284,12 +296,14 @@ class NamePartition(Frozen):
     """Unique names split into blocks, each natural-sorted and labeled by
     its member at position ``LABEL``; blocks are ordered by label.
 
-    Every partition is checked at construction, and a fault raises
-    ``ValueError`` naming its block: first a block that is empty or a
-    name held twice (in one block or in two), then a block whose members
-    are out of natural order, then labels out of natural order.  Last,
-    the members are checked as a table checks its names, read block by
-    block (``TableError`` at a member's position in that reading).  The two
+    Every partition is checked at construction.  A member that is not a
+    ``str`` is refused first (``TableError`` at its position in the
+    members read block by block).  Then a fault raises ``ValueError``
+    naming its block: first a block that is empty or a name held twice
+    (in one block or in two), then a block whose members are out of
+    natural order, then labels out of natural order.  Last, the members
+    are checked as a table checks its names, read block by block
+    (``TableError`` at a member's position in that reading).  The two
     partitions of the pipeline differ only in ``LABEL``: classes of
     identical columns (``order.EquivalenceClasses``) are labeled by their
     last member, concepts (``kst.ConceptPartition``) by their first.  The
@@ -301,12 +315,15 @@ class NamePartition(Frozen):
     _fields = ("blocks",)
 
     def __init__(self, blocks: Sequence[Sequence[str]]) -> None:
+        blocks = tuple(map(tuple, blocks))
+        members = tuple(chain.from_iterable(blocks))
+        _check_strs("member", members)  # before the members are hashed or ranked
         blocks = _distinct_blocks(blocks)
         for k, block in enumerate(blocks):
             check_natural_order(f"partition block {k}", block)
         if hasattr(self, "LABEL"):
             check_natural_order("partition labels", [block[self.LABEL] for block in blocks])
-        _check_names("member", "positions", tuple(chain.from_iterable(blocks)))
+        _check_names("member", "positions", members)
         self.__dict__.update(blocks=blocks)
 
     @classmethod
@@ -420,6 +437,15 @@ class Flexibility(Frozen):
 ZERO_FLEXIBILITY = Flexibility(0)
 
 
+def _check_dimensions(target_names: Sequence[str], model_names: Sequence[str]) -> None:
+    """Reject a table with no targets or no models, which ``parse_csv``
+    refuses as CSV, so that every table is read back from its CSV."""
+    if len(target_names) == 0:
+        raise TableError("table has no targets (empty column dimension)")
+    if len(model_names) == 0:
+        raise TableError("table has no models (empty row dimension)")
+
+
 class JudgmentTable(Frozen):
     """Immutable models x targets matrix of 0/1 judgment outcomes, stored
     by column.
@@ -428,9 +454,10 @@ class JudgmentTable(Frozen):
     target j correctly; ``support_sizes[j]`` is its popcount, derived at
     construction.  The row-wise view is built on request: bit j of
     ``row_masks[i]`` is that same judgment.  Every table, also a
-    hand-built one, is checked once, at construction: the names as
-    ``build_table`` checks them, then one mask per target, each a mask
-    over the models.  Safe for concurrent reads; all accessors are pure.
+    hand-built one, is checked once, at construction, as ``build_table``
+    checks it: one target and one model at least, then the names, then
+    one mask per target, each a mask over the models.  Safe for
+    concurrent reads; all accessors are pure.
     """
 
     _fields = ("model_names", "target_names", "support_masks")
@@ -438,6 +465,7 @@ class JudgmentTable(Frozen):
     def __init__(
         self, model_names: Sequence[str], target_names: Sequence[str], support_masks: Sequence[int]
     ) -> None:
+        _check_dimensions(target_names, model_names)
         _check_names("target", "columns", target_names)
         _check_names("model", "rows", model_names)
         if len(support_masks) != len(target_names):
@@ -524,10 +552,7 @@ def build_table(
     columns are read from those bytes as digits, as ``parse_csv`` reads
     them; the constructor checks the names.
     """
-    if len(target_names) == 0:
-        raise TableError("table has no targets (empty column dimension)")
-    if len(model_names) == 0:
-        raise TableError("table has no models (empty row dimension)")
+    _check_dimensions(target_names, model_names)
     u = len(target_names)
     rows = [tuple(row) for row in bits]
     cells = list(chain.from_iterable(rows))

@@ -529,11 +529,17 @@ def reduction_reference(
 
 
 def check_names_reference(target_names, model_names) -> None:
-    """Reject empty names, forbidden characters and duplicates by one scan
-    of each axis, targets first, with the messages of the package."""
+    """Reject names that are not str, then empty names, forbidden
+    characters and duplicates, by scans of each axis, targets first, with
+    the messages of the package."""
+
+    def check_strs(kind: str, names) -> None:
+        for position, name in enumerate(names):
+            if not isinstance(name, str):
+                raise TableError(f"{kind} name at position {position} is not a str")
 
     def check_name(kind: str, position: int, name: str) -> None:
-        if not isinstance(name, str) or not name:
+        if not name:
             raise TableError(f"{kind} name at position {position} is empty")
         for ch in ('"', ",", "\n", "\r", "\\"):
             if ch in name:
@@ -542,6 +548,7 @@ def check_names_reference(target_names, model_names) -> None:
                     f"forbidden character {ch!r}"
                 )
 
+    check_strs("target", target_names)
     seen: dict[str, int] = {}
     for j, name in enumerate(target_names):
         check_name("target", j, name)
@@ -550,6 +557,7 @@ def check_names_reference(target_names, model_names) -> None:
                 f"duplicate target name {name!r} (columns {seen[name]} and {j})"
             )
         seen[name] = j
+    check_strs("model", model_names)
     seen = {}
     for i, name in enumerate(model_names):
         check_name("model", i, name)
@@ -563,12 +571,13 @@ def check_names_reference(target_names, model_names) -> None:
 def line_blocks_reference(source, block_size: int):
     """The blocks of ``io._line_blocks`` as it read them before it carried
     the partial line as a list of chunks: each chunk is appended to the
-    carried bytes, and the whole is cut at its last line break."""
+    carried bytes, and the whole is cut after its last line break, which
+    ends the block."""
     carry = b""
     for chunk in iter(lambda: source.read(block_size), b""):
         block, cut, carry = (carry + chunk).rpartition(b"\n")
         if cut:
-            yield block
+            yield block + cut
     if carry:
         yield carry
 

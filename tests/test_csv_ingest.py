@@ -242,7 +242,16 @@ def test_which_error_wins(text, error, message):
 
 
 def test_invalid_utf8_matches_reference():
+    """Each block is decoded on its own, and its error is worded at its
+    offset in the input: a lone continuation byte and sequences cut short,
+    before a line break and at the end of the input; a surrogate, an
+    overlong form and a code point past U+10FFFF in a late block."""
     assert_same(b"model,a\nM\xff,1\n")
+    for cut_short in (b"\x80", b"\xe2\x82", b"\xf0\x9f\x98"):
+        assert_same(b"model,a\nM1,1\nM2,1" + cut_short + b"\n")
+        assert_same(b"model,a\nM1,1\nM2,1" + cut_short)
+    for invalid in (b"\xed\xa0\x80", b"\xc0\xaf", b"\xf4\x90\x80\x80"):
+        assert_same(b"model,a\n" + b"M1,1\n" * 20 + b"M" + invalid + b",0\n")
 
 
 # Body lines built from cells, mostly of one character, so that many
@@ -285,6 +294,32 @@ def tables(draw):
 @settings(max_examples=80, deadline=None)
 @given(tables())
 def test_emit_csv_round_trips(table):
+    parsed = parse_csv("".join(csv_chunks(table)))
+    assert parsed == table
+    assert parsed.support_masks == table.support_masks
+
+
+@st.composite
+def constructor_arguments(draw):
+    """Model names, target names and support masks for the
+    ``JudgmentTable`` constructor, of any dimensions from 0 up, with names
+    of any character but a surrogate (which UTF-8 cannot encode)."""
+    name = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+    u, v = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    targets = draw(st.lists(name, min_size=u, max_size=u))
+    models = draw(st.lists(st.one_of(name, st.from_regex(r"[01]{1,3}", fullmatch=True)),
+                           min_size=v, max_size=v))
+    masks = draw(st.lists(st.integers(0, (1 << v) - 1), min_size=u, max_size=u))
+    return models, targets, masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(constructor_arguments())
+def test_every_table_the_constructor_accepts_reads_back_from_its_csv(arguments):
+    try:
+        table = JudgmentTable(*arguments)
+    except TableError:
+        return
     parsed = parse_csv("".join(csv_chunks(table)))
     assert parsed == table
     assert parsed.support_masks == table.support_masks
@@ -400,26 +435,80 @@ def test_a_file_is_read_from_where_it_stands():
         assert outcome(parse_csv, handle) == outcome(parse_csv, data)
 
 
+def traced_parse(source):
+    """The outcome of ``parse_csv(source)`` (the table or the ``CsvError``)
+    and the peak of the memory traced while it ran, above what was held
+    before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            result = parse_csv(source)
+        except CsvError as exc:
+            result = exc
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
+class Trickle(io.RawIOBase):
+    """A raw stream that cannot seek and hands out at most 4 KiB a read,
+    as a pipe does; read through an ``io.BufferedReader``, as stdin is."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data, self.at = memoryview(data), 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        chunk = self.data[self.at : self.at + min(len(buffer), 4096)]
+        buffer[: len(chunk)] = chunk
+        self.at += len(chunk)
+        return len(chunk)
+
+
+TALL = render(table_lines(40, 8000, INGEST_SEED), "\n", True)
+TALL_FAULT = "cell at line 8001, column 40 (target 't39') is '2', expected '0' or '1'"
+
+
 def test_reading_a_file_holds_about_one_block_beside_the_table(tmp_path):
     """An 8000 x 40 table: 0.69 MB of CSV, a table of 0.54 MB.  Read by
     blocks, the traced peak is about 1.4 MB (Python 3.11).  Holding the
     file's bytes as well takes it to about 2.1 MB, and holding its text,
     lines and tails at once (the whole-body reader) to about 4.7 MB."""
     path = tmp_path / "tall.csv"
-    path.write_bytes(render(table_lines(40, 8000, INGEST_SEED), "\n", True))
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        with open(path, "rb") as handle:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            table = parse_csv(handle)
-            peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    path.write_bytes(TALL)
+    with open(path, "rb") as handle:
+        table, peak = traced_parse(handle)
     assert (table.model_count, len(table.target_names)) == (8000, 40)
+    assert peak < 1.75e6, peak
+
+
+@pytest.mark.parametrize("kind, faulty", [("pipe", False), ("file", True), ("pipe", True)])
+def test_a_pipe_or_a_faulty_table_is_read_in_one_pass(tmp_path, kind, faulty):
+    """The same table from a stream that cannot seek and yields its bytes
+    a few KiB at a time, and with its last cell "2" from a file and from
+    that stream: each is read once, block by block, and a fault is named
+    in the block that holds it.  When a pipe was read whole before the
+    first block and a faulty input read again, whole, to name its fault,
+    the peaks were about 2.1 MB for the pipe, and 2.5 MB from a file and
+    3.2 MB from a pipe with the fault."""
+    data = TALL[:-2] + b"2\n" if faulty else TALL
+    path = tmp_path / "tall.csv"
+    path.write_bytes(data)
+    with open(path, "rb") as handle:
+        source = handle if kind == "file" else io.BufferedReader(Trickle(data))
+        result, peak = traced_parse(source)
+    if faulty:
+        assert isinstance(result, CsvError) and str(result) == TALL_FAULT
+    else:
+        assert (result.model_count, len(result.target_names)) == (8000, 40)
     assert peak < 1.75e6, peak
 
 

@@ -140,8 +140,8 @@ CSV_GOLDEN_COMMANDS = [
 @pytest.mark.parametrize("golden, argv", CSV_GOLDEN_COMMANDS)
 def test_goldens_read_in_crlf_from_a_pipe(golden, argv):
     """Each golden of a CSV input, that CSV given in CRLF on a pipe, which
-    cannot seek and so is read whole: CI runs the same lines through
-    ``/dev/stdin``."""
+    cannot seek and is read block by block, as a file is: CI runs the
+    same lines through ``/dev/stdin``."""
     csv = next(arg for arg in argv if arg.endswith(".csv"))
     result = run_cli(
         *["/dev/stdin" if arg == csv else arg for arg in argv],
@@ -183,8 +183,9 @@ def test_a_csv_of_several_blocks_matches_golden_bytes(tmp_path, ending):
     (b"", 2),
 ])
 def test_a_pipe_reads_as_the_same_file_by_path(tmp_path, data, code):
-    """A pipe cannot seek, so it is read whole; the output, the message
-    and the exit code are those of the same bytes read from a file."""
+    """A pipe cannot seek, and is read in one pass, as a file is; the
+    output, the message and the exit code are those of the same bytes
+    read from a file."""
     path = tmp_path / "table.csv"
     path.write_bytes(data)
     by_path = run_cli("analyze", str(path))

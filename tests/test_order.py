@@ -175,14 +175,15 @@ class TestOrderMatrix:
                 previous = pairs
 
 
-@pytest.mark.parametrize("char", ['"', ",", "\n", "\r", "\\"])
+@pytest.mark.parametrize("char", ['"', ",", "\n", "\r", "\\", 5, None, []])
 @pytest.mark.parametrize("entry", ["OrderMatrix", "from_pairs", "NamePartition"])
 def test_names_entering_without_a_table_are_checked(entry, char):
     """A name that reaches a matrix or a partition without passing a
     table's check is checked where it enters, as a table checks its
     names: a quote or a backslash would break the DOT string it is
-    written into, a comma or a line break a CSV line or a text row."""
-    name = f"b{char}c"
+    written into, a comma or a line break a CSV line or a text row.  A
+    name that is not a str is refused before the names are ranked."""
+    name = f"b{char}c" if isinstance(char, str) else char
     build, kind = {
         "OrderMatrix": (lambda: OrderMatrix(("a", name), (0b01, 0b10)), "representative"),
         "from_pairs": (lambda: OrderMatrix.from_pairs(["a", name], [("a", name)]), "element"),
@@ -192,6 +193,7 @@ def test_names_entering_without_a_table_are_checked(entry, char):
         build()
     assert str(raised.value) == (
         f"{kind} name {name!r} at position 1 contains forbidden character {char!r}"
+        if isinstance(char, str) else f"{kind} name at position 1 is not a str"
     )
 
 

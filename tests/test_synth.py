@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from surmise import (
     OrderMatrix,
+    TableError,
     all_downsets,
     order_matrix,
     random_poset,
@@ -154,7 +155,12 @@ class TestSampleModels:
     def test_draws_from_downsets_sorted_by_size_then_members(self, rows, seed):
         # The downsets are sorted by size, then by their ascending lists of
         # member indices, and each noise-free row is one draw from them.
+        # A poset with no elements gives no table: a table has a target.
         poset = OrderMatrix(tuple(f"e{k}" for k in range(len(rows))), rows)
+        if not rows:
+            with pytest.raises(TableError, match="^table has no targets"):
+                sample_models(poset=poset, model_count=30, seed=seed)
+            return
         downsets = sorted(
             oracles.downsets_reference(rows), key=lambda s: (s.bit_count(), oracles.bit_indices(s))
         )
@@ -169,6 +175,8 @@ class TestSampleModels:
             sample_models(poset=poset, model_count=0)
         with pytest.raises(ValueError, match="noise"):
             sample_models(poset=poset, model_count=1, noise=1.5)
+        with pytest.raises(TableError, match="^table has no targets"):
+            sample_models(poset=OrderMatrix((), ()), model_count=2)
 
     def test_noise_flips_cells(self):
         poset = planted(("a", "b"))

@@ -151,8 +151,22 @@ class TestBuildTable:
 
 class TestConstruction:
     """A hand-built table is checked once, at construction, as parsed and
-    built ones are: names first, then one mask per target, each a mask
-    over the models."""
+    built ones are: its dimensions first, then the names, then one mask
+    per target, each a mask over the models."""
+
+    @pytest.mark.parametrize("models, targets, masks, message", [
+        (("M1",), (), (), "table has no targets (empty column dimension)"),
+        ((), ("a",), (0,), "table has no models (empty row dimension)"),
+        ((), (), (), "table has no targets (empty column dimension)"),
+        ((), ("a", "a"), (0,), "table has no models (empty row dimension)"),
+    ])
+    def test_empty_dimensions(self, models, targets, masks, message):
+        """A table with no targets or no models has no CSV that
+        ``parse_csv`` reads back, so it cannot be built by hand either,
+        whatever else is wrong with it."""
+        with pytest.raises(TableError) as raised:
+            JudgmentTable(models, targets, masks)
+        assert str(raised.value) == message
 
     def test_masks_are_the_columns(self):
         table = JudgmentTable(("a", "b", "c"), ("x", "y"), (0b101, 0b010))
